@@ -28,6 +28,7 @@ from cantordyn.oracles import (
     DivisibilityFailure,
     GoodnessFailure,
     NotEquivalent,
+    SearchFailure,
     affine_approx,
     approx_divide,
     build_k_automorphism,

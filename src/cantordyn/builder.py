@@ -16,12 +16,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from cantordyn.clopen import ClopenSet, enumerate_clopen, union_all
-from cantordyn.measure import MeasureFamily, TreeMeasure, frac_text, validate_family
-from cantordyn.oracles import DivisibilityFailure, GoodnessFailure, NotEquivalent
+from cantordyn.measure import MeasureFamily, TreeMeasure, format_measure, frac_text, validate_family
+from cantordyn.oracles import NotEquivalent, SearchFailure
 from cantordyn.tower import (
     KRPartition,
     NotAPartition,
     NotEquivalentColumn,
+    _count_in,
     balance_columns,
     from_columns,
     locate_atom,
@@ -63,7 +64,7 @@ class HitsTop(Exception):
 class TowerSequence:
     """A refining chain of tower partitions with its schedule and budgets."""
 
-    __slots__ = ("family", "stages", "pairs", "budgets")
+    __slots__ = ("family", "stages", "pairs", "budgets", "_decompositions")
 
     def __init__(self, family, stages, pairs=(), budgets=None):
         self.family = family
@@ -74,10 +75,21 @@ class TowerSequence:
                 Fraction(1, 2 ** n) if n else Fraction(1) for n in range(len(self.stages))
             )
         self.budgets = tuple(Fraction(b) for b in budgets)
+        self._decompositions = {}
 
     @property
     def partials(self):
         return tuple(partial_automorphism(t) for t in self.stages)
+
+    def decomposition(self, n):
+        """run_decomposition of stage n+1 over stage n, computed once.
+
+        Computed on first use, not on construction, so that a sequence
+        with a damaged stage still loads and validate_sequence reports it.
+        """
+        if n not in self._decompositions:
+            self._decompositions[n] = run_decomposition(self.stages[n + 1], self.stages[n])
+        return self._decompositions[n]
 
     def __eq__(self, other):
         return (
@@ -145,7 +157,7 @@ def build_saturated(k, n_stages, depth_cap=3, max_depth=12, eps_schedule=None):
             cur = balance_columns(k, cur, u, v, max_depth)
             phase = "refine"
             cur = refine_small_base_top(k, cur, budgets[i], max_depth)
-        except (GoodnessFailure, DivisibilityFailure, NotEquivalent) as exc:
+        except (SearchFailure, NotEquivalent) as exc:
             raise BuildFailure(i + 1, phase, exc) from exc
         stages.append(cur)
     g = TowerSequence(k, stages, pairs, (Fraction(1),) + tuple(budgets))
@@ -153,10 +165,6 @@ def build_saturated(k, n_stages, depth_cap=3, max_depth=12, eps_schedule=None):
     if bad:
         raise BuildFailure(n_stages, "validate", AssertionError(bad[0]))
     return g
-
-
-def _count_in(col, u):
-    return sum(1 for a in col if a.is_subset(u))
 
 
 def validate_sequence(g):
@@ -215,7 +223,7 @@ def validate_sequence(g):
         if n in broken or n + 1 in broken:
             continue
         s, t = g.stages[n + 1], g.stages[n]
-        tr = run_decomposition(s, t)
+        tr = g.decomposition(n)
         if tr is None or not (s.base.is_subset(t.base) and s.top.is_subset(t.top)):
             bad.append("stage %d does not refine stage %d" % (n + 1, n))
             continue
@@ -271,10 +279,7 @@ def serialize_sequence(g):
     out = ["cantordyn tower v1"]
     out.append("generators %d" % len(g.family.generators))
     for i, m in enumerate(g.family.generators):
-        out.append("measure %s" % (m.name or "mu%d" % i))
-        out.append("depth_bound %d" % m.depth_bound)
-        for w, q in m.weights.items():
-            out.append("weight %s %s" % (w or "e", frac_text(q)))
+        out.extend(format_measure(m, i))
         out.append("end measure")
     out.append("pairs %d" % len(g.pairs))
     for u, v in g.pairs:

@@ -27,14 +27,8 @@ from cantordyn.builder import (
     serialize_sequence,
 )
 from cantordyn.clopen import ClopenSet, FULL
-from cantordyn.measure import (
-    FamilyParseError,
-    InvalidWeights,
-    frac_text,
-    parse_family,
-    validate_family,
-)
-from cantordyn.oracles import DivisibilityFailure, GoodnessFailure, approx_divide, goodness_select
+from cantordyn.measure import frac_text, parse_family, validate_family
+from cantordyn.oracles import GoodnessFailure, SearchFailure, approx_divide, goodness_select
 from cantordyn.tower import to_dot
 from cantordyn.verify import StageTooShallow, first_return_divide, verify_all
 
@@ -135,7 +129,7 @@ def _cmd_validate(args):
         n = rng.randint(2, 4)
         try:
             approx_divide(k, ClopenSet([word]), n, Fraction(1, 64), args.max_depth)
-        except (GoodnessFailure, DivisibilityFailure) as exc:
+        except SearchFailure as exc:
             print("division probe failed on [%s] into %d: %s" % (word, n, exc))
             return 2
     print("probes ok: %d goodness pairs swept, 20 seeded divisions" % swept)
@@ -217,22 +211,11 @@ def main(argv=None):
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except FamilyParseError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except InvalidWeights as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except BuildFailure as exc:
+    except (BuildFailure, SearchFailure) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (GoodnessFailure, DivisibilityFailure) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        # FamilyParseError and InvalidWeights are ValueErrors
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -26,11 +26,10 @@ __all__ = [
     "InvalidWeights",
     "MeasureFamily",
     "TreeMeasure",
-    "dominated",
     "format_family",
+    "format_measure",
     "frac_text",
     "parse_family",
-    "sim_k",
     "validate_family",
 ]
 
@@ -130,9 +129,6 @@ class MeasureFamily:
     def leq(self, a, b):
         return all(x <= y for x, y in zip(self.vec(a), self.vec(b)))
 
-    def dominated(self, a, b):
-        return self.leq(a, b)
-
     def __eq__(self, other):
         return isinstance(other, MeasureFamily) and self.generators == other.generators
 
@@ -141,14 +137,6 @@ class MeasureFamily:
 
     def __len__(self):
         return len(self.generators)
-
-
-def sim_k(k, a, b):
-    return k.sim(a, b)
-
-
-def dominated(k, a, b):
-    return k.dominated(a, b)
 
 
 def _max_cyl(m, depth):
@@ -314,12 +302,17 @@ def parse_family(text):
     return MeasureFamily(measures)
 
 
+def format_measure(m, i):
+    """Format lines of m, the i-th generator of its family."""
+    out = ["measure %s" % (m.name or "mu%d" % i), "depth_bound %d" % m.depth_bound]
+    for word, q in m.weights.items():
+        out.append("weight %s %s" % (word or "e", frac_text(q)))
+    return out
+
+
 def format_family(k):
     """Family as parse_family text; parsing it back gives an equal family."""
     out = []
     for i, m in enumerate(k.generators):
-        out.append("measure %s" % (m.name or "mu%d" % i))
-        out.append("depth_bound %d" % m.depth_bound)
-        for word, q in m.weights.items():
-            out.append("weight %s %s" % (word or "e", frac_text(q)))
+        out.extend(format_measure(m, i))
     return "\n".join(out) + "\n"

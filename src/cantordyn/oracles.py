@@ -21,12 +21,14 @@ from fractions import Fraction
 from math import lcm
 
 from cantordyn.clopen import EMPTY, FULL, ClopenSet, enumerate_clopen, union_all
+from cantordyn.measure import frac_text
 
 __all__ = [
     "DivisibilityFailure",
     "GoodnessFailure",
     "NotEquivalent",
     "PartitionBijection",
+    "SearchFailure",
     "affine_approx",
     "approx_divide",
     "build_k_automorphism",
@@ -37,24 +39,22 @@ __all__ = [
 ]
 
 
-class GoodnessFailure(Exception):
+class SearchFailure(Exception):
+    """A selection oracle found no clopen subset, searching to max_depth."""
+
+    def __init__(self, detail, max_depth=None):
+        if max_depth is not None:
+            detail = "%s (searched to depth %d)" % (detail, max_depth)
+        super().__init__(detail)
+        self.max_depth = max_depth
+
+
+class GoodnessFailure(SearchFailure):
     """No clopen subset of the host attains the requested vector."""
 
-    def __init__(self, detail, max_depth=None):
-        if max_depth is not None:
-            detail = "%s (searched to depth %d)" % (detail, max_depth)
-        super().__init__(detail)
-        self.max_depth = max_depth
 
-
-class DivisibilityFailure(Exception):
+class DivisibilityFailure(SearchFailure):
     """No clopen subset lands in the division box."""
-
-    def __init__(self, detail, max_depth=None):
-        if max_depth is not None:
-            detail = "%s (searched to depth %d)" % (detail, max_depth)
-        super().__init__(detail)
-        self.max_depth = max_depth
 
 
 class NotEquivalent(ValueError):
@@ -62,7 +62,7 @@ class NotEquivalent(ValueError):
 
 
 def _vec_text(vec):
-    return "(" + ", ".join("%s/%s" % (q.numerator, q.denominator) for q in vec) + ")"
+    return "(" + ", ".join(frac_text(q) for q in vec) + ")"
 
 
 def _solve_at_depth(words, vecs, lo, hi):

@@ -228,20 +228,24 @@ def _split_column(k, column, level, pieces, max_depth=12):
         raise ValueError("pieces overlap")
     if len(pieces) == 1:
         return [tuple(column)]
-    vecs = [k.vec(p) for p in pieces]
+    vecs = [k.vec(p) for p in pieces[:-1]]
     subs = [[None] * len(column) for _ in pieces]
-    for j, p in enumerate(pieces):
-        subs[j][level] = p
     for r, a in enumerate(column):
-        if r == level:
-            continue
-        rem = a
-        for j in range(len(pieces) - 1):
-            q = select_copy(k, vecs[j], rem, max_depth)
-            subs[j][r] = q
-            rem = rem - q
-        subs[-1][r] = rem
+        cut = pieces if r == level else _carve(k, a, vecs, max_depth)
+        for sub, piece in zip(subs, cut):
+            sub[r] = piece
     return [tuple(c) for c in subs]
+
+
+def _carve(k, host, vecs, max_depth):
+    """Pieces of host matching vecs, picked off in order, then the remainder."""
+    pieces = []
+    for vec in vecs:
+        piece = select_copy(k, vec, host, max_depth)
+        pieces.append(piece)
+        host = host - piece
+    pieces.append(host)
+    return pieces
 
 
 def cut_column_at_level(k, t, ci, level, pieces, max_depth=12):
@@ -298,49 +302,39 @@ def balance_columns(k, t, u, v, max_depth=12, _trace=None):
                     break
                 di = ns.index(sign * imb)
                 pool = [ci for ci, x in enumerate(ns) if x and (x < 0) == (sign > 0)]
-                cols = _stack_pool_onto(k, cols, di, pool, max_depth)
+                cols, _ = _stack_pool_onto(k, cols, di, pool, len(cols[di]) - 1, max_depth)
     return from_columns(k, cols)
 
 
-def _stack_pool_onto(k, cols, di, pool, max_depth):
-    """Stack pieces of the pool columns onto column di, one per sub-column."""
+def _stack_pool_onto(k, cols, di, pool, level, max_depth):
+    """Cut column di at one level and stack a pool base piece on each part.
+
+    A copy of the level atom is selected across the bases of the pool
+    columns; the atom is carved to match the pieces that copy leaves in
+    each pool base, and every resulting sub-column of di gets the matching
+    pool sub-column stacked on top.  Returns the new column list, with the
+    stacked columns in di's place and the pool leftovers in theirs, and
+    the stacked columns.
+    """
     dcol = cols[di]
-    top_d = dcol[-1]
-    isel = select_copy(k, k.vec(top_d), union_all(cols[qi][0] for qi in pool), max_depth)
-    parts = []
-    for qi in pool:
-        x = isel & cols[qi][0]
-        if not x.is_empty:
-            parts.append((qi, x))
-    rem = top_d
-    pieces = []
-    for _, x in parts[:-1]:
-        piece = select_copy(k, k.vec(x), rem, max_depth)
-        pieces.append(piece)
-        rem = rem - piece
-    pieces.append(rem)
-    dsubs = _split_column(k, dcol, len(dcol) - 1, pieces, max_depth)
+    host = dcol[level]
+    sel = select_copy(k, k.vec(host), union_all(cols[qi][0] for qi in pool), max_depth)
+    parts = [(qi, sel & cols[qi][0]) for qi in pool]
+    parts = [(qi, x) for qi, x in parts if not x.is_empty]
+    pieces = _carve(k, host, [k.vec(x) for _, x in parts[:-1]], max_depth)
+    dsubs = _split_column(k, dcol, level, pieces, max_depth)
     stacked = []
-    leftover = {}
+    groups = [[col] for col in cols]
+    groups[di] = stacked
     for (qi, x), dsub in zip(parts, dsubs):
         qcol = cols[qi]
         if x == qcol[0]:
-            qsub0, qrest = qcol, None
+            head, groups[qi] = qcol, []
         else:
-            qsubs = _split_column(k, qcol, 0, [x, qcol[0] - x], max_depth)
-            qsub0, qrest = qsubs[0], qsubs[1]
-        stacked.append(tuple(dsub) + tuple(qsub0))
-        leftover[qi] = qrest
-    out = []
-    for ci, col in enumerate(cols):
-        if ci == di:
-            out.extend(stacked)
-        elif ci in leftover:
-            if leftover[ci] is not None:
-                out.append(leftover[ci])
-        else:
-            out.append(col)
-    return out
+            head, rest = _split_column(k, qcol, 0, [x, qcol[0] - x], max_depth)
+            groups[qi] = [rest]
+        stacked.append(dsub + head)
+    return [col for group in groups for col in group], stacked
 
 
 def refine_small_base_top(k, t, eps, max_depth=12):
@@ -431,100 +425,36 @@ def refine_small_base_top(k, t, eps, max_depth=12):
     assert wset.is_empty
     e = f  # leftover of mass at most `slack`, kept as its own column
 
-    # recut every column so each new base sits in exactly one copy
-    table = {}
-    order = []
-    next_key = 0
+    # recut every column so each new base sits in exactly one copy; the
+    # leftover column is set aside and goes last.  Columns are compared by
+    # value: their atoms are disjoint and nonempty, so no two are equal.
+    recut = []
     for col in cols:
-        b = col[0]
-        bits = [b & c for c in cs]
-        bits.append(b & e)
-        bits = [p for p in bits if not p.is_empty]
-        for sub in _split_column(k, col, 0, bits, max_depth):
-            table[next_key] = sub
-            order.append(next_key)
-            next_key += 1
-    key0 = key1 = keye = None
-    for key in order:
-        b = table[key][0]
-        if b == c0:
-            key0 = key
-        elif b == c1:
-            key1 = key
-        elif not e.is_empty and b == e:
-            keye = key
-    if keye is not None:
-        order.remove(keye)
+        bits = [col[0] & c for c in cs + [e]]
+        recut.extend(_split_column(k, col, 0, bits, max_depth))
+    cols = [col for col in recut if col[0] != e]
+    tail = [col for col in recut if col[0] == e]
+    col0 = next(col for col in cols if col[0] == c0)
+    col1 = next(col for col in cols if col[0] == c1)
 
     # absorb all remaining columns into stacks over the c0 copy
-    principals = [key0]
+    principals = [col0]
     for _ in range(n - 2):
         new_principals = []
-        for pk in list(principals):
-            protected = set(principals) | set(new_principals) | {key1}
-            pool = [q for q in order if q not in protected]
-            pcol = table[pk]
-            dsel = select_copy(
-                k, k.vec(pcol[0]), union_all(table[q][0] for q in pool), max_depth
-            )
-            parts = []
-            for q in pool:
-                x = dsel & table[q][0]
-                if not x.is_empty:
-                    parts.append((q, x))
-            rem = pcol[0]
-            bits = []
-            for _, x in parts[:-1]:
-                piece = select_copy(k, k.vec(x), rem, max_depth)
-                bits.append(piece)
-                rem = rem - piece
-            bits.append(rem)
-            psubs = _split_column(k, pcol, 0, bits, max_depth)
-            keys = []
-            stacked = []
-            for (q, x), psub in zip(parts, psubs):
-                qcol = table[q]
-                if x == qcol[0]:
-                    qsub0, qrest = qcol, None
-                else:
-                    qsubs = _split_column(k, qcol, 0, [x, qcol[0] - x], max_depth)
-                    qsub0, qrest = qsubs[0], qsubs[1]
-                stacked.append(tuple(psub) + tuple(qsub0))
-                if qrest is None:
-                    order.remove(q)
-                    del table[q]
-                else:
-                    table[q] = qrest
-            pos = order.index(pk)
-            for colx in stacked:
-                table[next_key] = colx
-                keys.append(next_key)
-                next_key += 1
-            order[pos : pos + 1] = keys
-            del table[pk]
-            principals.remove(pk)
-            new_principals.extend(keys)
+        for pcol in list(principals):
+            protected = principals + new_principals + [col1]
+            pool = [qi for qi, col in enumerate(cols) if col not in protected]
+            cols, stacked = _stack_pool_onto(k, cols, cols.index(pcol), pool, 0, max_depth)
+            principals.remove(pcol)
+            new_principals.extend(stacked)
         principals = new_principals
 
     # route every stack through its matched piece of the c1 copy
-    col1 = table[key1]
-    rem = col1[0]
-    bits = []
-    for pk in principals[:-1]:
-        piece = select_copy(k, k.vec(table[pk][0]), rem, max_depth)
-        bits.append(piece)
-        rem = rem - piece
-    bits.append(rem)
-    csubs = _split_column(k, col1, 0, bits, max_depth)
-    for pk, csub in zip(principals, csubs):
-        table[pk] = tuple(table[pk]) + tuple(csub)
-    order.remove(key1)
-    del table[key1]
-
-    final_cols = [table[q] for q in order]
-    if keye is not None:
-        final_cols.append(table[keye])
-    return from_columns(k, final_cols)
+    pieces = _carve(k, col1[0], [k.vec(p[0]) for p in principals[:-1]], max_depth)
+    for pcol, csub in zip(principals, _split_column(k, col1, 0, pieces, max_depth)):
+        cols[cols.index(pcol)] = pcol + csub
+    cols.remove(col1)
+    return from_columns(k, cols + tail)
 
 
 def to_dot(t, k):

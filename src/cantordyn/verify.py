@@ -17,7 +17,7 @@ from itertools import product
 from cantordyn.builder import validate_sequence
 from cantordyn.clopen import ClopenSet, union_all
 from cantordyn.measure import frac_text, validate_family
-from cantordyn.tower import locate_atom, run_decomposition
+from cantordyn.tower import locate_atom
 
 __all__ = [
     "FullGroupWitness",
@@ -87,16 +87,29 @@ class InvariantCone:
         )
 
 
+def _chain_traces(g, n):
+    """Stage-n column runs through each earlier stage m, as traces[m].
+
+    Telescoped from consecutive decompositions: a stage-n column runs
+    through the stage-m columns that its stage-(m+1) columns run through.
+    """
+    traces = [None] * n
+    cur = tuple((c,) for c in range(len(g.stages[n].columns)))
+    for m in range(n - 1, -1, -1):
+        step = g.decomposition(m)
+        if step is None:
+            raise ValueError("stage %d does not refine stage %d" % (m + 1, m))
+        cur = traces[m] = tuple(tuple(x for c in trace for x in step[c]) for trace in cur)
+    return traces
+
+
 def _chain_rows(g, n):
     """Column-count balance rows inherited from every earlier stage."""
     s = g.stages[n]
     ncols = len(s.columns)
     rows = []
-    for m in range(n):
+    for m, tr in enumerate(_chain_traces(g, n)):
         t = g.stages[m]
-        tr = run_decomposition(s, t)
-        if tr is None:
-            raise ValueError("stage %d does not refine stage %d" % (n, m))
         counts = {}
         for sci, trace in enumerate(tr):
             for tci in trace:
@@ -301,7 +314,7 @@ def minimality_check(g, n):
     ncols = len(t.columns)
     edges = [set() for _ in range(ncols)]
     if n + 1 < len(g.stages):
-        tr = run_decomposition(g.stages[n + 1], g.stages[n])
+        tr = g.decomposition(n)
         if tr is None:
             raise ValueError("stage %d does not refine stage %d" % (n + 1, n))
         for trace in tr:

@@ -4,6 +4,7 @@ Each test prints a single PASS line naming the criterion when it
 succeeds; the heavy single-measure build is shared module-wide.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -31,6 +32,7 @@ from cantordyn import (
     invariant_cone,
     minimality_check,
     saturation_witness,
+    serialize_sequence,
     trivial_partition,
     union_all,
     validate_sequence,
@@ -72,6 +74,13 @@ def test_criterion_1_single_measure_build_fast_and_exact(sixstage):
         assert t.top.diameter() <= budget
         from_columns(g.family, t.columns)
     print("criterion 1 PASS: 6-stage build in %.2f s, every stage exact" % elapsed)
+
+
+def test_six_stage_tower_bytes_pinned(sixstage):
+    # the unnamed measure is written as mu0 with depth_bound 0
+    g, _ = sixstage
+    digest = hashlib.sha256(serialize_sequence(g).encode()).hexdigest()
+    assert digest == "252df3c1d5195ffe4ee9a466d365aec48992c7479517497044f2af1eb99bc52a"
 
 
 def test_criterion_2_cone_collapse(sixstage):

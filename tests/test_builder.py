@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from cantordyn.builder import (
     validate_sequence,
 )
 from cantordyn.clopen import EMPTY, FULL, ClopenSet
-from cantordyn.measure import MeasureFamily, TreeMeasure
+from cantordyn.measure import MeasureFamily, TreeMeasure, parse_family
 from cantordyn.tower import KRPartition, trivial_partition
 
 F = Fraction
@@ -60,6 +61,29 @@ def test_build_two_stages():
     # base and top already fit the tighter budget, so stage 2 is stage 1
     assert g.stages[2] == g.stages[1]
     assert validate_sequence(g) == ()
+
+
+@pytest.mark.parametrize(
+    "text,stages,max_depth,digest",
+    [
+        (
+            "measure uniform\ndepth_bound 3\n",
+            3,
+            12,
+            "5e301cbd5421aa2c6d8cee64def1935c5406c8200b4503a5f2eedcc4dbd446ee",
+        ),
+        # three columns: the refinement stacks several columns over one
+        (
+            "measure third\nweight e 1/3\n",
+            2,
+            16,
+            "94e899930b350e847f814b8193fa1b87734c2be0d0ab0ac2a709d835ca46a9f9",
+        ),
+    ],
+)
+def test_serialized_build_bytes_pinned(text, stages, max_depth, digest):
+    g = build_saturated(parse_family(text), stages, 3, max_depth)
+    assert hashlib.sha256(serialize_sequence(g).encode()).hexdigest() == digest
 
 
 def test_build_rejects_bad_inputs():

@@ -10,11 +10,9 @@ from cantordyn.measure import (
     InvalidWeights,
     MeasureFamily,
     TreeMeasure,
-    dominated,
     format_family,
     frac_text,
     parse_family,
-    sim_k,
     validate_family,
 )
 
@@ -70,16 +68,16 @@ class FamilyTest(unittest.TestCase):
         a = ClopenSet(["0"])
         self.assertEqual(k.vec(a), (Fraction(1, 2), Fraction(1, 3)))
         self.assertEqual(k.vec_word("0"), (Fraction(1, 2), Fraction(1, 3)))
-        self.assertTrue(sim_k(k, a, a))
-        self.assertFalse(sim_k(k, a, ClopenSet(["1"])))
+        self.assertTrue(k.sim(a, a))
+        self.assertFalse(k.sim(a, ClopenSet(["1"])))
         # equal under uniform but not under the weighted one
         self.assertTrue(k.generators[0].eval(ClopenSet(["1"])) == Fraction(1, 2))
         self.assertFalse(k.sim(ClopenSet(["0"]), ClopenSet(["1"])))
 
     def test_dominated(self):
-        self.assertTrue(dominated(UNIFORM, ClopenSet(["00"]), ClopenSet(["0"])))
-        self.assertTrue(dominated(UNIFORM, ClopenSet(["00"]), ClopenSet(["1"])))
-        self.assertFalse(dominated(UNIFORM, FULL, ClopenSet(["1"])))
+        self.assertTrue(UNIFORM.leq(ClopenSet(["00"]), ClopenSet(["0"])))
+        self.assertTrue(UNIFORM.leq(ClopenSet(["00"]), ClopenSet(["1"])))
+        self.assertFalse(UNIFORM.leq(FULL, ClopenSet(["1"])))
 
     def test_empty_family_rejected(self):
         with self.assertRaises(ValueError):

@@ -5,8 +5,9 @@ import pytest
 from cantordyn.builder import TowerSequence, build_saturated
 from cantordyn.clopen import EMPTY, FULL, ClopenSet
 from cantordyn.measure import MeasureFamily, TreeMeasure
-from cantordyn.tower import KRPartition, trivial_partition
+from cantordyn.tower import KRPartition, run_decomposition, trivial_partition
 from cantordyn.verify import (
+    _chain_traces,
     PairNotScheduled,
     StageTooShallow,
     apply_witness,
@@ -20,6 +21,7 @@ from cantordyn.verify import (
 
 F = Fraction
 UNI = MeasureFamily([TreeMeasure()])
+THIRD = MeasureFamily([TreeMeasure({"": Fraction(1, 3)})])
 C = lambda *ws: ClopenSet(ws)
 
 
@@ -54,10 +56,15 @@ def test_cone_two_columns():
     assert not cone.contains((F(3, 2), F(-1, 2)))
 
 
-def test_cone_after_refinement():
+def refined_twice():
+    """Hand-built: one column of two halves, then two columns of quarters."""
     one = KRPartition(((C("0"), C("1")),))
     two = KRPartition(((C("00"), C("10")), (C("01"), C("11"))))
-    g = seq(UNI, [one, two])
+    return seq(UNI, [one, two])
+
+
+def test_cone_after_refinement():
+    g = refined_twice()
     cone = invariant_cone(g, 2)
     assert set(cone.vertices) == {
         (F(1, 2), F(1, 2), F(0), F(0)),
@@ -66,6 +73,33 @@ def test_cone_after_refinement():
     # the uniform measure itself sits inside
     masses = tuple(TreeMeasure().eval(a) for a in cone.atoms)
     assert cone.contains(masses)
+
+
+def interleaved():
+    """Hand-built: each refinement runs through the stage below in both orders."""
+    halves = KRPartition(((C("0"),), (C("1"),)))
+    quarters = KRPartition(((C("00"), C("10")), (C("11"), C("01"))))
+    eighths = KRPartition(
+        (
+            (C("000"), C("100"), C("110"), C("010")),
+            (C("111"), C("011"), C("001"), C("101")),
+        )
+    )
+    return seq(UNI, [halves, quarters, eighths])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [refined_twice, interleaved, lambda: build_saturated(THIRD, 2, max_depth=16)],
+    ids=["hand_built", "interleaved", "third_two_stages"],
+)
+def test_chain_traces_match_direct_decomposition(make):
+    g = make()
+    for n in range(len(g.stages)):
+        traces = _chain_traces(g, n)
+        assert len(traces) == n
+        for m in range(n):
+            assert traces[m] == run_decomposition(g.stages[n], g.stages[m])
 
 
 def test_collapse_pins_down_masses():
