@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from cantordyn.clopen import ClopenSet
 
@@ -61,9 +62,18 @@ class TreeMeasure:
     The constructor does not range-check weights; validate_family does,
     so a structurally broken specification can still be loaded, reported
     on, and rejected in one place.
+
+    `weights` and `depth_bound` are fixed after construction: masses are
+    read from an integer table built from them.  Let `_top` be the weight
+    depth (one more than the longest weighted word), so every word of
+    length _top or more has weight 1/2.  For i <= _top, `_scale[i]` is
+    the product over levels j < i of lcm(2, denominators of the weights
+    at level j), and `_nums[w]` is mass(w) * _scale[len(w)], filled
+    lazily for words of length at most _top.  Deeper masses only shift
+    the denominator.
     """
 
-    __slots__ = ("weights", "depth_bound", "name")
+    __slots__ = ("weights", "depth_bound", "name", "_top", "_scale", "_nums")
 
     def __init__(self, weights=None, depth_bound=0, name=""):
         stored = {}
@@ -78,21 +88,71 @@ class TreeMeasure:
         need = max((len(w) + 1 for w in self.weights), default=0)
         self.depth_bound = max(int(depth_bound), need)
         self.name = name
+        level = [2] * need
+        for w, q in self.weights.items():
+            level[len(w)] = lcm(level[len(w)], q.denominator)
+        self._top = need
+        self._scale = [1]
+        for m in level:
+            self._scale.append(self._scale[-1] * m)
+        self._nums = {"": 1}
 
     def weight(self, word):
         return self.weights.get(word, _HALF)
 
+    def _num(self, word):
+        """mass(word) * _scale[len(word)], for len(word) <= _top."""
+        nums = self._nums
+        n = nums.get(word)
+        if n is not None:
+            return n
+        i = len(word) - 1
+        while word[:i] not in nums:
+            i -= 1
+        n = nums[word[:i]]
+        scale = self._scale
+        for i in range(i, len(word)):
+            p = self.weight(word[:i])
+            part = p.numerator if word[i] == "0" else p.denominator - p.numerator
+            n *= part * (scale[i + 1] // scale[i] // p.denominator)
+            nums[word[: i + 1]] = n
+        return n
+
+    def _den(self, depth):
+        """Common denominator of the masses of depth-`depth` cylinders."""
+        top = self._top
+        if depth <= top:
+            return self._scale[depth]
+        return self._scale[top] << (depth - top)
+
+    def _peak(self, depth):
+        """Largest mass of a depth-`depth` cylinder."""
+        # below a word that is no weight's prefix every cylinder halves
+        # evenly, so one word per child of each weight prefix suffices
+        top = min(depth, self._top)
+        prefixes = {w[:i] for w in self.weights for i in range(len(w) + 1)} or {""}
+        words = {(u + c)[:top].ljust(top, "0") for u in prefixes for c in "01"}
+        return Fraction(max(map(self._num, words)), self._den(depth))
+
     def cyl(self, word):
         """Mass of the cylinder [word]."""
-        mass = Fraction(1)
-        for i, c in enumerate(word):
-            p = self.weight(word[:i])
-            mass *= p if c == "0" else 1 - p
-        return mass
+        return Fraction(self._num(word[: self._top]), self._den(len(word)))
 
     def eval(self, a):
         """Mass of a clopen set."""
-        return sum((self.cyl(w) for w in a.leaves), Fraction(0))
+        leaves = a.leaves
+        if not leaves:
+            return Fraction(0)
+        top = self._top
+        depth = max(map(len, leaves))
+        den = self._den(depth)
+        total = 0
+        for w in leaves:
+            if len(w) >= top:
+                total += self._num(w[:top]) << (depth - len(w))
+            else:
+                total += self._num(w) * (den // self._scale[len(w)])
+        return Fraction(total, den)
 
     def __eq__(self, other):
         return isinstance(other, TreeMeasure) and self.weights == other.weights
@@ -137,32 +197,6 @@ class MeasureFamily:
 
     def __len__(self):
         return len(self.generators)
-
-
-def _max_cyl(m, depth):
-    """Largest mass of a depth-`depth` cylinder under measure m."""
-    prefixes = set()
-    for w in m.weights:
-        for i in range(len(w) + 1):
-            prefixes.add(w[:i])
-    best = Fraction(0)
-    stack = [("", Fraction(1))]
-    while stack:
-        word, mass = stack.pop()
-        if len(word) == depth:
-            if mass > best:
-                best = mass
-            continue
-        if word not in prefixes:
-            # all deeper weights are 1/2: every extension halves evenly
-            mass = mass * Fraction(1, 2 ** (depth - len(word)))
-            if mass > best:
-                best = mass
-            continue
-        p = m.weight(word)
-        stack.append((word + "0", mass * p))
-        stack.append((word + "1", mass * (1 - p)))
-    return best
 
 
 class FamilyReport:
@@ -211,7 +245,7 @@ def validate_family(k, max_eps_exp=8):
     d = 1
     for j in range(1, max_eps_exp + 1):
         eps = Fraction(1, 2 ** j)
-        while max(_max_cyl(m, d) for m in k.generators) > eps:
+        while max(m._peak(d) for m in k.generators) > eps:
             d += 1
         delta = Fraction(1, 2 ** (d - 1))
         table.append((eps, delta))

@@ -101,6 +101,14 @@ class ValidateTest(unittest.TestCase):
         self.assertEqual(table[Fraction(1, 4)], Fraction(1, 4))
         self.assertEqual(table[Fraction(1, 8)], Fraction(1, 8))
 
+    def test_multi_level_delta_table(self):
+        # weights at three levels; the heaviest depth-3 cylinder is [010]
+        k = MeasureFamily([TreeMeasure({"": Fraction(2, 3), "0": Fraction(1, 4), "01": Fraction(9, 10)})])
+        rep = validate_family(k)
+        deltas = [2, 8, 16, 32, 64, 128, 256, 512]
+        self.assertEqual(rep.delta_table, tuple((Fraction(1, 2 ** j), Fraction(1, d)) for j, d in enumerate(deltas, 1)))
+        self.assertIn("eps 1/4 -> delta 1/8 (depth 4)", rep.lines)
+
     def test_delta_is_sound(self):
         # any set of diameter < delta must have mass <= eps
         k = MeasureFamily([TreeMeasure({"": Fraction(1, 3), "1": Fraction(1, 4)})])
@@ -195,6 +203,35 @@ def test_measure_is_additive(weights, a, b):
 def test_cylinder_splits(weights, w):
     m = TreeMeasure(weights)
     assert m.cyl(w) == m.cyl(w + "0") + m.cyl(w + "1")
+
+
+def reference_cyl(weights, w):
+    mass = Fraction(1)
+    for i, c in enumerate(w):
+        p = weights.get(w[:i], Fraction(1, 2))
+        mass *= p if c == "0" else 1 - p
+    return mass
+
+
+# any rational the constructor accepts, including 0, 1 and values outside (0, 1)
+any_weights_st = st.dictionaries(
+    st.text(alphabet="01", max_size=4),
+    st.fractions(min_value=-2, max_value=3, max_denominator=30),
+    max_size=6,
+)
+deep_words_st = st.text(alphabet="01", max_size=12)
+
+
+@given(any_weights_st, st.integers(0, 8), deep_words_st, st.lists(deep_words_st, max_size=8))
+def test_kernel_matches_fraction_product(weights, bound, w, words):
+    m = TreeMeasure(weights, depth_bound=bound)
+    got = m.cyl(w)
+    assert isinstance(got, Fraction)
+    assert got == reference_cyl(weights, w)
+    a = ClopenSet(words)
+    total = m.eval(a)
+    assert isinstance(total, Fraction)
+    assert total == sum((reference_cyl(weights, v) for v in a.leaves), Fraction(0))
 
 
 if __name__ == "__main__":
