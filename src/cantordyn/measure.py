@@ -167,13 +167,28 @@ class TreeMeasure:
 class MeasureFamily:
     """Finite ordered family of measures, the generators of a simplex."""
 
-    __slots__ = ("generators",)
+    __slots__ = ("generators", "_top")
 
     def __init__(self, generators):
         gens = tuple(generators)
         if not gens:
             raise ValueError("a family needs at least one measure")
         self.generators = gens
+        # weight depth: below it every cylinder halves under every generator
+        self._top = max(m._top for m in gens)
+
+    def _num_vecs(self, words, depth):
+        """vec_word of depth-`depth` cylinders as integer numerators.
+
+        Returns (dens, vecs): dens[i] is generator i's common denominator
+        at `depth`, and every depth-`depth` cylinder below words[j] has
+        mass vecs[j][i] / dens[i] under generator i.  Each word must have
+        length `depth`, or at least _top and at most `depth`.
+        """
+        gens = self.generators
+        dens = tuple(m._den(depth) for m in gens)
+        vecs = [tuple(m._num(w[: m._top]) for m in gens) for w in words]
+        return dens, vecs
 
     def vec(self, a):
         """Value vector (mu_1(a), ..., mu_G(a))."""

@@ -3,10 +3,15 @@
 Everything here answers one kind of question: inside a given clopen host,
 find a clopen subset whose value vector under every generator of the
 family lands in a prescribed box.  Full support (all branching weights in
-(0,1)) makes the search finite at each cylinder depth: refine the host to
-depth d, group the leaf cylinders into runs of equal value vector, and run
-an exact subset-sum sweep over the runs.  Taking the largest admissible
-count from each run, first leaves first, makes the answer canonical.
+(0,1)) makes the search finite at each cylinder depth d: the host's
+depth-d cylinders have integer value vectors over per-generator common
+denominators, consecutive cylinders of equal vector form runs, and an
+exact integer subset-sum sweep over the runs picks a count from each.
+Below the family's weight depth cylinders split evenly, so the runs are
+read off a shallower refinement of the host, one block of equal
+cylinders per word.  Taking the largest admissible count from each run,
+first cylinders first, makes the answer canonical.  The sweep works on
+integers; Fraction stays at the boundary (the box, the host's vector).
 
 On top of that sit the derived operations: copying a value vector into a
 host, dividing a set into n almost-equal pieces, stamping out n disjoint
@@ -65,24 +70,33 @@ def _vec_text(vec):
     return "(" + ", ".join(frac_text(q) for q in vec) + ")"
 
 
-def _solve_at_depth(words, vecs, lo, hi):
-    """Choose leaves whose vectors sum into [lo, hi], or None.
+def _span(acc, v, c, tail, lo, hi):
+    """Counts t in 0..c with acc + t*v <= hi and acc + t*v + tail >= lo.
 
-    Consecutive leaves with equal vectors form a run; within a run only
-    the count matters, and the chosen count is always taken from the
-    run's first leaves.  Among all solutions this picks the largest
-    feasible count at every run, left to right.
+    Vector entries are nonnegative, so those counts are one interval:
+    returns its ends (a, b), with a > b when it is empty.
     """
-    g = len(lo)
-    zero = (Fraction(0),) * g
-    runs = []
-    bounds = []
-    start = 0
-    for i in range(1, len(words) + 1):
-        if i == len(words) or vecs[i] != vecs[start]:
-            runs.append((vecs[start], i - start))
-            bounds.append(start)
-            start = i
+    a, b = 0, c
+    for x, y, s, l, h in zip(acc, v, tail, lo, hi):
+        if y:
+            b = min(b, (h - x) // y)
+            a = max(a, -((x + s - l) // y))
+        elif x + s < l:
+            return 1, 0
+    return a, b
+
+
+def _solve_at_depth(runs, lo, hi):
+    """Count to take from each run so the sums land in [lo, hi], or None.
+
+    A run (v, c) stands for c consecutive cylinders of one integer vector
+    v; within a run only the count matters.  The bounds are integer
+    vectors over the same denominators.  Among all solutions this picks
+    the largest feasible count at every run, left to right.
+    """
+    zero = (0,) * len(lo)
+    if any(h < 0 for h in hi):  # sums start at zero and never shrink
+        return None
     suffix = [zero] * (len(runs) + 1)
     for j in range(len(runs) - 1, -1, -1):
         v, c = runs[j]
@@ -94,56 +108,71 @@ def _solve_at_depth(words, vecs, lo, hi):
         nxt = set()
         tail = suffix[j + 1]
         for acc in layers[-1]:
-            cur = acc
-            for t in range(c + 1):
-                if t:
-                    cur = tuple(a + x for a, x in zip(cur, v))
-                    # vectors are strictly positive: once over, always over
-                    if any(a > h for a, h in zip(cur, hi)):
-                        break
-                if all(a + s >= l for a, s, l in zip(cur, tail, lo)):
-                    nxt.add(cur)
+            a, b = _span(acc, v, c, tail, lo, hi)
+            for t in range(a, b + 1):
+                nxt.add(tuple(x + t * y for x, y in zip(acc, v)))
         if not nxt:
             return None
         layers.append(nxt)
-    feas = [set() for _ in range(len(runs) + 1)]
-    feas[-1] = {acc for acc in layers[-1] if all(l <= a for l, a in zip(lo, acc))}
-    if not feas[-1]:
-        return None
+    # the last run's tail is zero, so every final sum already lies in the box
+    feas = [None] * len(runs) + [layers[-1]]
     for j in range(len(runs) - 1, -1, -1):
         v, c = runs[j]
+        tail = suffix[j + 1]
+        after = feas[j + 1]
         ok = set()
         for acc in layers[j]:
-            cur = acc
-            for t in range(c + 1):
-                if t:
-                    cur = tuple(a + x for a, x in zip(cur, v))
-                if cur in feas[j + 1]:
+            a, b = _span(acc, v, c, tail, lo, hi)
+            for t in range(a, b + 1):
+                if tuple(x + t * y for x, y in zip(acc, v)) in after:
                     ok.add(acc)
                     break
         feas[j] = ok
     if zero not in feas[0]:
         return None
-    chosen = []
+    counts = []
     acc = zero
     for j, (v, c) in enumerate(runs):
-        for t in range(c, -1, -1):
-            cand = tuple(a + t * x for a, x in zip(acc, v))
+        a, b = _span(acc, v, c, suffix[j + 1], lo, hi)
+        for t in range(b, a - 1, -1):
+            cand = tuple(x + t * y for x, y in zip(acc, v))
             if cand in feas[j + 1]:
-                chosen.extend(words[bounds[j] : bounds[j] + t])
+                counts.append(t)
                 acc = cand
                 break
-    return tuple(chosen)
+    return counts
+
+
+def _first_words(w, r, s):
+    """Leaves covering the first r of the 2^s depth-(len(w)+s) words below w."""
+    # one dyadic interval per set bit of r
+    return [w + format((r >> i) - 1, "0%db" % (s - i)) for i in range(s) if r >> i & 1]
+
+
+def _vector(k, vec, what):
+    vec = tuple(Fraction(x) for x in vec)
+    if len(vec) != len(k):
+        raise ValueError(
+            "%s has %d entries but the family has %d generators" % (what, len(vec), len(k))
+        )
+    return vec
 
 
 def subset_in_box(k, host, lo, hi, max_depth=12):
     """Clopen subset of host with value vector in [lo, hi], or None.
 
-    Tries cylinder depths from the host's own depth up to max_depth and
-    returns the canonical solution at the first depth that has one.
+    Tries cylinder depths d from the host's own depth up to max_depth and
+    returns the canonical solution at the first depth that has one.  At
+    depth d generator i's masses are integers over one denominator D_i,
+    so the box becomes ceil(lo_i D_i) .. floor(hi_i D_i), exactly.  Below
+    the family's weight depth every depth-d cylinder under a word has the
+    same vector, so the host is refined only to e = min(d, max(host
+    depth, weight depth)): each depth-e word is a block of 2^(d-e) equal
+    cylinders, adjacent equal blocks merge into runs, and only the chosen
+    counts are expanded back into each run's first depth-d cylinders.
     """
-    lo = tuple(Fraction(x) for x in lo)
-    hi = tuple(Fraction(x) for x in hi)
+    lo = _vector(k, lo, "lower bound")
+    hi = _vector(k, hi, "upper bound")
     if any(l > h for l, h in zip(lo, hi)):
         return None
     hv = k.vec(host)
@@ -151,12 +180,28 @@ def subset_in_box(k, host, lo, hi, max_depth=12):
         return host
     if host.is_empty:
         return None
-    for d in range(host.max_leaf_len, max_depth + 1):
-        words = host.refine_to_depth(d)
-        vecs = [k.vec_word(w) for w in words]
-        sol = _solve_at_depth(words, vecs, lo, hi)
-        if sol is not None:
-            return ClopenSet(sol)
+    base = host.max_leaf_len
+    for d in range(base, max_depth + 1):
+        e = min(d, max(base, k._top))
+        blocks = host.refine_to_depth(e)
+        dens, vecs = k._num_vecs(blocks, d)
+        ilo = tuple(-(-l.numerator * n // l.denominator) for l, n in zip(lo, dens))
+        ihi = tuple(h.numerator * n // h.denominator for h, n in zip(hi, dens))
+        if any(l > h for l, h in zip(ilo, ihi)):
+            continue
+        size = 1 << (d - e)
+        starts = [i for i in range(len(vecs)) if i == 0 or vecs[i] != vecs[i - 1]]
+        ends = starts[1:] + [len(vecs)]
+        runs = [(vecs[i], (j - i) * size) for i, j in zip(starts, ends)]
+        counts = _solve_at_depth(runs, ilo, ihi)
+        if counts is not None:
+            chosen = []
+            for i, t in zip(starts, counts):
+                q, r = divmod(t, size)
+                chosen.extend(blocks[i : i + q])
+                if r:
+                    chosen.extend(_first_words(blocks[i + q], r, d - e))
+            return ClopenSet(chosen)
     return None
 
 
@@ -169,7 +214,7 @@ def select_copy(k, target, host, max_depth=12):
     once, so a target matching the host in some generators but not all
     is refused without searching.
     """
-    target = tuple(Fraction(x) for x in target)
+    target = _vector(k, target, "target")
     hv = k.vec(host)
     if any(t > x for t, x in zip(target, hv)):
         raise ValueError("target %s exceeds host %s" % (_vec_text(target), _vec_text(hv)))
@@ -181,7 +226,7 @@ def select_copy(k, target, host, max_depth=12):
         raise GoodnessFailure(
             "target %s matches host %s in some generators but not all"
             % (_vec_text(target), _vec_text(hv)),
-            max_depth,
+            None,
         )
     s = subset_in_box(k, host, target, target, max_depth)
     if s is None:

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
+from math import prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cantordyn.clopen import EMPTY, FULL, ClopenSet, union_all
 from cantordyn.measure import MeasureFamily, TreeMeasure
@@ -46,6 +49,8 @@ def test_subset_in_box_infeasible():
     assert subset_in_box(UNI, FULL, (F(1, 2),), (F(1, 4),)) is None
     # mass 1/3 is not dyadic: no exact subset at any depth
     assert subset_in_box(UNI, FULL, (F(1, 3),), (F(1, 3),), max_depth=7) is None
+    # masses are nonnegative: a box below zero holds no subset, not even the empty one
+    assert subset_in_box(UNI, FULL, (F(-1, 4),), (F(-1, 8),)) is None
 
 
 def test_subset_in_box_takes_first_leaves():
@@ -245,3 +250,96 @@ def test_subset_in_box_infeasible_agrees_with_brute_force():
         else:
             v = k.vec(got)
             assert all(l <= x <= h for l, x, h in zip(lo, v, hi))
+
+
+def test_vector_length_must_match_family():
+    # TWO has two generators; zip alone would silently cut a short vector
+    for bad in ((F(1, 8),), (F(1, 8), F(1, 8), F(1, 8))):
+        with pytest.raises(ValueError, match="has %d entries but the family has 2" % len(bad)):
+            select_copy(TWO, bad, FULL)
+        with pytest.raises(ValueError, match="has %d entries but the family has 2" % len(bad)):
+            subset_in_box(TWO, FULL, bad, (F(1), F(1)))
+        with pytest.raises(ValueError, match="has %d entries but the family has 2" % len(bad)):
+            subset_in_box(TWO, FULL, (F(0), F(0)), bad)
+
+
+def test_refusal_reports_depth_only_after_a_search():
+    host = ClopenSet(["0"])
+    with pytest.raises(GoodnessFailure) as info:
+        select_copy(TWO, (F(1, 2), F(1, 4)), host, max_depth=12)
+    assert info.value.max_depth is None
+    assert "searched" not in str(info.value)
+    with pytest.raises(GoodnessFailure) as info:
+        select_copy(UNI, (F(1, 3),), host, max_depth=7)
+    assert info.value.max_depth == 7
+    assert str(info.value).endswith("(searched to depth 7)")
+
+
+def reference_cyl(m, w):
+    """Mass of [w] as a plain product of branching weights."""
+    q = F(1)
+    for i, c in enumerate(w):
+        p = m.weight(w[:i])
+        q *= p if c == "0" else 1 - p
+    return q
+
+
+def reference_runs(k, host, depth):
+    """Runs of consecutive depth-`depth` words with equal Fraction vectors."""
+    words = host.refine_to_depth(depth)
+    vecs = [tuple(reference_cyl(m, w) for m in k.generators) for w in words]
+    return [(v, [w for w, _ in grp]) for v, grp in groupby(zip(words, vecs), key=lambda p: p[1])]
+
+
+def reference_subset_in_box(k, host, lo, hi, max_depth):
+    """subset_in_box by exhaustion over the count vectors of each depth."""
+    if any(l > h for l, h in zip(lo, hi)):
+        return None
+    if all(l <= x <= h for l, x, h in zip(lo, k.vec(host), hi)):
+        return host
+    for d in range(host.max_leaf_len, max_depth + 1):
+        runs = reference_runs(k, host, d)
+        # descending lexicographic order: the first feasible count vector is the largest
+        for counts in product(*(range(len(ws), -1, -1) for _, ws in runs)):
+            s = [F(0)] * len(lo)
+            for (v, _), c in zip(runs, counts):
+                s = [a + c * x for a, x in zip(s, v)]
+            if all(l <= a <= h for l, a, h in zip(lo, s, hi)):
+                return ClopenSet(w for (_, ws), c in zip(runs, counts) for w in ws[:c])
+    return None
+
+
+def _product_size(k, host, depth):
+    return prod(len(ws) + 1 for _, ws in reference_runs(k, host, depth))
+
+
+weight_st = st.fractions(min_value=F(1, 12), max_value=F(11, 12), max_denominator=12)
+measure_st = st.dictionaries(st.text(alphabet="01", max_size=2), weight_st, max_size=3).map(TreeMeasure)
+family_st = st.lists(measure_st, min_size=1, max_size=2).map(MeasureFamily)
+host_st = st.lists(st.text(alphabet="01", max_size=4), min_size=1, max_size=4).map(ClopenSet)
+# bounds off the dyadic grid (thirds, sevenths, tenths) as well as on it
+offset_st = st.sampled_from([0, 1, 3, 7, 10, 16, 64]).flatmap(
+    lambda den: st.just(F(0)) if den == 0 else st.integers(-2, 2).map(lambda n: F(n, den))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_st, host_st, st.booleans(), st.data())
+def test_subset_in_box_matches_exhaustive_reference(k, host, exact, data):
+    max_depth = data.draw(st.integers(max(0, host.max_leaf_len - 1), 5))
+    # cap the exhaustive work: the deepest depth whose count product stays small
+    assume(_product_size(k, host, host.max_leaf_len) <= 4096)
+    while max_depth > host.max_leaf_len and _product_size(k, host, max_depth) > 4096:
+        max_depth -= 1
+    depth = data.draw(st.integers(host.max_leaf_len, max(host.max_leaf_len, 5)))
+    words = host.refine_to_depth(depth)
+    picked = data.draw(st.lists(st.sampled_from(words), max_size=len(words)))
+    center = k.vec(ClopenSet(picked))
+    if exact:
+        lo = hi = center
+    else:
+        lo = tuple(x + data.draw(offset_st) for x in center)
+        hi = tuple(x + data.draw(offset_st) for x in center)
+    want = reference_subset_in_box(k, host, lo, hi, max_depth)
+    got = subset_in_box(k, host, lo, hi, max_depth)
+    assert got == want, (k.generators, host, lo, hi, max_depth)
