@@ -8,6 +8,17 @@ lexicographically.  The empty antichain denotes the empty set and the
 antichain ("",) denotes the whole space.  With this normal form, equality
 of point sets is literal equality of leaf tuples.
 
+The Boolean operations work on integers.  At a depth D no smaller than any
+leaf, [w] is the interval [m 2^(D-|w|), (m+1) 2^(D-|w|)) of depth-D words
+read as binary numbers (m is w read in binary), in the lexicographic order
+of the leaves.  One sweep over the sorted endpoints of both operands keeps
+the maximal runs where the result holds, and each run is cut greedily into
+the largest aligned blocks [j 2^k, (j+1) 2^k), i.e. cylinders.  The cut is
+canonical: blocks of one run are never siblings (the greedy step would have
+taken their parent), runs are not adjacent, and a sibling-free antichain is
+the set of maximal cylinders in its union.  On canonical b, x lies inside b
+exactly when the last leaf of b sorting at or before x is a prefix of x.
+
 The metric is d(x, y) = 2^(-k) where k is the length of the longest common
 prefix, so a nonempty set has diameter 2^(-k) with k the depth of its
 smallest enclosing cylinder.
@@ -15,6 +26,7 @@ smallest enclosing cylinder.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
 
@@ -35,81 +47,57 @@ class DepthTooSmall(ValueError):
 
 _FULL_LEAVES = ("",)
 
+# keep[(x in a) + 2 * (x in b)]: is x in the result of the operation?
+_UNION = (False, True, True, True)
+_INTER = (False, False, False, True)
+_MINUS = (False, True, False, False)
+_COMPL = (True, False, False, False)
+
 
 def _check_word(word):
     if not isinstance(word, str) or any(c not in "01" for c in word):
         raise ValueError("cylinder words use the alphabet {0,1}, got %r" % (word,))
 
 
-def _norm(words):
-    """Canonical antichain covering the union of the given cylinders."""
-    ws = set(words)
-    if not ws:
-        return ()
-    if "" in ws:
-        return _FULL_LEAVES
-    zero = _norm(w[1:] for w in ws if w[0] == "0")
-    one = _norm(w[1:] for w in ws if w[0] == "1")
-    return _graft(zero, one)
+def _sweep(a, b, keep):
+    """Canonical leaves of the points x with keep[(x in a) + 2 * (x in b)].
 
-
-def _graft(zero, one):
-    # merge the two half trees; the only new sibling pair can appear at the root
-    if zero == _FULL_LEAVES and one == _FULL_LEAVES:
-        return _FULL_LEAVES
-    return tuple("0" + w for w in zero) + tuple("1" + w for w in one)
-
-
-def _split(leaves):
-    # assumes canonical input, neither empty nor the full space
-    zero = tuple(w[1:] for w in leaves if w[0] == "0")
-    one = tuple(w[1:] for w in leaves if w[0] == "1")
-    return zero, one
-
-
-def _union(a, b):
-    if a == _FULL_LEAVES or b == _FULL_LEAVES:
-        return _FULL_LEAVES
-    if not a:
-        return b
-    if not b:
-        return a
-    a0, a1 = _split(a)
-    b0, b1 = _split(b)
-    return _graft(_union(a0, b0), _union(a1, b1))
-
-
-def _inter(a, b):
-    if a == _FULL_LEAVES:
-        return b
-    if b == _FULL_LEAVES:
-        return a
-    if not a or not b:
-        return ()
-    a0, a1 = _split(a)
-    b0, b1 = _split(b)
-    return _graft(_inter(a0, b0), _inter(a1, b1))
-
-
-def _minus(a, b):
-    if not a or b == _FULL_LEAVES:
-        return ()
-    if not b:
-        return a
-    if a == _FULL_LEAVES:
-        return _compl(b)
-    a0, a1 = _split(a)
-    b0, b1 = _split(b)
-    return _graft(_minus(a0, b0), _minus(a1, b1))
-
-
-def _compl(a):
-    if not a:
-        return _FULL_LEAVES
-    if a == _FULL_LEAVES:
-        return ()
-    a0, a1 = _split(a)
-    return _graft(_compl(a0), _compl(a1))
+    The cylinders of the word tuples `a` and `b` may overlap, in any order.
+    """
+    depth = max(map(len, a + b), default=0)
+    top = 1 << depth  # set in every position, so that bin() keeps leading zeros
+    events = []  # position << 2 | entering << 1 | operand
+    for tag, words in ((0, a), (1, b)):
+        for w in words:
+            k = depth - len(w)
+            s = int("1" + w, 2) << k
+            events.append(s << 2 | 2 | tag)
+            events.append((s + (1 << k)) << 2 | tag)
+    events.sort()
+    count = [0, 0]
+    inside = keep[0]
+    bounds = [top] if inside else []
+    for ev in events:
+        count[ev & 1] += 1 if ev & 2 else -1
+        now = keep[(count[0] > 0) + 2 * (count[1] > 0)]
+        if now is not inside:
+            inside = now
+            pos = ev >> 2
+            if bounds and bounds[-1] == pos:
+                bounds.pop()  # changed twice at one point: no boundary
+            else:
+                bounds.append(pos)
+    if inside:
+        bounds.append(top << 1)
+    leaves = []
+    it = iter(bounds)
+    for s, e in zip(it, it):
+        while s < e:
+            # the largest block aligned at s that fits in [s, e)
+            k = min((s & -s).bit_length(), (e - s).bit_length()) - 1
+            leaves.append(bin(s >> k)[3:])
+            s += 1 << k
+    return tuple(leaves)
 
 
 class ClopenSet:
@@ -120,11 +108,13 @@ class ClopenSet:
     def __init__(self, words=()):
         if isinstance(words, ClopenSet):
             self.leaves = words.leaves
+        elif isinstance(words, str):
+            raise TypeError("ClopenSet takes an iterable of words, not the string %r" % (words,))
         else:
             ws = tuple(words)
             for w in ws:
                 _check_word(w)
-            self.leaves = _norm(ws)
+            self.leaves = _sweep(ws, (), _UNION)
         self._hash = None
 
     @classmethod
@@ -136,19 +126,24 @@ class ClopenSet:
         return s
 
     def union(self, other):
-        return ClopenSet._raw(_union(self.leaves, other.leaves))
+        return ClopenSet._raw(_sweep(self.leaves, other.leaves, _UNION))
 
     def intersect(self, other):
-        return ClopenSet._raw(_inter(self.leaves, other.leaves))
+        return ClopenSet._raw(_sweep(self.leaves, other.leaves, _INTER))
 
     def minus(self, other):
-        return ClopenSet._raw(_minus(self.leaves, other.leaves))
+        return ClopenSet._raw(_sweep(self.leaves, other.leaves, _MINUS))
 
     def complement(self):
-        return ClopenSet._raw(_compl(self.leaves))
+        return ClopenSet._raw(_sweep(self.leaves, (), _COMPL))
 
     def is_subset(self, other):
-        return _minus(self.leaves, other.leaves) == ()
+        b = other.leaves
+        for x in self.leaves:
+            i = bisect_right(b, x)
+            if not i or not x.startswith(b[i - 1]):
+                return False
+        return True
 
     __or__ = union
     __and__ = intersect
@@ -187,9 +182,11 @@ class ClopenSet:
         """All depth-`depth` words whose cylinders make up the set, in order."""
         out = []
         for w in self.leaves:
-            if len(w) > depth:
+            k = depth - len(w)
+            if k < 0:
                 raise DepthTooSmall("leaf %r is deeper than %d" % (w, depth))
-            out.extend(w + "".join(tail) for tail in product("01", repeat=depth - len(w)))
+            s = int("1" + w, 2) << k  # a leading 1 that bin() then drops
+            out.extend(bin(i)[3:] for i in range(s, s + (1 << k)))
         return tuple(out)
 
     def text(self):
@@ -238,7 +235,7 @@ def union_all(sets):
     words = []
     for s in sets:
         words.extend(s.leaves)
-    return ClopenSet._raw(_norm(words))
+    return ClopenSet._raw(_sweep(tuple(words), (), _UNION))
 
 
 def enumerate_clopen(depth_cap=None):

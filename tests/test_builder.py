@@ -79,6 +79,13 @@ def test_build_two_stages():
             16,
             "94e899930b350e847f814b8193fa1b87734c2be0d0ab0ac2a709d835ca46a9f9",
         ),
+        # the benchmark's third4 tower: two columns, non-dyadic masses
+        (
+            "measure third\nweight e 1/3\n",
+            4,
+            16,
+            "517f03be97d3be36bca19fb45ef6f2df17c2ed0dacaeb500af400756e1b0a187",
+        ),
     ],
 )
 def test_serialized_build_bytes_pinned(text, stages, max_depth, digest):

@@ -182,3 +182,140 @@ def test_refine_partitions_set(s, d):
     assert all(len(w) == d for w in words)
     assert list(words) == sorted(words)
     assert ClopenSet(words) == s
+
+
+def test_bare_string_rejected():
+    # a string is an iterable of one-letter words; "01" would mean [0] | [1]
+    with pytest.raises(TypeError):
+        ClopenSet("01")
+    with pytest.raises(TypeError):
+        normalize("01")
+    assert ClopenSet(["01"]).leaves == ("01",)
+
+
+# Reference algebra for the deep-leaf test: a recursion on the first
+# letter of the words, independent of the interval sweep under test.
+
+
+def ref_norm(words):
+    ws = set(words)
+    if not ws:
+        return ()
+    if "" in ws:
+        return ("",)
+    zero = ref_norm(w[1:] for w in ws if w[0] == "0")
+    one = ref_norm(w[1:] for w in ws if w[0] == "1")
+    return ref_graft(zero, one)
+
+
+def ref_graft(zero, one):
+    if zero == ("",) and one == ("",):
+        return ("",)
+    return tuple("0" + w for w in zero) + tuple("1" + w for w in one)
+
+
+def ref_split(leaves):
+    zero = tuple(w[1:] for w in leaves if w[0] == "0")
+    one = tuple(w[1:] for w in leaves if w[0] == "1")
+    return zero, one
+
+
+def ref_union(a, b):
+    if a == ("",) or b == ("",):
+        return ("",)
+    if not a:
+        return b
+    if not b:
+        return a
+    (a0, a1), (b0, b1) = ref_split(a), ref_split(b)
+    return ref_graft(ref_union(a0, b0), ref_union(a1, b1))
+
+
+def ref_inter(a, b):
+    if a == ("",):
+        return b
+    if b == ("",):
+        return a
+    if not a or not b:
+        return ()
+    (a0, a1), (b0, b1) = ref_split(a), ref_split(b)
+    return ref_graft(ref_inter(a0, b0), ref_inter(a1, b1))
+
+
+def ref_minus(a, b):
+    if not a or b == ("",):
+        return ()
+    if not b:
+        return a
+    if a == ("",):
+        return ref_compl(b)
+    (a0, a1), (b0, b1) = ref_split(a), ref_split(b)
+    return ref_graft(ref_minus(a0, b0), ref_minus(a1, b1))
+
+
+def ref_compl(a):
+    if not a:
+        return ("",)
+    if a == ("",):
+        return ()
+    a0, a1 = ref_split(a)
+    return ref_graft(ref_compl(a0), ref_compl(a1))
+
+
+def assert_canonical(leaves):
+    assert leaves == tuple(sorted(leaves))
+    assert len(set(leaves)) == len(leaves)
+    for a, b in zip(leaves, leaves[1:]):
+        # sorted, so a prefix of a later leaf would sit right before it
+        assert not b.startswith(a)
+    for w in leaves:
+        assert not w or w[:-1] + "10"[int(w[-1])] not in leaves
+
+
+DEEP = 24
+
+
+@st.composite
+def deep_words(draw):
+    """Words of mixed length up to DEEP that nest, touch and pair up.
+
+    Independent random deep words would almost never share a prefix, so
+    most words grow from a few stems, and some are the sibling of the
+    word before them.
+    """
+    stems = draw(st.lists(st.text(alphabet="01", max_size=DEEP), min_size=1, max_size=3))
+    words = []
+    for _ in range(draw(st.integers(0, 10))):
+        if words and words[-1] and draw(st.booleans()):
+            w = words[-1]
+            words.append(w[:-1] + "10"[int(w[-1])])
+            continue
+        stem = draw(st.sampled_from(stems))
+        cut = draw(st.integers(0, len(stem)))
+        words.append(stem[:cut] + draw(st.text(alphabet="01", max_size=DEEP - cut)))
+    return words
+
+
+@settings(max_examples=400)
+@given(deep_words(), deep_words())
+def test_deep_ops_match_recursive_reference(wa, wb):
+    a, b = ClopenSet(wa), ClopenSet(wb)
+    ra, rb = ref_norm(wa), ref_norm(wb)
+    assert a.leaves == ra
+    assert b.leaves == rb
+    assert (a | b).leaves == ref_union(ra, rb)
+    assert (a & b).leaves == ref_inter(ra, rb)
+    assert (a - b).leaves == ref_minus(ra, rb)
+    assert (~a).leaves == ref_compl(ra)
+    assert union_all([a, b, a]).leaves == ref_norm(wa + wb)
+    assert ClopenSet(wa + wb) == a | b
+    for s in (a, b, a | b, a & b, a - b, b - a, ~a):
+        assert_canonical(s.leaves)
+    assert a.is_subset(b) == (ref_minus(ra, rb) == ())
+    assert b.is_subset(a) == (ref_minus(rb, ra) == ())
+    # shared and nested leaves: the prefix test must find the covering leaf
+    assert a.is_subset(a)
+    assert (a & b).is_subset(b)
+    assert a.is_subset(a | b)
+    assert (a - b).is_subset(a)
+    assert not (a - b).is_subset(b) or (a - b).is_empty
