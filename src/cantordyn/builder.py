@@ -26,7 +26,6 @@ from cantordyn.tower import (
     balance_columns,
     from_columns,
     locate_atom,
-    partial_automorphism,
     refine_small_base_top,
     run_decomposition,
     trivial_partition,
@@ -66,20 +65,12 @@ class TowerSequence:
 
     __slots__ = ("family", "stages", "pairs", "budgets", "_decompositions")
 
-    def __init__(self, family, stages, pairs=(), budgets=None):
+    def __init__(self, family, stages, pairs, budgets):
         self.family = family
         self.stages = tuple(stages)
         self.pairs = tuple(pairs)
-        if budgets is None:
-            budgets = tuple(
-                Fraction(1, 2 ** n) if n else Fraction(1) for n in range(len(self.stages))
-            )
         self.budgets = tuple(Fraction(b) for b in budgets)
         self._decompositions = {}
-
-    @property
-    def partials(self):
-        return tuple(partial_automorphism(t) for t in self.stages)
 
     def decomposition(self, n):
         """run_decomposition of stage n+1 over stage n, computed once.
@@ -172,8 +163,10 @@ def validate_sequence(g):
 
     Checks, stage by stage: the columns form a tower partition, base and
     top diameters fit the stage budget, each scheduled pair is split and
-    visited equally often by every column, consecutive stages refine,
-    and refinement extends the climb maps of earlier stages.
+    visited equally often by every column, and consecutive stages
+    refine.  A run decomposition of a partition over its predecessor
+    already puts base inside base and top inside top, and makes the
+    climb map extend the earlier one.
     """
     k = g.family
     bad = []
@@ -222,27 +215,8 @@ def validate_sequence(g):
     for n in range(len(g.stages) - 1):
         if n in broken or n + 1 in broken:
             continue
-        s, t = g.stages[n + 1], g.stages[n]
-        tr = g.decomposition(n)
-        if tr is None or not (s.base.is_subset(t.base) and s.top.is_subset(t.top)):
+        if g.decomposition(n) is None:
             bad.append("stage %d does not refine stage %d" % (n + 1, n))
-            continue
-        parts = {}
-        for sci, trace in enumerate(tr):
-            r = 0
-            for tci in trace:
-                for j in range(len(t.columns[tci])):
-                    parts.setdefault((tci, j), []).append((sci, r + j))
-                r += len(t.columns[tci])
-        for (tci, j), plist in sorted(parts.items()):
-            if j + 1 >= len(t.columns[tci]):
-                continue
-            images = union_all(s.columns[sci][r + 1] for sci, r in plist)
-            if images != t.columns[tci][j + 1]:
-                bad.append(
-                    "stage %d breaks the climb map of stage %d at column %d level %d"
-                    % (n + 1, n, tci, j)
-                )
     return tuple(bad)
 
 

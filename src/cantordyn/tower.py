@@ -32,12 +32,10 @@ __all__ = [
     "KRPartition",
     "NotAPartition",
     "NotEquivalentColumn",
-    "PartialAutomorphism",
     "balance_columns",
     "cut_column_at_level",
     "from_columns",
     "locate_atom",
-    "partial_automorphism",
     "refine_small_base_top",
     "refines",
     "run_decomposition",
@@ -129,24 +127,6 @@ def from_columns(k, columns):
     return KRPartition(cols)
 
 
-class PartialAutomorphism:
-    """The climb-one-level map of a tower; tops stay unassigned."""
-
-    __slots__ = ("atom_map", "top_to_base")
-
-    def __init__(self, atom_map, top_to_base):
-        self.atom_map = dict(atom_map)
-        self.top_to_base = top_to_base
-
-
-def partial_automorphism(t):
-    amap = {}
-    for col in t.columns:
-        for a, b in zip(col, col[1:]):
-            amap[a] = b
-    return PartialAutomorphism(amap, (t.top, t.base))
-
-
 def _atom_index(t):
     idx = {}
     for ci, col in enumerate(t.columns):
@@ -205,9 +185,10 @@ def run_decomposition(s, t):
 
 
 def refines(s, t):
-    """Tower refinement: smaller base and top, columns climb t in runs."""
-    if not (s.base.is_subset(t.base) and s.top.is_subset(t.top)):
-        return False
+    """Tower refinement: columns of s climb t in runs.
+
+    A run starts at a t-base and ends at a t-top, so base and top shrink.
+    """
     return run_decomposition(s, t) is not None
 
 

@@ -1,7 +1,7 @@
 """Finite-stage certificates for a tower sequence.
 
 Each check here extracts, from one finite stage, evidence about the
-limit system: the exact vertex set of the cone of invariant measures
+limit system: the vertices of the cone of invariant measures
 compatible with the stage, a metric for how tightly that cone has
 collapsed onto the prescribed simplex, strong connectivity of the
 column-transition graph (minimality), explicit full-group elements
@@ -50,31 +50,34 @@ class StageTooShallow(Exception):
 
 
 class InvariantCone:
-    """Exact vertices of the invariant-measure cone at one stage.
+    """Vertices of the invariant-measure cone at one stage.
 
-    A measure invariant under every extension of the stage's climb map
-    gives all atoms of one column the same mass.  The cone therefore
-    lives in column space: nonnegative column values whose height-
-    weighted sum is 1 and which respect the chain rows inherited from
-    all earlier stages.  Vertices are stored expanded to per-atom mass
-    tuples, aligned with `atoms`.
+    A measure invariant under the stage's climb map gives all atoms of one
+    column the same mass, so the cone is the simplex of nonnegative column
+    values whose height-weighted sum is 1.  Earlier stages add nothing:
+    a run through an earlier column visits each of its levels once.  Its
+    vertices are the column-uniform measures, one per column in column
+    order, stored expanded to per-atom mass tuples aligned with `atoms`.
     """
 
-    __slots__ = ("stage", "atoms", "vertices", "_col_of", "_rows", "_ncols")
+    __slots__ = ("stage", "atoms", "vertices", "_col_of", "_heights")
 
-    def __init__(self, stage, atoms, vertices, col_of, rows, ncols):
+    def __init__(self, stage, atoms, heights):
         self.stage = stage
         self.atoms = tuple(atoms)
-        self.vertices = tuple(vertices)
-        self._col_of = tuple(col_of)
-        self._rows = tuple(rows)
-        self._ncols = ncols
+        self._heights = tuple(heights)
+        self._col_of = tuple(c for c, h in enumerate(self._heights) for _ in range(h))
+        zero = Fraction(0)
+        self.vertices = tuple(
+            tuple(Fraction(1, h) if d == c else zero for d in self._col_of)
+            for c, h in enumerate(self._heights)
+        )
 
     def contains(self, atom_masses):
         """Exact membership of a per-atom mass vector in the cone."""
         if len(atom_masses) != len(self.atoms):
             raise ValueError("mass vector length does not match the atoms")
-        y = [None] * self._ncols
+        y = [None] * len(self._heights)
         for mass, c in zip(atom_masses, self._col_of):
             if mass < 0:
                 return False
@@ -82,9 +85,7 @@ class InvariantCone:
                 y[c] = mass
             elif y[c] != mass:
                 return False
-        return all(
-            sum(a * x for a, x in zip(row, y)) == rhs for row, rhs in self._rows
-        )
+        return sum(h * x for h, x in zip(self._heights, y)) == 1
 
 
 def _chain_traces(g, n):
@@ -103,113 +104,17 @@ def _chain_traces(g, n):
     return traces
 
 
-def _chain_rows(g, n):
-    """Column-count balance rows inherited from every earlier stage."""
-    s = g.stages[n]
-    ncols = len(s.columns)
-    rows = []
-    for m, tr in enumerate(_chain_traces(g, n)):
-        t = g.stages[m]
-        counts = {}
-        for sci, trace in enumerate(tr):
-            for tci in trace:
-                for j in range(len(t.columns[tci])):
-                    key = counts.setdefault((tci, j), [0] * ncols)
-                    key[sci] += 1
-        for (tci, j), cnt in sorted(counts.items()):
-            if j + 1 >= len(t.columns[tci]):
-                continue
-            above = counts[(tci, j + 1)]
-            row = tuple(Fraction(a - b) for a, b in zip(cnt, above))
-            if any(row):
-                rows.append((row, Fraction(0)))
-    return rows
-
-
-def _dd_vertices(rows, ncols):
-    """Vertex enumeration for {y >= 0 : rows hold}, by double description.
-
-    Homogenizes with a slack coordinate s, starts from the coordinate
-    rays, and inserts each equality as a pair of opposite halfspaces.
-    Adjacency of a positive and a negative ray is decided by the classic
-    zero-set test against all constraints processed so far.
-    """
-    dim = ncols + 1
-    rays = [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
-    planes = []
-    for row, rhs in rows:
-        planes.append(tuple(row) + (-rhs,))
-    halfspaces = []
-    for p in planes:
-        halfspaces.append(p)
-        halfspaces.append(tuple(-a for a in p))
-
-    def tight(ray, upto):
-        zero = {("c", i) for i, x in enumerate(ray) if x == 0}
-        for j in range(upto):
-            if sum(a * x for a, x in zip(halfspaces[j], ray)) == 0:
-                zero.add(("h", j))
-        return zero
-
-    for hj, h in enumerate(halfspaces):
-        vals = [sum(a * x for a, x in zip(h, r)) for r in rays]
-        plus = [r for r, v in zip(rays, vals) if v > 0]
-        zero = [r for r, v in zip(rays, vals) if v == 0]
-        minus = [r for r, v in zip(rays, vals) if v < 0]
-        if not minus:
-            continue
-        zsets = {r: tight(r, hj) for r in rays}
-        fresh = []
-        for rp in plus:
-            for rm in minus:
-                core = zsets[rp] & zsets[rm]
-                if any(
-                    core <= zsets[r] for r in rays if r is not rp and r is not rm
-                ):
-                    continue
-                vp = sum(a * x for a, x in zip(h, rp))
-                vm = sum(a * x for a, x in zip(h, rm))
-                w = tuple(vp * m - vm * p for p, m in zip(rp, rm))
-                total = sum(w)
-                fresh.append(tuple(x / total for x in w))
-        seen = set()
-        nxt = []
-        for r in plus + zero + fresh:
-            total = sum(r)
-            key = tuple(x / total for x in r)
-            if key not in seen:
-                seen.add(key)
-                nxt.append(key)
-        rays = nxt
-    verts = []
-    seen = set()
-    for r in rays:
-        s = r[-1]
-        if s == 0:
-            continue
-        v = tuple(x / s for x in r[:-1])
-        if v not in seen:
-            seen.add(v)
-            verts.append(v)
-    return verts
-
-
 def invariant_cone(g, n):
-    """Vertices of the invariant-measure cone at stage n."""
+    """The invariant-measure cone at stage n: one vertex per column.
+
+    Raises ValueError when some stage up to n does not refine its
+    predecessor.
+    """
+    for m in range(n - 1, -1, -1):
+        if g.decomposition(m) is None:
+            raise ValueError("stage %d does not refine stage %d" % (m + 1, m))
     t = g.stages[n]
-    ncols = len(t.columns)
-    rows = [(tuple(Fraction(len(col)) for col in t.columns), Fraction(1))]
-    rows.extend(_chain_rows(g, n))
-    col_of = []
-    atoms = []
-    for ci, col in enumerate(t.columns):
-        for a in col:
-            atoms.append(a)
-            col_of.append(ci)
-    vertices = []
-    for y in _dd_vertices(rows, ncols):
-        vertices.append(tuple(y[c] for c in col_of))
-    return InvariantCone(n, atoms, tuple(vertices), col_of, rows, ncols)
+    return InvariantCone(n, t.atoms, t.heights)
 
 
 def collapse_metric(g, n, cone=None):
@@ -306,9 +211,14 @@ def minimality_check(g, n):
     decomposition of the next stage; at the last stage a transition
     c -> d is possible whenever the top of c meets the base of d.
     The stage also has to spread: every atom of stage 1 must contain an
-    atom of every column.  On failure the certificate is the union of
-    the first completed terminal component's columns, a clopen region
-    an orbit cannot be forced to leave.
+    atom of every column, which holds exactly when every column's
+    telescoped run through stage 1 visits every stage-1 column (runs
+    match atoms level by level, and stage-1 atoms are disjoint).  On
+    failure the certificate is the union of the first completed terminal
+    component's columns, a clopen region an orbit cannot be forced to
+    leave; when only the spread fails, that is the whole space.  Raises
+    ValueError on a stage whose runs the check reads but which does not
+    refine its predecessor.
     """
     t = g.stages[n]
     ncols = len(t.columns)
@@ -328,14 +238,10 @@ def minimality_check(g, n):
     succs = [sorted(e) for e in edges]
     comps = _strongly_connected(ncols, succs)
     ok = len(comps) == 1
-    if ok and len(g.stages) > 1 and n >= 1:
-        for a in g.stages[1].atoms:
-            for col in t.columns:
-                if not any(x.is_subset(a) for x in col):
-                    ok = False
-                    break
-            if not ok:
-                break
+    if ok and n >= 1:
+        runs = _chain_traces(g, n)[1] if n > 1 else [(c,) for c in range(ncols)]
+        every = set(range(len(g.stages[1].columns)))
+        ok = all(set(run) == every for run in runs)
     if ok:
         return MinimalityReport(True, n, None)
     cert = union_all(a for ci in comps[0] for a in t.columns[ci])

@@ -118,14 +118,6 @@ def test_build_fails_on_proportional_generators():
     assert "GoodnessFailure" in str(err)
 
 
-def test_partials_cover_all_but_tops():
-    g = build_saturated(UNI, 2)
-    maps = g.partials
-    assert len(maps) == 3
-    assert len(maps[1].atom_map) == 15
-    assert maps[0].atom_map == {}
-
-
 def test_apply_walks_the_last_stage():
     g = build_saturated(UNI, 2)
     assert apply(g, "0000", 0) == "0000"

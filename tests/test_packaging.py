@@ -1,6 +1,8 @@
-"""The package imports nothing outside the standard library and itself."""
+"""The package imports nothing outside the standard library and itself,
+and every name it exports or imports from itself exists."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -26,3 +28,14 @@ def test_runtime_imports_are_stdlib_only():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         bad += ["%s:%d %s" % (path.name, n, mod) for n, mod in imported_modules(tree) if mod not in allowed]
     assert bad == []
+
+
+def test_exported_and_imported_names_resolve():
+    # importing the package fails on any name __init__ imports that is gone
+    importlib.import_module("cantordyn")
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "cantordyn" if path.stem == "__init__" else "cantordyn." + path.stem
+        module = importlib.import_module(name)
+        missing += ["%s.%s" % (name, x) for x in getattr(module, "__all__", ()) if not hasattr(module, x)]
+    assert missing == []

@@ -13,7 +13,6 @@ from cantordyn.tower import (
     cut_column_at_level,
     from_columns,
     locate_atom,
-    partial_automorphism,
     refine_small_base_top,
     refines,
     run_decomposition,
@@ -54,11 +53,8 @@ def test_from_columns_validation():
         from_columns(UNI, [(C("0"),), (C("0"),), (C("1"),)])
 
 
-def test_partial_automorphism():
+def test_base_and_top():
     t = from_columns(UNI, [(C("00"), C("10")), (C("01"), C("11"))])
-    pa = partial_automorphism(t)
-    assert pa.atom_map == {C("00"): C("10"), C("01"): C("11")}
-    assert pa.top_to_base == (t.top, t.base)
     assert t.top == C("1")
     assert t.base == C("0")
 

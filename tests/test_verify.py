@@ -88,11 +88,40 @@ def interleaved():
     return seq(UNI, [halves, quarters, eighths])
 
 
-@pytest.mark.parametrize(
+SEQUENCES = pytest.mark.parametrize(
     "make",
     [refined_twice, interleaved, lambda: build_saturated(THIRD, 2, max_depth=16)],
     ids=["hand_built", "interleaved", "third_two_stages"],
 )
+
+
+def column_simplex(t):
+    """Column-uniform measures, one per column, expanded to the atoms."""
+    return tuple(
+        tuple(F(1, len(col)) if d == c else F(0) for d, dol in enumerate(t.columns) for _ in dol)
+        for c, col in enumerate(t.columns)
+    )
+
+
+@SEQUENCES
+def test_cone_is_the_column_simplex(make):
+    g = make()
+    for n, t in enumerate(g.stages):
+        cone = invariant_cone(g, n)
+        assert cone.atoms == t.atoms
+        assert cone.vertices == column_simplex(t)
+        for v in cone.vertices:
+            assert cone.contains(v)
+        for m in g.family.generators:
+            assert cone.contains(tuple(m.eval(a) for a in cone.atoms))
+    # the last stage has a column of height 2 or more
+    v = list(cone.vertices[0])
+    v[0], v[1] = v[0] + F(1, 64), v[1] - F(1, 64)
+    assert not cone.contains(tuple(v))
+    assert not cone.contains(tuple(2 * x for x in cone.vertices[0]))
+
+
+@SEQUENCES
 def test_chain_traces_match_direct_decomposition(make):
     g = make()
     for n in range(len(g.stages)):
@@ -115,6 +144,24 @@ def test_minimality_of_built_tower():
     assert minimality_check(g, 1).ok
     mr = minimality_check(g, 2)
     assert mr and mr.certificate is None
+
+
+def test_minimality_needs_spread():
+    # stage 3's runs make stage 2's column graph strongly connected, but
+    # column 1 of stage 2 never climbs through column 1 of stage 1
+    halves = KRPartition(((C("0"),), (C("1"),)))
+    quarters = KRPartition(((C("00"), C("10")), (C("01"),), (C("11"),)))
+    eighths = KRPartition(
+        (
+            (C("000"), C("100"), C("010"), C("110"), C("001"), C("101")),
+            (C("011"), C("111")),
+        )
+    )
+    g = seq(UNI, [halves, quarters, eighths])
+    assert g.decomposition(2) == ((0, 1, 2, 0), (1, 2))
+    mr = minimality_check(g, 2)
+    assert not mr.ok
+    assert mr.certificate == FULL
 
 
 def test_minimality_trap_certificate():
@@ -186,17 +233,28 @@ def test_verify_all_accepts_built_tower():
     assert any("strongly connected" in line for line in report.lines)
 
 
-def test_verify_all_flags_tampering():
+def swapped_levels():
+    """A built sequence whose last stage swaps two levels of stage 1."""
     g = build_saturated(UNI, 2)
     col = list(g.stages[1].columns[0])
     col[1], col[2] = col[2], col[1]
-    bad = TowerSequence(
+    return TowerSequence(
         g.family,
         (g.stages[0], g.stages[1], KRPartition((tuple(col),))),
         g.pairs,
         g.budgets,
     )
-    ok, first, report = verify_all(bad)
+
+
+def test_cone_refuses_a_stage_that_does_not_refine():
+    bad = swapped_levels()
+    assert invariant_cone(bad, 1).vertices == column_simplex(bad.stages[1])
+    with pytest.raises(ValueError, match="stage 2 does not refine stage 1"):
+        invariant_cone(bad, 2)
+
+
+def test_verify_all_flags_tampering():
+    ok, first, report = verify_all(swapped_levels())
     assert not ok
     assert "does not refine" in first
     assert report.violations
