@@ -164,7 +164,7 @@ class ClopenSet:
 
     @property
     def max_leaf_len(self):
-        return max((len(w) for w in self.leaves), default=0)
+        return max(map(len, self.leaves), default=0)
 
     def diameter(self):
         """2^(-k) for the deepest cylinder containing the set; 0 if empty."""

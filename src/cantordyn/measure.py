@@ -138,21 +138,28 @@ class TreeMeasure:
         """Mass of the cylinder [word]."""
         return Fraction(self._num(word[: self._top]), self._den(len(word)))
 
-    def eval(self, a):
-        """Mass of a clopen set."""
-        leaves = a.leaves
-        if not leaves:
-            return Fraction(0)
+    def _mass(self, a):
+        """Mass of a clopen set as (n, depth), meaning n / _den(depth).
+
+        Factors of two are stripped from n down to depth _top, never
+        below it, so equal masses give equal pairs.
+        """
         top = self._top
-        depth = max(map(len, leaves))
+        depth = max(top, a.max_leaf_len)
         den = self._den(depth)
         total = 0
-        for w in leaves:
+        for w in a.leaves:
             if len(w) >= top:
                 total += self._num(w[:top]) << (depth - len(w))
             else:
                 total += self._num(w) * (den // self._scale[len(w)])
-        return Fraction(total, den)
+        strip = min(depth - top, (total & -total).bit_length() - 1) if total else depth - top
+        return total >> strip, depth - strip
+
+    def eval(self, a):
+        """Mass of a clopen set."""
+        n, depth = self._mass(a)
+        return Fraction(n, self._den(depth))
 
     def __eq__(self, other):
         return isinstance(other, TreeMeasure) and self.weights == other.weights
@@ -176,19 +183,6 @@ class MeasureFamily:
         self.generators = gens
         # weight depth: below it every cylinder halves under every generator
         self._top = max(m._top for m in gens)
-
-    def _num_vecs(self, words, depth):
-        """vec_word of depth-`depth` cylinders as integer numerators.
-
-        Returns (dens, vecs): dens[i] is generator i's common denominator
-        at `depth`, and every depth-`depth` cylinder below words[j] has
-        mass vecs[j][i] / dens[i] under generator i.  Each word must have
-        length `depth`, or at least _top and at most `depth`.
-        """
-        gens = self.generators
-        dens = tuple(m._den(depth) for m in gens)
-        vecs = [tuple(m._num(w[: m._top]) for m in gens) for w in words]
-        return dens, vecs
 
     def vec(self, a):
         """Value vector (mu_1(a), ..., mu_G(a))."""

@@ -8,10 +8,11 @@ depth-d cylinders have integer value vectors over per-generator common
 denominators, consecutive cylinders of equal vector form runs, and an
 exact integer subset-sum sweep over the runs picks a count from each.
 Below the family's weight depth cylinders split evenly, so the runs are
-read off a shallower refinement of the host, one block of equal
-cylinders per word.  Taking the largest admissible count from each run,
-first cylinders first, makes the answer canonical.  The sweep works on
-integers; Fraction stays at the boundary (the box, the host's vector).
+read off the host's own leaves, one block of equal cylinders per leaf;
+only leaves shorter than the weight depth are refined.  Taking the
+largest admissible count from each run, first cylinders first, makes the
+answer canonical.  The sweep works on integers; Fraction stays at the
+boundary (the box, the host's vector).
 
 On top of that sit the derived operations: copying a value vector into a
 host, dividing a set into n almost-equal pieces, stamping out n disjoint
@@ -23,6 +24,7 @@ equal vector while eventually separating all clopen sets.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from math import lcm
 
 from cantordyn.clopen import EMPTY, FULL, ClopenSet, enumerate_clopen, union_all
@@ -166,10 +168,12 @@ def subset_in_box(k, host, lo, hi, max_depth=12):
     depth d generator i's masses are integers over one denominator D_i,
     so the box becomes ceil(lo_i D_i) .. floor(hi_i D_i), exactly.  Below
     the family's weight depth every depth-d cylinder under a word has the
-    same vector, so the host is refined only to e = min(d, max(host
-    depth, weight depth)): each depth-e word is a block of 2^(d-e) equal
-    cylinders, adjacent equal blocks merge into runs, and only the chosen
-    counts are expanded back into each run's first depth-d cylinders.
+    same vector, so only host leaves shorter than e = min(d, weight depth)
+    are refined, to depth e: each word w is then a block of 2^(d-|w|)
+    equal cylinders, and adjacent blocks of equal vector merge into runs.
+    Past the weight depth only the denominators, the box and the run
+    counts change with d.  A chosen count takes whole blocks of its run,
+    then the first depth-d words inside the block where it ends.
     """
     lo = _vector(k, lo, "lower bound")
     hi = _vector(k, hi, "upper bound")
@@ -181,26 +185,36 @@ def subset_in_box(k, host, lo, hi, max_depth=12):
     if host.is_empty:
         return None
     base = host.max_leaf_len
+    top = k._top
+    gens = k.generators
     for d in range(base, max_depth + 1):
-        e = min(d, max(base, k._top))
-        blocks = host.refine_to_depth(e)
-        dens, vecs = k._num_vecs(blocks, d)
+        if d == base or d <= top:  # past the weight depth the runs stay put
+            e = min(d, top)
+            blocks = [
+                w + format(i, "0%db" % (e - len(w))) if len(w) < e else w
+                for w in host.leaves
+                for i in range(1 << max(e - len(w), 0))
+            ]
+            runs = [
+                (v, list(bs))
+                for v, bs in groupby(blocks, lambda b: tuple(m._num(b[: m._top]) for m in gens))
+            ]
+        dens = tuple(m._den(d) for m in gens)
         ilo = tuple(-(-l.numerator * n // l.denominator) for l, n in zip(lo, dens))
         ihi = tuple(h.numerator * n // h.denominator for h, n in zip(hi, dens))
         if any(l > h for l, h in zip(ilo, ihi)):
             continue
-        size = 1 << (d - e)
-        starts = [i for i in range(len(vecs)) if i == 0 or vecs[i] != vecs[i - 1]]
-        ends = starts[1:] + [len(vecs)]
-        runs = [(vecs[i], (j - i) * size) for i, j in zip(starts, ends)]
-        counts = _solve_at_depth(runs, ilo, ihi)
+        sized = [(v, sum(1 << (d - len(b)) for b in bs)) for v, bs in runs]
+        counts = _solve_at_depth(sized, ilo, ihi)
         if counts is not None:
             chosen = []
-            for i, t in zip(starts, counts):
-                q, r = divmod(t, size)
-                chosen.extend(blocks[i : i + q])
-                if r:
-                    chosen.extend(_first_words(blocks[i + q], r, d - e))
+            for (_, bs), t in zip(runs, counts):
+                for b in bs:
+                    if not t:
+                        break
+                    s = d - len(b)
+                    chosen.extend((b,) if t >> s else _first_words(b, t, s))
+                    t -= min(t, 1 << s)
             return ClopenSet(chosen)
     return None
 
@@ -208,13 +222,15 @@ def subset_in_box(k, host, lo, hi, max_depth=12):
 def select_copy(k, target, host, max_depth=12):
     """Clopen subset of host with value vector exactly `target`.
 
-    Raises ValueError if the target exceeds the host in some generator
-    and GoodnessFailure if no subset attains it within max_depth.  Under
-    full support a proper subset loses mass under every generator at
-    once, so a target matching the host in some generators but not all
-    is refused without searching.
+    Raises ValueError if the target has a negative entry or exceeds the
+    host in some generator, and GoodnessFailure if no subset attains it
+    within max_depth.  Under full support a proper subset loses mass
+    under every generator at once, so a target matching the host in some
+    generators but not all is refused without searching.
     """
     target = _vector(k, target, "target")
+    if any(t < 0 for t in target):
+        raise ValueError("target %s has a negative entry" % _vec_text(target))
     hv = k.vec(host)
     if any(t > x for t, x in zip(target, hv)):
         raise ValueError("target %s exceeds host %s" % (_vec_text(target), _vec_text(hv)))

@@ -107,22 +107,25 @@ def from_columns(k, columns):
     cols = tuple(tuple(col) for col in columns)
     if not cols:
         raise NotAPartition("no columns")
+    mass0 = []  # generator 0's mass of every atom, as (numerator, depth)
     for ci, col in enumerate(cols):
         if not col:
             raise NotAPartition("column %d has no atoms" % ci)
         for ri, a in enumerate(col):
             if a.is_empty:
                 raise NotAPartition("column %d level %d is empty" % (ci, ri))
-        v0 = k.vec(col[0])
-        for ri, a in enumerate(col[1:], start=1):
-            if k.vec(a) != v0:
+        masses = [tuple(m._mass(a) for m in k.generators) for a in col]
+        for ri, v in enumerate(masses[1:], start=1):
+            if v != masses[0]:
                 raise NotEquivalentColumn(
                     "column %d level %d differs in mass from its base" % (ci, ri)
                 )
+        mass0.extend(v[0] for v in masses)
     atoms = [a for col in cols for a in col]
     if union_all(atoms) != FULL:
         raise NotAPartition("atoms do not cover the space")
-    if sum((k.generators[0].eval(a) for a in atoms), Fraction(0)) != 1:
+    depth = max(d for _, d in mass0)
+    if sum(n << (depth - d) for n, d in mass0) != k.generators[0]._den(depth):
         raise NotAPartition("atoms overlap")
     return KRPartition(cols)
 

@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -55,12 +56,19 @@ def sixstage():
 
 
 def achievable_sums(k, host, depth):
-    """Every subset mass vector over the host's depth-d leaves."""
-    sums = {(F(0),) * len(k.generators)}
-    for w in host.refine_to_depth(depth):
-        v = k.vec_word(w)
-        sums |= {tuple(a + b for a, b in zip(s, v)) for s in sums}
-    return sums
+    """Every subset mass vector over the host's depth-d leaves.
+
+    The sums run on integer numerators over one common denominator per
+    generator and turn back into Fractions at the end.
+    """
+    words = host.refine_to_depth(depth)
+    masses = [k.vec_word(w) for w in words]
+    dens = [lcm(*(v[i].denominator for v in masses)) for i in range(len(k.generators))]
+    sums = {(0,) * len(dens)}
+    for v in masses:
+        n = tuple(x.numerator * (d // x.denominator) for x, d in zip(v, dens))
+        sums |= {tuple(a + b for a, b in zip(s, n)) for s in sums}
+    return {tuple(F(a, d) for a, d in zip(s, dens)) for s in sums}
 
 
 def test_criterion_1_single_measure_build_fast_and_exact(sixstage):

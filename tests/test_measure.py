@@ -1,6 +1,8 @@
 import unittest
 from fractions import Fraction
+from itertools import product
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -232,6 +234,28 @@ def test_kernel_matches_fraction_product(weights, bound, w, words):
     total = m.eval(a)
     assert isinstance(total, Fraction)
     assert total == sum((reference_cyl(weights, v) for v in a.leaves), Fraction(0))
+
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [{}, {"": Fraction(1, 3)}, {"": Fraction(2, 5), "1": Fraction(1, 4)}, {"010": Fraction(1, 3)}],
+)
+def test_integer_mass_pairs_are_canonical(weights):
+    # all 256 unions of depth-3 cylinders plus a deeper leaf: equal masses
+    # must give equal pairs, also when the leaves are shorter than _top
+    m = TreeMeasure(weights)
+    words = ["".join(p) for p in product("01", repeat=3)]
+    by_mass = {}
+    for bits in product((0, 1), repeat=8):
+        for extra in ((), ("11111",)):
+            a = ClopenSet([w for w, b in zip(words, bits) if b] + list(extra))
+            n, depth = m._mass(a)
+            assert depth >= m._top
+            assert Fraction(n, m._den(depth)) == m.eval(a) == sum((reference_cyl(weights, w) for w in a.leaves), Fraction(0))
+            by_mass.setdefault(m.eval(a), set()).add((n, depth))
+    assert all(len(pairs) == 1 for pairs in by_mass.values())
+    assert len(by_mass) < 512  # some masses repeat, so the check has teeth
 
 
 if __name__ == "__main__":

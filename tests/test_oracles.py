@@ -24,7 +24,12 @@ from cantordyn.oracles import (
 
 UNI = MeasureFamily([TreeMeasure()])
 TWO = MeasureFamily([TreeMeasure(), TreeMeasure({"": Fraction(1, 3)})])
+THIRD = MeasureFamily([TreeMeasure({"": Fraction(1, 3)})])
 F = Fraction
+
+
+def C(*words):
+    return ClopenSet(words)
 
 
 def brute_feasible(k, host, lo, hi, depth):
@@ -60,6 +65,18 @@ def test_subset_in_box_takes_first_leaves():
     assert subset_in_box(UNI, FULL, (F(5, 16),), (F(5, 16),)).leaves == ("00", "0100")
 
 
+def test_subset_in_box_count_ends_inside_a_larger_leaf():
+    # 11 of the host's 14 depth-4 cylinders: all 8 under [0], then 3 of the
+    # 4 under [10], so the count ends inside a leaf larger than [110]
+    assert subset_in_box(UNI, C("0", "10", "110"), (F(11, 16),), (F(11, 16),), 6) == C("0", "100", "1010")
+
+
+def test_subset_in_box_refines_again_once_past_the_host_depth():
+    # depth 0 has no answer; from depth 1 on the block of the root leaf
+    # must be split at the weight depth 1, whose cylinders differ in mass
+    assert subset_in_box(THIRD, FULL, (F(89, 1440),), (F(1, 16),), 16) == C("0000", "00010")
+
+
 def test_subset_in_box_two_generators():
     s = subset_in_box(TWO, FULL, (F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))
     assert s.leaves == ("00", "10")
@@ -75,6 +92,13 @@ def test_select_copy_exact_and_errors():
     with pytest.raises(GoodnessFailure):
         # matches the host under the first generator only
         select_copy(TWO, (F(1, 2), F(1, 4)), ClopenSet(["0"]))
+
+
+def test_select_copy_refuses_negative_targets_without_searching():
+    for k, target in ((UNI, (F(-1, 4),)), (TWO, (F(1, 8), F(-1, 8)))):
+        with pytest.raises(ValueError, match="negative entry") as info:
+            select_copy(k, target, C("0"))
+        assert not isinstance(info.value, GoodnessFailure)
 
 
 def test_select_copy_proportionality_obstruction():

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cantordyn.clopen import EMPTY, FULL, ClopenSet
+from cantordyn.clopen import EMPTY, FULL, ClopenSet, union_all
 from cantordyn.measure import MeasureFamily, TreeMeasure
 from cantordyn.oracles import NotEquivalent
 from cantordyn.tower import (
@@ -51,6 +53,107 @@ def test_from_columns_validation():
         from_columns(UNI, [(C("0"),), (C("10"),)])
     with pytest.raises(NotAPartition):
         from_columns(UNI, [(C("0"),), (C("0"),), (C("1"),)])
+
+
+def test_from_columns_compares_every_generator():
+    third = TreeMeasure({"": F(1, 3)})
+    # [0] and [1] agree under every generator but the last one
+    for gens in ([TreeMeasure(), third], [TreeMeasure(), TreeMeasure({"0": F(1, 3), "1": F(1, 3)}), third]):
+        with pytest.raises(NotEquivalentColumn, match="column 0 level 1 differs"):
+            from_columns(MeasureFamily(gens), [(C("0"), C("1"))])
+
+
+def test_from_columns_overlap_under_third():
+    k = MeasureFamily([TreeMeasure({"": F(1, 3)})])
+    # [0], [10] and [11] all have mass 1/3
+    assert from_columns(k, [(C("0"), C("10"), C("11"))]).heights == (3,)
+    with pytest.raises(NotAPartition, match="atoms overlap"):
+        from_columns(k, [(C("0"), C("10")), (C("1"),)])
+    with pytest.raises(NotAPartition, match="atoms overlap"):
+        from_columns(k, [(C("0"),), (C("1"),), (C("1101", "111"),)])
+
+
+def reference_mass(m, a):
+    """Mass of a clopen set as a plain sum of products of branching weights."""
+    total = F(0)
+    for w in a.leaves:
+        q = F(1)
+        for i, c in enumerate(w):
+            p = m.weight(w[:i])
+            q *= p if c == "0" else 1 - p
+        total += q
+    return total
+
+
+def reference_from_columns(k, cols):
+    """The error from_columns should raise, as (type, message), or None."""
+    if not cols:
+        return NotAPartition, "no columns"
+    for ci, col in enumerate(cols):
+        if not col:
+            return NotAPartition, "column %d has no atoms" % ci
+        for ri, a in enumerate(col):
+            if a.is_empty:
+                return NotAPartition, "column %d level %d is empty" % (ci, ri)
+        v0 = [reference_mass(m, col[0]) for m in k.generators]
+        for ri, a in enumerate(col[1:], start=1):
+            if [reference_mass(m, a) for m in k.generators] != v0:
+                return NotEquivalentColumn, "column %d level %d differs in mass from its base" % (ci, ri)
+    atoms = [a for col in cols for a in col]
+    if union_all(atoms) != FULL:
+        return NotAPartition, "atoms do not cover the space"
+    if sum(reference_mass(k.generators[0], a) for a in atoms) != 1:
+        return NotAPartition, "atoms overlap"
+    return None
+
+
+# non-dyadic weights at depth <= 2, so the weight depth is up to 3 and the
+# leaves (up to depth 5) fall on both sides of it
+weight_st = st.fractions(min_value=F(1, 12), max_value=F(11, 12), max_denominator=12)
+measure_st = st.dictionaries(st.text(alphabet="01", max_size=2), weight_st, min_size=1, max_size=3).map(TreeMeasure)
+family_st = st.lists(measure_st, min_size=1, max_size=2).map(MeasureFamily)
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_st, st.data())
+def test_from_columns_matches_fraction_reference(k, data):
+    leaves = [""]
+    for _ in range(data.draw(st.integers(0, 12))):
+        i = data.draw(st.integers(0, len(leaves) - 1))
+        if len(leaves[i]) < 5:
+            w = leaves.pop(i)
+            leaves[i:i] = [w + "0", w + "1"]
+    # group the leaves into atoms that partition the space
+    labels = [data.draw(st.integers(0, len(leaves) - 1)) for _ in leaves]
+    atoms = [C(*(w for w, j in zip(leaves, labels) if j == i)) for i in sorted(set(labels))]
+    mode = data.draw(st.sampled_from(["equal", "any", "overlap", "gap"]))
+    if mode == "overlap":
+        atoms.append(C(data.draw(st.sampled_from(leaves))))
+    elif mode == "gap" and len(atoms) > 1:
+        atoms.pop(data.draw(st.integers(0, len(atoms) - 1)))
+    if mode == "equal":
+        # atoms of one vector stacked into columns: mostly valid towers
+        order = sorted(atoms, key=lambda a: [reference_mass(m, a) for m in k.generators])
+    else:
+        order = data.draw(st.permutations(atoms))
+    cols, col = [], []
+    for a in order:
+        if col and (
+            [reference_mass(m, a) for m in k.generators] != [reference_mass(m, col[0]) for m in k.generators]
+            if mode == "equal"
+            else data.draw(st.booleans())
+        ):
+            cols.append(col)
+            col = []
+        col.append(a)
+    cols.append(col)
+    want = reference_from_columns(k, cols)
+    if want is None:
+        assert from_columns(k, cols).columns == tuple(tuple(c) for c in cols)
+    else:
+        with pytest.raises(want[0]) as info:
+            from_columns(k, cols)
+        assert str(info.value) == want[1]
 
 
 def test_base_and_top():
