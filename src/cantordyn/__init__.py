@@ -21,6 +21,7 @@ from cantordyn.measure import (
     MeasureFamily,
     TreeMeasure,
     format_family,
+    goodness_obstruction,
     parse_family,
     validate_family,
 )

@@ -14,6 +14,7 @@ the structural ones here.
 from __future__ import annotations
 
 from fractions import Fraction
+from os.path import commonprefix
 
 from cantordyn.clopen import ClopenSet, enumerate_clopen, union_all
 from cantordyn.measure import MeasureFamily, TreeMeasure, format_measure, frac_text, validate_family
@@ -239,13 +240,7 @@ def apply(g, word, steps):
             "orbit of [%s] leaves the tower after %d steps" % (word, len(col) - 1 - ri)
         )
     atom = col[ri + steps]
-    first, last = atom.leaves[0], atom.leaves[-1]
-    n = 0
-    for x, y in zip(first, last):
-        if x != y:
-            break
-        n += 1
-    return first[:n]
+    return commonprefix((atom.leaves[0], atom.leaves[-1]))
 
 
 def serialize_sequence(g):

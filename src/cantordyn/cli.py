@@ -1,24 +1,23 @@
 """Command line front end.
 
-Four subcommands: validate a measure family, build a saturated tower
-sequence, verify a sequence against every invariant, and export the
-stage diagrams.  All output is deterministic for fixed inputs: no
-timestamps, stable ordering, atomic file writes.
+Four subcommands: decide whether a measure family is good, build a
+saturated tower sequence, verify a sequence against every invariant, and
+export the stage diagrams.  All output is deterministic for fixed inputs:
+no timestamps, stable ordering, atomic file writes.
 
 Exit codes: 0 success; 1 for usage, I/O, parse, or family-validation
-problems; 2 when a construction oracle or probe fails (the family is
-not usable even though it parsed); 3 when a built or loaded sequence
-violates an invariant.
+problems; 2 when the family is not good (validate prints a refuting pair
+of cylinders) or a construction oracle fails during a build; 3 when a
+built or loaded sequence violates an invariant.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 from fractions import Fraction
-from itertools import product
+from operator import truediv
 
 from cantordyn.builder import (
     BuildFailure,
@@ -26,9 +25,9 @@ from cantordyn.builder import (
     load_sequence,
     serialize_sequence,
 )
-from cantordyn.clopen import ClopenSet, FULL
-from cantordyn.measure import frac_text, parse_family, validate_family
-from cantordyn.oracles import GoodnessFailure, SearchFailure, approx_divide, goodness_select
+from cantordyn.clopen import FULL
+from cantordyn.measure import frac_text, goodness_obstruction, parse_family, validate_family, vec_text
+from cantordyn.oracles import SearchFailure
 from cantordyn.tower import to_dot
 from cantordyn.verify import StageTooShallow, first_return_divide, verify_all
 
@@ -61,10 +60,8 @@ def _build_parser():
                        help="diameter target for the last stage, as num/den")
         p.add_argument("--out", default="out")
 
-    p = sub.add_parser("validate", help="check a family and probe its divisibility")
+    p = sub.add_parser("validate", help="check a family and decide whether it is good")
     p.add_argument("--family", required=True)
-    p.add_argument("--max-depth", type=int, default=12)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("build", help="construct the tower sequence and write it out")
@@ -81,9 +78,9 @@ def _build_parser():
     return parser
 
 
-def _load_family(path):
+def _read(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_family(fh.read())
+        return fh.read()
 
 
 def _schedule(args):
@@ -100,44 +97,29 @@ def _write_atomic(path, text):
 
 
 def _cmd_validate(args):
-    k = _load_family(args.family)
+    k = parse_family(_read(args.family))
     report = validate_family(k)
     for line in report.lines:
         print(line)
     if not report.ok:
         print("family rejected")
         return 1
-    words = [""] + ["".join(p) for d in (1, 2, 3) for p in product("01", repeat=d)]
-    swept = 0
-    for w1 in words:
-        a = ClopenSet([w1])
-        for w2 in words:
-            if w1 == w2:
-                continue
-            b = ClopenSet([w2])
-            if not k.leq(a, b):
-                continue
-            swept += 1
-            try:
-                goodness_select(k, a, b, args.max_depth)
-            except GoodnessFailure as exc:
-                print("goodness probe failed for [%s] inside [%s]: %s" % (w1, w2, exc))
-                return 2
-    rng = random.Random(args.seed)
-    for _ in range(20):
-        word = "".join(rng.choice("01") for _ in range(rng.randint(0, 3)))
-        n = rng.randint(2, 4)
-        try:
-            approx_divide(k, ClopenSet([word]), n, Fraction(1, 64), args.max_depth)
-        except SearchFailure as exc:
-            print("division probe failed on [%s] into %d: %s" % (word, n, exc))
-            return 2
-    print("probes ok: %d goodness pairs swept, 20 seeded divisions" % swept)
-    return 0
+    pair = goodness_obstruction(k)
+    if pair is None:
+        print("good: one generator, and its frontier cylinder masses lie in one coset c*2^Z")
+        return 0
+    (a, b), va, vb = pair, k.vec(pair[0]), k.vec(pair[1])
+    print(
+        "not good: A = [%s] has masses %s < %s of B = [%s] under every generator, but every clopen "
+        "C inside B has masses %s * q for one dyadic q, and the A/B ratios %s are not one dyadic q"
+        % (a.text(), vec_text(va), vec_text(vb), b.text(), vec_text(vb),
+           vec_text(map(truediv, va, vb)))
+    )
+    return 2
 
 
 def _cmd_build(args):
-    k = _load_family(args.family)
+    k = parse_family(_read(args.family))
     g = build_saturated(k, args.stages, args.depth_cap, args.max_depth, _schedule(args))
     os.makedirs(args.out, exist_ok=True)
     lines = list(validate_family(k).lines)
@@ -167,10 +149,9 @@ def _cmd_build(args):
 def _cmd_verify(args):
     path = os.path.join(args.out, "tower.txt")
     if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            g = load_sequence(fh.read())
+        g = load_sequence(_read(path))
     elif args.family:
-        k = _load_family(args.family)
+        k = parse_family(_read(args.family))
         g = build_saturated(k, args.stages, args.depth_cap, args.max_depth, _schedule(args))
     else:
         print("error: no %s and no --family to build from" % path, file=sys.stderr)
@@ -195,8 +176,7 @@ def _cmd_export_dot(args):
     if not os.path.exists(path):
         print("error: %s not found; run build first" % path, file=sys.stderr)
         return 1
-    with open(path, "r", encoding="utf-8") as fh:
-        g = load_sequence(fh.read())
+    g = load_sequence(_read(path))
     for n, t in enumerate(g.stages):
         _write_atomic(os.path.join(args.out, "stage_%02d.dot" % n), to_dot(t, g.family))
     print("wrote %d stage diagrams under %s" % (len(g.stages), args.out))

@@ -29,6 +29,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
+from os.path import commonprefix
 
 __all__ = [
     "ClopenSet",
@@ -170,13 +171,7 @@ class ClopenSet:
         """2^(-k) for the deepest cylinder containing the set; 0 if empty."""
         if not self.leaves:
             return Fraction(0)
-        first, last = self.leaves[0], self.leaves[-1]
-        k = 0
-        for x, y in zip(first, last):
-            if x != y:
-                break
-            k += 1
-        return Fraction(1, 2 ** k)
+        return Fraction(1, 2 ** len(commonprefix((self.leaves[0], self.leaves[-1]))))
 
     def refine_to_depth(self, depth):
         """All depth-`depth` words whose cylinders make up the set, in order."""

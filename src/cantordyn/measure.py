@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 from cantordyn.clopen import ClopenSet
@@ -30,11 +31,14 @@ __all__ = [
     "format_family",
     "format_measure",
     "frac_text",
+    "goodness_obstruction",
     "parse_family",
     "validate_family",
+    "vec_text",
 ]
 
 _HALF = Fraction(1, 2)
+_MAX_EPS_EXP = 8
 
 
 class InvalidWeights(ValueError):
@@ -54,6 +58,11 @@ def frac_text(q):
     """Rational as num/den, always with the slash: 0/1, 1/1, 5/16."""
     q = Fraction(q)
     return "%d/%d" % (q.numerator, q.denominator)
+
+
+def vec_text(vec):
+    """Value vector as (1/4, 3/4)."""
+    return "(%s)" % ", ".join(map(frac_text, vec))
 
 
 class TreeMeasure:
@@ -222,13 +231,13 @@ class FamilyReport:
         return self.ok
 
 
-def validate_family(k, max_eps_exp=8):
+def validate_family(k):
     """Check a family and compute its diameter-to-mass bound table.
 
     Raises InvalidWeights if any branching weight leaves (0, 1); such a
     specification has no measure at all.  Duplicate generators make the
     family degenerate and are reported with ok=False.  For each
-    eps = 2^-1 .. 2^-max_eps_exp the table records a delta such that any
+    eps = 2^-1 .. 2^-_MAX_EPS_EXP the table records a delta such that any
     clopen set of diameter < delta has mass at most eps under every
     generator: delta = 2^-(d-1) for the least depth d at which every
     depth-d cylinder already has mass at most eps.
@@ -252,7 +261,7 @@ def validate_family(k, max_eps_exp=8):
     lines.append("generators %d, all weights in (0,1)" % len(k.generators))
     table = []
     d = 1
-    for j in range(1, max_eps_exp + 1):
+    for j in range(1, _MAX_EPS_EXP + 1):
         eps = Fraction(1, 2 ** j)
         while max(m._peak(d) for m in k.generators) > eps:
             d += 1
@@ -260,6 +269,30 @@ def validate_family(k, max_eps_exp=8):
         table.append((eps, delta))
         lines.append("eps %s -> delta %s (depth %d)" % (frac_text(eps), frac_text(delta), d))
     return FamilyReport(ok, lines, table)
+
+
+def goodness_obstruction(k):
+    """Cylinders (A, B) with vec(A) < vec(B) that no C inside B matches, or None.
+
+    The frontier is the children of weight prefixes, over all generators,
+    that are no weight prefix.  Below a frontier word w every generator
+    splits evenly, so each clopen C inside [w] has mass vec(w) * q for one
+    dyadic q.  The first frontier pair (u, w) with vec(u) no dyadic
+    multiple of vec(w) gives B = [w] and A = [u 0^j], j least.  None
+    means the generators agree and their frontier masses share one coset
+    c * 2^Z: then the family is good.
+    """
+    prefixes = {""} | {w[:i] for m in k.generators for w in m.weights for i in range(len(w) + 1)}
+    frontier = sorted({p + c for p in prefixes for c in "01"} - prefixes)
+    vecs = {f: k.vec_word(f) for f in frontier}
+    for u, w in product(frontier, repeat=2):
+        ratios = {x / y for x, y in zip(vecs[u], vecs[w])}
+        if len(ratios) == 1 and ratios.pop().denominator.bit_count() == 1:
+            continue
+        # the least j with vec(u) / 2^j < vec(w) under every generator
+        j = max(int(x // y).bit_length() for x, y in zip(vecs[u], vecs[w]))
+        return ClopenSet([u + "0" * j]), ClopenSet([w])
+    return None
 
 
 _RAT_RE = re.compile(r"^[0-9]+/[0-9]+$")

@@ -28,7 +28,7 @@ from itertools import groupby
 from math import lcm
 
 from cantordyn.clopen import EMPTY, FULL, ClopenSet, enumerate_clopen, union_all
-from cantordyn.measure import frac_text
+from cantordyn.measure import vec_text
 
 __all__ = [
     "DivisibilityFailure",
@@ -66,10 +66,6 @@ class DivisibilityFailure(SearchFailure):
 
 class NotEquivalent(ValueError):
     """The two sets differ in mass under some generator."""
-
-
-def _vec_text(vec):
-    return "(" + ", ".join(frac_text(q) for q in vec) + ")"
 
 
 def _span(acc, v, c, tail, lo, hi):
@@ -230,10 +226,10 @@ def select_copy(k, target, host, max_depth=12):
     """
     target = _vector(k, target, "target")
     if any(t < 0 for t in target):
-        raise ValueError("target %s has a negative entry" % _vec_text(target))
+        raise ValueError("target %s has a negative entry" % vec_text(target))
     hv = k.vec(host)
     if any(t > x for t, x in zip(target, hv)):
-        raise ValueError("target %s exceeds host %s" % (_vec_text(target), _vec_text(hv)))
+        raise ValueError("target %s exceeds host %s" % (vec_text(target), vec_text(hv)))
     if target == hv:
         return host
     if all(t == 0 for t in target):
@@ -241,13 +237,13 @@ def select_copy(k, target, host, max_depth=12):
     if any(t == x for t, x in zip(target, hv)):
         raise GoodnessFailure(
             "target %s matches host %s in some generators but not all"
-            % (_vec_text(target), _vec_text(hv)),
+            % (vec_text(target), vec_text(hv)),
             None,
         )
     s = subset_in_box(k, host, target, target, max_depth)
     if s is None:
         raise GoodnessFailure(
-            "no subset of %s attains %s" % (host.text(), _vec_text(target)), max_depth
+            "no subset of %s attains %s" % (host.text(), vec_text(target)), max_depth
         )
     return s
 

@@ -259,19 +259,17 @@ def balance_columns(k, t, u, v, max_depth=12, _trace=None):
     if not k.sim(u, v):
         raise NotEquivalent("u and v differ in mass under some generator")
     cols = [tuple(col) for col in t.columns]
-    changed = True
-    while changed:
-        changed = False
-        for ci, col in enumerate(cols):
-            for ri, a in enumerate(col):
-                if _pure(a, u) and _pure(a, v):
-                    continue
-                pieces = [a & u & v, (a & u) - v, (a & v) - u, (a - u) - v]
-                cols[ci : ci + 1] = _split_column(k, col, ri, pieces, max_depth)
-                changed = True
-                break
-            if changed:
-                break
+    ci = 0
+    while ci < len(cols):
+        # columns before ci are pure, and so are pieces of pure atoms
+        col = cols[ci]
+        ri = next((ri for ri, a in enumerate(col) if not (_pure(a, u) and _pure(a, v))), None)
+        if ri is None:
+            ci += 1
+            continue
+        a = col[ri]
+        pieces = [a & u & v, (a & u) - v, (a & v) - u, (a - u) - v]
+        cols[ci : ci + 1] = _split_column(k, col, ri, pieces, max_depth)
     while True:
         ns = [_count_in(col, u) - _count_in(col, v) for col in cols]
         imb = max((abs(x) for x in ns), default=0)
@@ -280,13 +278,11 @@ def balance_columns(k, t, u, v, max_depth=12, _trace=None):
         if _trace is not None:
             _trace.append(imb)
         for sign in (1, -1):
-            while True:
-                ns = [_count_in(col, u) - _count_in(col, v) for col in cols]
-                if sign * imb not in ns:
-                    break
+            while sign * imb in ns:
                 di = ns.index(sign * imb)
                 pool = [ci for ci, x in enumerate(ns) if x and (x < 0) == (sign > 0)]
                 cols, _ = _stack_pool_onto(k, cols, di, pool, len(cols[di]) - 1, max_depth)
+                ns = [_count_in(col, u) - _count_in(col, v) for col in cols]
     return from_columns(k, cols)
 
 

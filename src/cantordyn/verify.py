@@ -16,7 +16,7 @@ from itertools import product
 
 from cantordyn.builder import validate_sequence
 from cantordyn.clopen import ClopenSet, union_all
-from cantordyn.measure import frac_text, validate_family
+from cantordyn.measure import frac_text, validate_family, vec_text
 from cantordyn.tower import locate_atom
 
 __all__ = [
@@ -400,8 +400,11 @@ def verification_report(g):
         if mr.ok:
             lines.append("stage %d: column graph strongly connected" % last)
         else:
+            c = mr.certificate
+            head = c.text() if len(c.leaves) <= 3 else ",".join(c.leaves[:3]) + ",..."
             violations.append(
-                "stage %d: orbits can stay trapped in %s" % (last, mr.certificate.text())
+                "stage %d: orbits can stay trapped in a region of %d leaves (%s), masses %s, diameter %s"
+                % (last, len(c.leaves), head, vec_text(g.family.vec(c)), frac_text(c.diameter()))
             )
         for i, (u, v) in enumerate(g.pairs, start=1):
             w = saturation_witness(g, u, v)

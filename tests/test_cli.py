@@ -20,15 +20,17 @@ def test_validate_uniform(tmp_path, capsys):
     assert main(["validate", "--family", fam]) == 0
     out = capsys.readouterr().out
     assert "eps 1/2 -> delta 1/1 (depth 1)" in out
-    assert "probes ok" in out
+    assert out.splitlines()[-1].startswith("good: one generator")
 
 
 def test_validate_seeded_output_is_stable(tmp_path, capsys):
+    # the decision is exact, so there is no seed to pass
     fam = write(tmp_path, "fam.txt", UNIFORM)
-    assert main(["validate", "--family", fam, "--seed", "7"]) == 0
+    assert main(["validate", "--family", fam]) == 0
     first = capsys.readouterr().out
-    assert main(["validate", "--family", fam, "--seed", "7"]) == 0
+    assert main(["validate", "--family", fam]) == 0
     assert capsys.readouterr().out == first
+    assert main(["validate", "--family", fam, "--seed", "7"]) == 1
 
 
 def test_validate_rejects_bad_weight(tmp_path, capsys):
@@ -40,7 +42,18 @@ def test_validate_rejects_bad_weight(tmp_path, capsys):
 def test_validate_flags_ungood_family(tmp_path, capsys):
     fam = write(tmp_path, "fam.txt", NONGOOD)
     assert main(["validate", "--family", fam]) == 2
-    assert "goodness probe failed" in capsys.readouterr().out
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("not good: A = [00] has masses (1/4, 1/8) < (1/2, 3/4) of B = [1]")
+    assert "the A/B ratios (1/2, 1/6) are not one dyadic q" in last
+
+
+def test_validate_makes_no_oracle_search(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("validate searched for a subset")
+
+    monkeypatch.setattr("cantordyn.oracles.subset_in_box", refuse)
+    assert main(["validate", "--family", write(tmp_path, "good.txt", UNIFORM)]) == 0
+    assert main(["validate", "--family", write(tmp_path, "bad.txt", NONGOOD)]) == 2
 
 
 def test_build_writes_deterministic_outputs(tmp_path, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantordyn.clopen import EMPTY, FULL, ClopenSet
@@ -14,9 +14,11 @@ from cantordyn.measure import (
     TreeMeasure,
     format_family,
     frac_text,
+    goodness_obstruction,
     parse_family,
     validate_family,
 )
+from cantordyn.oracles import GoodnessFailure, goodness_select
 
 UNIFORM = MeasureFamily([TreeMeasure()])
 THIRD = MeasureFamily([TreeMeasure({"": Fraction(1, 3)})])
@@ -256,6 +258,77 @@ def test_integer_mass_pairs_are_canonical(weights):
             by_mass.setdefault(m.eval(a), set()).add((n, depth))
     assert all(len(pairs) == 1 for pairs in by_mass.values())
     assert len(by_mass) < 512  # some masses repeat, so the check has teeth
+
+
+@pytest.mark.parametrize(
+    "text, pair",
+    [
+        ("measure uniform\n", None),
+        ("measure third\nweight e 1/3\n", None),
+        ("measure fifth\nweight e 1/5\n", None),
+        ("measure quarter\nweight e 1/4\n", ("0", "1")),
+        ("measure m\nweight 01 2/5\n", ("000", "011")),
+        ("measure uniform\nmeasure quarter\nweight e 1/4\n", ("00", "1")),
+        ("measure uniform\nmeasure two\nweight e 1/3\nweight 1 1/4\n", ("000", "11")),
+    ],
+)
+def test_goodness_obstruction_fixtures(text, pair):
+    k = parse_family(text)
+    got = goodness_obstruction(k)
+    if pair is None:
+        assert got is None
+    else:
+        a, b = ClopenSet([pair[0]]), ClopenSet([pair[1]])
+        assert got == (a, b)
+        with pytest.raises(GoodnessFailure):
+            goodness_select(k, a, b, 14)
+
+
+def frontier(weight_dicts):
+    """Children of weight prefixes that are no weight prefix themselves."""
+    prefixes = {""} | {w[:i] for ws in weight_dicts for w in ws for i in range(len(w) + 1)}
+    return sorted({p + c for p in prefixes for c in "01"} - prefixes)
+
+
+small_weight_st = st.integers(2, 8).flatmap(lambda d: st.integers(1, d - 1).map(lambda n: Fraction(n, d)))
+# root weights 1/(2^j+1) and 2^j/(2^j+1) give good one-generator families
+good_root_st = st.integers(1, 3).flatmap(
+    lambda j: st.sampled_from([Fraction(1, 2**j + 1), Fraction(2**j, 2**j + 1)])
+)
+tree_st = st.one_of(
+    st.just({}),
+    good_root_st.map(lambda q: {"": q}),
+    st.dictionaries(st.text(alphabet="01", max_size=2), small_weight_st, max_size=3),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(tree_st, min_size=1, max_size=2))
+def test_goodness_obstruction_is_a_proof(trees):
+    k = MeasureFamily([TreeMeasure(ws) for ws in trees])
+    weights = [m.weights for m in k.generators]
+    vec = lambda w: tuple(reference_cyl(ws, w) for ws in weights)
+    got = goodness_obstruction(k)
+    if got is None:
+        # two distinct generators always have a refuting pair
+        assert all(m == k.generators[0] for m in k.generators)
+        if len(k) == 1:
+            for u, w in product(frontier(weights), repeat=2):
+                a, b = ClopenSet([u]), ClopenSet([w])
+                if all(x <= y for x, y in zip(vec(u), vec(w))):
+                    c = goodness_select(k, a, b, 12)
+                    assert c.is_subset(b) and k.vec(c) == vec(u)
+        return
+    a, b = got
+    assert len(a.leaves) == len(b.leaves) == 1
+    wa, wb = a.leaves[0], b.leaves[0]
+    assert all(x < y for x, y in zip(vec(wa), vec(wb)))
+    for d in range(len(wb), len(wb) + 7):
+        sums = {(Fraction(0),) * len(k)}
+        for tail in product("01", repeat=d - len(wb)):
+            v = vec(wb + "".join(tail))
+            sums |= {tuple(x + y for x, y in zip(s, v)) for s in sums}
+        assert vec(wa) not in sums
 
 
 if __name__ == "__main__":

@@ -1,12 +1,15 @@
 """The package imports nothing outside the standard library and itself,
-and every name it exports or imports from itself exists."""
+every name it exports or imports from itself exists, and the README's
+library example runs."""
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cantordyn"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cantordyn"
 
 
 def imported_modules(tree):
@@ -39,3 +42,10 @@ def test_exported_and_imported_names_resolve():
         module = importlib.import_module(name)
         missing += ["%s.%s" % (name, x) for x in getattr(module, "__all__", ()) if not hasattr(module, x)]
     assert missing == []
+
+
+def test_readme_library_example_runs():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

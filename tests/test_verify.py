@@ -171,6 +171,21 @@ def test_minimality_trap_certificate():
     assert mr.certificate == C("0")
 
 
+def test_trapped_region_is_summarised():
+    # the report names the region by size, masses and first leaves; the
+    # full set stays on the MinimalityReport
+    g = build_saturated(THIRD, 2, max_depth=16)
+    cert = minimality_check(g, 2).certificate
+    assert len(cert.leaves) == 16 and cert.leaves[:3] == ("00000", "00011", "00100")
+    ok, first, report = verify_all(g)
+    assert not ok
+    assert first == (
+        "stage 2: orbits can stay trapped in a region of 16 leaves "
+        "(00000,00011,00100,...), masses (1/3), diameter 1/1"
+    )
+    assert "violation: " + first in report.lines
+
+
 def test_witness_for_identity_pair():
     g = build_saturated(UNI, 2)
     w = saturation_witness(g, EMPTY, EMPTY)
