@@ -173,9 +173,13 @@ def subset_in_box(k, host, lo, hi, max_depth=12):
     """
     lo = _vector(k, lo, "lower bound")
     hi = _vector(k, hi, "upper bound")
+    return _in_box(k, host, k.vec(host), lo, hi, max_depth)
+
+
+def _in_box(k, host, hv, lo, hi, max_depth):
+    """subset_in_box for checked bounds, given the host's vector hv."""
     if any(l > h for l, h in zip(lo, hi)):
         return None
-    hv = k.vec(host)
     if all(l <= x <= h for l, x, h in zip(lo, hv, hi)):
         return host
     if host.is_empty:
@@ -240,7 +244,7 @@ def select_copy(k, target, host, max_depth=12):
             % (vec_text(target), vec_text(hv)),
             None,
         )
-    s = subset_in_box(k, host, target, target, max_depth)
+    s = _in_box(k, host, hv, target, target, max_depth)
     if s is None:
         raise GoodnessFailure(
             "no subset of %s attains %s" % (host.text(), vec_text(target)), max_depth
@@ -267,7 +271,7 @@ def approx_divide(k, a, n, eps=Fraction(0), max_depth=12):
     av = k.vec(a)
     lo = tuple(max(Fraction(0), (x - eps) / n) for x in av)
     hi = tuple(x / n for x in av)
-    s = subset_in_box(k, a, lo, hi, max_depth)
+    s = _in_box(k, a, av, lo, hi, max_depth)
     if s is None:
         raise DivisibilityFailure(
             "no n-th part of %s for n=%d, eps=%s/%s"

@@ -15,6 +15,7 @@ small cylinders while refining the old tower.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from cantordyn.clopen import FULL, ClopenSet, union_all
@@ -201,6 +202,9 @@ def _split_column(k, column, level, pieces, max_depth=12):
     Returns one sub-column per nonempty piece, in piece order.  At every
     other level, matching parts are picked off in sequence; the last
     piece takes the forced remainder, which is exact by additivity.
+    Every carved word lies in one leaf, and the carve sees an atom only
+    through its shape (each leaf's length and weight-depth prefix): later
+    atoms of a shape take the first one's words below their own leaves.
     """
     pieces = [p for p in pieces if not p.is_empty]
     if not pieces:
@@ -213,9 +217,22 @@ def _split_column(k, column, level, pieces, max_depth=12):
     if len(pieces) == 1:
         return [tuple(column)]
     vecs = [k.vec(p) for p in pieces[:-1]]
+    top = k._top
+    carved = {}  # shape -> per piece, (leaf index, word) of the first carve
     subs = [[None] * len(column) for _ in pieces]
     for r, a in enumerate(column):
-        cut = pieces if r == level else _carve(k, a, vecs, max_depth)
+        leaves = a.leaves
+        shape = tuple((len(w), w[:top]) for w in leaves)
+        if r == level:
+            cut = pieces
+        elif shape in carved:
+            cut = [
+                ClopenSet._raw(tuple(leaves[i] + w[len(leaves[i]) :] for i, w in p))
+                for p in carved[shape]
+            ]
+        else:
+            cut = _carve(k, a, vecs, max_depth)
+            carved[shape] = [[(bisect_right(leaves, w) - 1, w) for w in p.leaves] for p in cut]
         for sub, piece in zip(subs, cut):
             sub[r] = piece
     return [tuple(c) for c in subs]
@@ -299,8 +316,7 @@ def _stack_pool_onto(k, cols, di, pool, level, max_depth):
     dcol = cols[di]
     host = dcol[level]
     sel = select_copy(k, k.vec(host), union_all(cols[qi][0] for qi in pool), max_depth)
-    parts = [(qi, sel & cols[qi][0]) for qi in pool]
-    parts = [(qi, x) for qi, x in parts if not x.is_empty]
+    parts = [(pool[i], x) for i, x in _shares(sel, [cols[qi][0] for qi in pool])]
     pieces = _carve(k, host, [k.vec(x) for _, x in parts[:-1]], max_depth)
     dsubs = _split_column(k, dcol, level, pieces, max_depth)
     stacked = []
@@ -315,6 +331,25 @@ def _stack_pool_onto(k, cols, di, pool, level, max_depth):
             groups[qi] = [rest]
         stacked.append(dsub + head)
     return [col for group in groups for col in group], stacked
+
+
+def _shares(sel, bases):
+    """(i, sel & bases[i]) for every base sel meets, for disjoint bases holding sel.
+
+    A leaf of sel lies in one base leaf or is the union of those it prefixes.
+    """
+    owner = {w: i for i, b in enumerate(bases) for w in b.leaves}
+    leaves = sorted(owner)
+    words = [[] for _ in bases]
+    for x in sel.leaves:
+        j = bisect_right(leaves, x)
+        if j and x.startswith(leaves[j - 1]):
+            words[owner[leaves[j - 1]]].append(x)
+            continue
+        while j < len(leaves) and leaves[j].startswith(x):
+            words[owner[leaves[j]]].append(leaves[j])
+            j += 1
+    return [(i, ClopenSet._raw(tuple(ws))) for i, ws in enumerate(words) if ws]
 
 
 def refine_small_base_top(k, t, eps, max_depth=12):
@@ -410,7 +445,7 @@ def refine_small_base_top(k, t, eps, max_depth=12):
     # value: their atoms are disjoint and nonempty, so no two are equal.
     recut = []
     for col in cols:
-        bits = [col[0] & c for c in cs + [e]]
+        bits = [x for _, x in _shares(col[0], cs + [e])]
         recut.extend(_split_column(k, col, 0, bits, max_depth))
     cols = [col for col in recut if col[0] != e]
     tail = [col for col in recut if col[0] == e]

@@ -86,6 +86,14 @@ def test_build_two_stages():
             16,
             "517f03be97d3be36bca19fb45ef6f2df17c2ed0dacaeb500af400756e1b0a187",
         ),
+        # weight depth 2: atoms of one leaf-length pattern differ in mass by
+        # their first two letters, so a column split must tell them apart
+        (
+            "measure d2\nweight 0 1/3\nweight 1 2/3\n",
+            3,
+            16,
+            "d93dff889190da9fd4b5b51ddb4427500b64efab2acb9738d6c4dc38b487724a",
+        ),
     ],
 )
 def test_serialized_build_bytes_pinned(text, stages, max_depth, digest):

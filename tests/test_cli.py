@@ -52,6 +52,7 @@ def test_validate_makes_no_oracle_search(tmp_path, capsys, monkeypatch):
         raise AssertionError("validate searched for a subset")
 
     monkeypatch.setattr("cantordyn.oracles.subset_in_box", refuse)
+    monkeypatch.setattr("cantordyn.oracles._in_box", refuse)
     assert main(["validate", "--family", write(tmp_path, "good.txt", UNIFORM)]) == 0
     assert main(["validate", "--family", write(tmp_path, "bad.txt", NONGOOD)]) == 2
 

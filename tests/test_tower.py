@@ -1,12 +1,14 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cantordyn import tower
 from cantordyn.clopen import EMPTY, FULL, ClopenSet, union_all
-from cantordyn.measure import MeasureFamily, TreeMeasure
-from cantordyn.oracles import NotEquivalent
+from cantordyn.measure import MeasureFamily, TreeMeasure, parse_family
+from cantordyn.oracles import NotEquivalent, select_copy
 from cantordyn.tower import (
     KRPartition,
     NotAPartition,
@@ -199,6 +201,154 @@ def test_cut_column_at_level():
     assert refines(s, t)
     with pytest.raises(ValueError):
         cut_column_at_level(UNI, t, 0, 0, [C("00"), C("0")])
+
+
+def reference_split(k, column, level, pieces, max_depth):
+    """_split_column carving every level on its own; a failure is (level, exc)."""
+    pieces = [p for p in pieces if not p.is_empty]
+    if len(pieces) == 1:
+        return [tuple(column)]
+    vecs = [k.vec(p) for p in pieces[:-1]]
+    cuts = []
+    for r, a in enumerate(column):
+        if r == level:
+            cuts.append(pieces)
+            continue
+        cut = []
+        try:
+            for v in vecs:
+                cut.append(select_copy(k, v, a, max_depth))
+                a = a - cut[-1]
+        except Exception as exc:
+            return r, exc
+        cuts.append(cut + [a])
+    return [tuple(cut[i] for cut in cuts) for i in range(len(pieces))]
+
+
+def split_and_carves(k, column, level, pieces, max_depth):
+    """_split_column's result or exception, and the hosts it handed to _carve."""
+    with mock.patch.object(tower, "_carve", wraps=tower._carve) as carve:
+        try:
+            got = tower._split_column(k, column, level, pieces, max_depth)
+        except Exception as exc:
+            got = exc
+    return got, [c.args[1] for c in carve.call_args_list]
+
+
+def shape(k, a):
+    return tuple((len(w), w[: k._top]) for w in a.leaves)
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_st, st.data())
+def test_split_column_carves_each_shape_once(k, data):
+    top = k._top
+    # stems: an antichain of words no longer than the weight depth
+    stems = [""]
+    for _ in range(data.draw(st.integers(0, 6))):
+        i = data.draw(st.integers(0, len(stems) - 1))
+        if len(stems[i]) < top:
+            w = stems.pop(i)
+            stems[i:i] = [w + "0", w + "1"]
+    stems = data.draw(st.lists(st.sampled_from(stems), min_size=1, unique=True))
+    # one leaf per stem: stems of full length get a tail, the rest stay short
+    tails = [data.draw(st.integers(0, 2)) if len(w) == top else 0 for w in stems]
+    bits = st.sampled_from("01")
+
+    def translate():
+        # same shape, new letters below the weight depth
+        return C(*(w + "".join(data.draw(bits) for _ in range(n)) for w, n in zip(stems, tails)))
+
+    def other():
+        kind = data.draw(st.sampled_from(["moved", "moved", "grown", "random"]))
+        if kind == "moved" and top:  # the same lengths, one letter above the weight depth flipped
+            i = data.draw(st.integers(0, top - 1))
+            return C(*(w[:i] + "10"[int(w[i])] + w[i + 1 :] if len(w) > i else w for w in translate().leaves))
+        if kind == "grown":  # a larger vector, so the carve still fits
+            return translate() | C(data.draw(st.text(alphabet="01", max_size=top + 2)))
+        return C(*data.draw(st.lists(st.text(alphabet="01", max_size=top + 2), min_size=1, max_size=3)))
+
+    height = data.draw(st.integers(1, 8))
+    level = data.draw(st.integers(0, height - 1))
+    column = [translate() if r == level or data.draw(st.booleans()) else other() for r in range(height)]
+    atom = column[level]
+    words = atom.refine_to_depth(atom.max_leaf_len + data.draw(st.integers(0, 1)))
+    labels = [data.draw(st.integers(0, 2)) for _ in words]
+    pieces = [C(*(w for w, j in zip(words, labels) if j == i)) for i in range(3)]
+    want = reference_split(k, column, level, pieces, 8)
+    got, hosts = split_and_carves(k, column, level, pieces, 8)
+    if isinstance(want, tuple):
+        r, exc = want
+        assert type(got) is type(exc) and str(got) == str(exc)
+        # the failing carve is the first of its shape, and no later level is carved
+        assert column.index(hosts[-1]) == r
+    else:
+        assert [tuple(c) for c in got] == want
+        if len([p for p in pieces if not p.is_empty]) > 1:
+            assert len(hosts) == len({shape(k, a) for r, a in enumerate(column) if r != level})
+
+
+def test_split_column_failing_carve_matches_reference():
+    k = parse_family("measure uniform\n\nmeasure quarter\nweight e 1/4\n")
+    # every subset of [1] has quarter/uniform ratio 3/2, the pieces 1/2
+    column = [C("00"), C("01"), C("10"), C("11")]
+    pieces = [C("000"), C("001")]
+    r, exc = reference_split(k, column, 0, pieces, 8)
+    got, hosts = split_and_carves(k, column, 0, pieces, 8)
+    assert r == 2 and hosts == [C("01"), C("10")]
+    assert type(got) is type(exc) and str(got) == str(exc)
+    assert str(got) == "no subset of 10 attains (1/8, 1/16) (searched to depth 8)"
+
+
+def test_split_column_carves_one_shape_once():
+    k = parse_family("measure d2\nweight 0 1/3\nweight 1 2/3\n")
+    column = [C("01" + format(i, "04b")) for i in range(16)]
+    pieces = [C("0100000"), C("0100001")]
+    got, hosts = split_and_carves(k, column, 0, pieces, 12)
+    assert hosts == [column[1]]
+    assert [tuple(c) for c in got] == reference_split(k, column, 0, pieces, 12)
+    assert [c[15] for c in got] == [C("0111110"), C("0111111")]
+
+
+def test_split_column_tells_shapes_apart():
+    # weight depth 2: [00] and [11] carry 1/6, [01] and [10] carry 1/3
+    k = parse_family("measure d2\nweight 0 1/3\nweight 1 2/3\n")
+    column = [C("0100"), C("0101"), C("0001"), C("01100"), C("1000"), C("0110")]
+    pieces = [C("01000"), C("01001")]
+    got, hosts = split_and_carves(k, column, 0, pieces, 12)
+    # 0110 has the shape of 0101; 0001 differs in a letter, 01100 in length
+    assert hosts == [C("0101"), C("0001"), C("01100"), C("1000")]
+    assert [tuple(c) for c in got] == reference_split(k, column, 0, pieces, 12)
+
+
+def test_shares_cut_a_leaf_that_spans_bases():
+    # [0] of sel covers the leaf 00 of one base and the leaf 01 of another
+    bases = [C("00", "11"), C("01")]
+    assert tower._shares(C("0", "110"), bases) == [(0, C("00", "110")), (1, C("01"))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_shares_match_intersections(data):
+    depth = data.draw(st.integers(0, 4))
+    words = [format(i, "0%db" % depth) if depth else "" for i in range(1 << depth)]
+    owner = [data.draw(st.integers(-1, 3)) for _ in words]
+    bases = [C(*(w for w, o in zip(words, owner) if o == i)) for i in range(4)]
+    bases = [b for b in bases if b]
+    assume(bases)
+    # sel lies in the union of the bases; whole words merge across bases
+    chosen = []
+    for w, o in zip(words, owner):
+        mode = data.draw(st.sampled_from(["all", "none", "some"]))
+        if o >= 0 and mode == "all":
+            chosen.append(w)
+        elif o >= 0 and mode == "some":
+            subs = [w + x for x in ("00", "01", "10", "11")]
+            chosen.extend(data.draw(st.lists(st.sampled_from(subs), unique=True)))
+    sel = C(*chosen)
+    want = [(i, sel & b) for i, b in enumerate(bases) if not (sel & b).is_empty]
+    got = tower._shares(sel, bases)
+    assert [(i, x.leaves) for i, x in got] == [(i, x.leaves) for i, x in want]
 
 
 def test_refine_identity_when_small():
