@@ -12,7 +12,6 @@ from cantordyn.clopen import (
     ClopenSet,
     DepthTooSmall,
     enumerate_clopen,
-    normalize,
     union_all,
 )
 from cantordyn.measure import (
@@ -43,11 +42,9 @@ from cantordyn.tower import (
     NotAPartition,
     NotEquivalentColumn,
     balance_columns,
-    cut_column_at_level,
     from_columns,
     locate_atom,
     refine_small_base_top,
-    refines,
     run_decomposition,
     to_dot,
     trivial_partition,

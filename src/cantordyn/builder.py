@@ -17,8 +17,11 @@ from fractions import Fraction
 from os.path import commonprefix
 
 from cantordyn.clopen import ClopenSet, enumerate_clopen, union_all
-from cantordyn.measure import MeasureFamily, TreeMeasure, format_measure, frac_text, validate_family
-from cantordyn.oracles import NotEquivalent, SearchFailure
+from cantordyn.measure import (
+    MeasureFamily, TreeMeasure, _parse_rational, format_measure, frac_text,
+    goodness_obstruction, obstruction_text, validate_family,
+)
+from cantordyn.oracles import GoodnessFailure, NotEquivalent, SearchFailure
 from cantordyn.tower import (
     KRPartition,
     NotAPartition,
@@ -43,6 +46,10 @@ __all__ = [
     "serialize_sequence",
     "validate_sequence",
 ]
+
+# Scheduled pairs are clopen sets of depth at most 3.  The pair order, and
+# with it every built tower, depends on this depth.
+_PAIR_DEPTH = 3
 
 
 class BuildFailure(Exception):
@@ -99,13 +106,14 @@ class TowerSequence:
         return "TowerSequence(%d stages, %d pairs)" % (len(self.stages), len(self.pairs))
 
 
-def enumerate_pairs(k, count, depth_cap=3):
+def enumerate_pairs(k, count):
     """First `count` equivalent pairs from the canonical enumeration.
 
-    Pairs (a, b) with equal value vectors, ordered by the enumeration
-    index of a, then of b.  The diagonal is included.
+    Pairs (a, b) of depth at most _PAIR_DEPTH with equal value vectors,
+    ordered by the enumeration index of a, then of b.  The diagonal is
+    included.
     """
-    universe = list(enumerate_clopen(depth_cap))
+    universe = list(enumerate_clopen(_PAIR_DEPTH))
     vecs = [k.vec(a) for a in universe]
     pairs = []
     for i, a in enumerate(universe):
@@ -115,31 +123,28 @@ def enumerate_pairs(k, count, depth_cap=3):
                 if len(pairs) == count:
                     return tuple(pairs)
     raise ValueError(
-        "only %d equivalent pairs within depth cap, need %d" % (len(pairs), count)
+        "only %d equivalent pairs within depth %d, need %d" % (len(pairs), _PAIR_DEPTH, count)
     )
 
 
-def build_saturated(k, n_stages, depth_cap=3, max_depth=12, eps_schedule=None):
+def build_saturated(k, n_stages, max_depth=12):
     """Build the tower sequence: balance a pair, then shrink, per stage.
 
-    eps_schedule overrides the default budget 2^-n for stages 1..n_stages.
-    Raises BuildFailure when an oracle cannot complete a stage, naming
-    the stage, the phase, and the underlying failure.
+    Stage n gets the diameter budget 2^-n.  Raises BuildFailure when the
+    family is not good (stage 0, before any stage is built) or when an
+    oracle cannot complete a stage, naming the stage, the phase, and the
+    underlying failure.
     """
     report = validate_family(k)
     if not report.ok:
         raise ValueError("degenerate family: " + report.lines[0])
+    pair = goodness_obstruction(k)
+    if pair is not None:
+        raise BuildFailure(0, "goodness", GoodnessFailure(obstruction_text(k, *pair)))
     if n_stages < 1:
         raise ValueError("need at least one stage")
-    pairs = enumerate_pairs(k, n_stages, depth_cap)
-    if eps_schedule is None:
-        budgets = [Fraction(1, 2 ** n) for n in range(1, n_stages + 1)]
-    else:
-        budgets = [Fraction(e) for e in eps_schedule]
-        if len(budgets) != n_stages:
-            raise ValueError("eps_schedule length %d != stages %d" % (len(budgets), n_stages))
-        if any(b <= 0 for b in budgets):
-            raise ValueError("stage budgets must be positive")
+    pairs = enumerate_pairs(k, n_stages)
+    budgets = [Fraction(1, 2 ** n) for n in range(1, n_stages + 1)]
     stages = [trivial_partition()]
     for i in range(n_stages):
         u, v = pairs[i]
@@ -278,6 +283,10 @@ class _Cursor:
         self.pos += 1
         return line.strip()
 
+    def rational(self, tok):
+        """tok, the last token of the line just taken, as a Fraction."""
+        return _parse_rational(tok, self.pos, self.lines[self.pos - 1].rindex(tok) + 1)
+
 
 def _int_field(line, keyword):
     toks = line.split()
@@ -287,13 +296,6 @@ def _int_field(line, keyword):
     if n < 0:
         raise ValueError("negative %s count" % keyword)
     return n
-
-
-def _rat_field(tok):
-    num, slash, den = tok.partition("/")
-    if not slash or not num.isdigit() or not den.isdigit() or int(den) == 0:
-        raise ValueError("bad rational %r" % tok)
-    return Fraction(int(num), int(den))
 
 
 def load_sequence(text):
@@ -327,7 +329,7 @@ def load_sequence(text):
             word = "" if wt[1] == "e" else wt[1]
             if any(c not in "01" for c in word) or word in weights:
                 raise ValueError("bad or duplicate weight word %r" % wt[1])
-            weights[word] = _rat_field(wt[2])
+            weights[word] = cur.rational(wt[2])
         measures.append(TreeMeasure(weights, bound, name))
     family = MeasureFamily(measures)
     pcount = _int_field(cur.take(), "pairs")
@@ -358,7 +360,7 @@ def load_sequence(text):
         ncols = int(toks[3])
         if ncols < 1:
             raise ValueError("stage %d has no columns" % n)
-        budgets.append(_rat_field(toks[5]))
+        budgets.append(cur.rational(toks[5]))
         cols = []
         for _ in range(ncols):
             ct = cur.take().split()

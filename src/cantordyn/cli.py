@@ -7,8 +7,9 @@ no timestamps, stable ordering, atomic file writes.
 
 Exit codes: 0 success; 1 for usage, I/O, parse, or family-validation
 problems; 2 when the family is not good (validate prints a refuting pair
-of cylinders) or a construction oracle fails during a build; 3 when a
-built or loaded sequence violates an invariant.
+of cylinders, build refuses it before its first stage) or a construction
+oracle fails during a build; 3 when a written sequence violates an
+invariant.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from operator import truediv
 
 from cantordyn.builder import (
     BuildFailure,
@@ -26,22 +26,12 @@ from cantordyn.builder import (
     serialize_sequence,
 )
 from cantordyn.clopen import FULL
-from cantordyn.measure import frac_text, goodness_obstruction, parse_family, validate_family, vec_text
+from cantordyn.measure import frac_text, goodness_obstruction, obstruction_text, parse_family, validate_family
 from cantordyn.oracles import SearchFailure
 from cantordyn.tower import to_dot
 from cantordyn.verify import StageTooShallow, first_return_divide, verify_all
 
 __all__ = ["main"]
-
-
-def _fraction_arg(text):
-    num, slash, den = text.partition("/")
-    if not slash or not num.isdigit() or not den.isdigit() or int(den) == 0:
-        raise argparse.ArgumentTypeError("expected num/den, got %r" % text)
-    q = Fraction(int(num), int(den))
-    if q <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return q
 
 
 def _build_parser():
@@ -51,25 +41,19 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, family_required):
-        p.add_argument("--family", required=family_required, help="family description file")
-        p.add_argument("--stages", type=int, default=4)
-        p.add_argument("--depth-cap", type=int, default=3)
-        p.add_argument("--max-depth", type=int, default=12)
-        p.add_argument("--eps", type=_fraction_arg, default=None,
-                       help="diameter target for the last stage, as num/den")
-        p.add_argument("--out", default="out")
-
     p = sub.add_parser("validate", help="check a family and decide whether it is good")
     p.add_argument("--family", required=True)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("build", help="construct the tower sequence and write it out")
-    common(p, True)
+    p.add_argument("--family", required=True, help="family description file")
+    p.add_argument("--stages", type=int, default=4)
+    p.add_argument("--max-depth", type=int, default=12)
+    p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("verify", help="verify a written tower, or build and verify")
-    common(p, False)
+    p = sub.add_parser("verify", help="verify a written tower against every invariant")
+    p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("export-dot", help="write stage diagrams for a written tower")
@@ -83,10 +67,11 @@ def _read(path):
         return fh.read()
 
 
-def _schedule(args):
-    if args.eps is None:
-        return None
-    return [min(Fraction(1, 2 ** n), args.eps) for n in range(1, args.stages + 1)]
+def _load_written(out):
+    path = os.path.join(out, "tower.txt")
+    if not os.path.exists(path):
+        raise FileNotFoundError("%s not found; run build first" % path)
+    return load_sequence(_read(path))
 
 
 def _write_atomic(path, text):
@@ -94,6 +79,11 @@ def _write_atomic(path, text):
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def _write_dots(out, g):
+    for n, t in enumerate(g.stages):
+        _write_atomic(os.path.join(out, "stage_%02d.dot" % n), to_dot(t, g.family))
 
 
 def _cmd_validate(args):
@@ -108,19 +98,13 @@ def _cmd_validate(args):
     if pair is None:
         print("good: one generator, and its frontier cylinder masses lie in one coset c*2^Z")
         return 0
-    (a, b), va, vb = pair, k.vec(pair[0]), k.vec(pair[1])
-    print(
-        "not good: A = [%s] has masses %s < %s of B = [%s] under every generator, but every clopen "
-        "C inside B has masses %s * q for one dyadic q, and the A/B ratios %s are not one dyadic q"
-        % (a.text(), vec_text(va), vec_text(vb), b.text(), vec_text(vb),
-           vec_text(map(truediv, va, vb)))
-    )
+    print("not good: " + obstruction_text(k, *pair))
     return 2
 
 
 def _cmd_build(args):
     k = parse_family(_read(args.family))
-    g = build_saturated(k, args.stages, args.depth_cap, args.max_depth, _schedule(args))
+    g = build_saturated(k, args.stages, args.max_depth)
     os.makedirs(args.out, exist_ok=True)
     lines = list(validate_family(k).lines)
     for n, t in enumerate(g.stages):
@@ -137,8 +121,7 @@ def _cmd_build(args):
         )
     lines.append("construction complete")
     _write_atomic(os.path.join(args.out, "tower.txt"), serialize_sequence(g))
-    for n, t in enumerate(g.stages):
-        _write_atomic(os.path.join(args.out, "stage_%02d.dot" % n), to_dot(t, k))
+    _write_dots(args.out, g)
     _write_atomic(os.path.join(args.out, "build.log"), "\n".join(lines) + "\n")
     for line in lines:
         print(line)
@@ -147,15 +130,7 @@ def _cmd_build(args):
 
 
 def _cmd_verify(args):
-    path = os.path.join(args.out, "tower.txt")
-    if os.path.exists(path):
-        g = load_sequence(_read(path))
-    elif args.family:
-        k = parse_family(_read(args.family))
-        g = build_saturated(k, args.stages, args.depth_cap, args.max_depth, _schedule(args))
-    else:
-        print("error: no %s and no --family to build from" % path, file=sys.stderr)
-        return 1
+    g = _load_written(args.out)
     ok, first, report = verify_all(g)
     for line in report.lines:
         print(line)
@@ -172,13 +147,8 @@ def _cmd_verify(args):
 
 
 def _cmd_export_dot(args):
-    path = os.path.join(args.out, "tower.txt")
-    if not os.path.exists(path):
-        print("error: %s not found; run build first" % path, file=sys.stderr)
-        return 1
-    g = load_sequence(_read(path))
-    for n, t in enumerate(g.stages):
-        _write_atomic(os.path.join(args.out, "stage_%02d.dot" % n), to_dot(t, g.family))
+    g = _load_written(args.out)
+    _write_dots(args.out, g)
     print("wrote %d stage diagrams under %s" % (len(g.stages), args.out))
     return 0
 

@@ -37,7 +37,6 @@ __all__ = [
     "EMPTY",
     "FULL",
     "enumerate_clopen",
-    "normalize",
     "union_all",
 ]
 
@@ -218,11 +217,6 @@ class ClopenSet:
 
 EMPTY = ClopenSet._raw(())
 FULL = ClopenSet._raw(_FULL_LEAVES)
-
-
-def normalize(words):
-    """Canonical ClopenSet covering exactly the given cylinder words."""
-    return ClopenSet(words)
 
 
 def union_all(sets):

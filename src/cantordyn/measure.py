@@ -19,6 +19,7 @@ import re
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import truediv
 
 from cantordyn.clopen import ClopenSet
 
@@ -32,6 +33,7 @@ __all__ = [
     "format_measure",
     "frac_text",
     "goodness_obstruction",
+    "obstruction_text",
     "parse_family",
     "validate_family",
     "vec_text",
@@ -293,6 +295,16 @@ def goodness_obstruction(k):
         j = max(int(x // y).bit_length() for x, y in zip(vecs[u], vecs[w]))
         return ClopenSet([u + "0" * j]), ClopenSet([w])
     return None
+
+
+def obstruction_text(k, a, b):
+    """The refuting pair (A, B) of goodness_obstruction and why it refutes, in one line."""
+    va, vb = k.vec(a), k.vec(b)
+    return (
+        "A = [%s] has masses %s < %s of B = [%s] under every generator, but every clopen "
+        "C inside B has masses %s * q for one dyadic q, and the A/B ratios %s are not one dyadic q"
+        % (a.text(), vec_text(va), vec_text(vb), b.text(), vec_text(vb), vec_text(map(truediv, va, vb)))
+    )
 
 
 _RAT_RE = re.compile(r"^[0-9]+/[0-9]+$")

@@ -346,32 +346,26 @@ def build_k_automorphism(k, u, v, n_stages, depth_cap=None, max_depth=12):
             a = next(gen)
         except StopIteration:
             raise ValueError("depth cap %r exhausted before %d stages" % (depth_cap, n_stages))
-        nxt = []
-        for c, d in stages[-1]:
-            c0 = c & a
-            c1 = c - a
-            if c0.is_empty or c1.is_empty:
-                nxt.append((c, d))
-                continue
-            d0 = d & a
-            if k.vec(d0) != k.vec(c0):
-                d0 = select_copy(k, k.vec(c0), d, max_depth)
-            nxt.append((c0, d0))
-            nxt.append((c1, d - d0))
-        out = []
-        for c, d in nxt:
-            d0 = d & a
-            d1 = d - a
-            if d0.is_empty or d1.is_empty:
-                out.append((c, d))
-                continue
-            c0 = c & a
-            if k.vec(c0) != k.vec(d0):
-                c0 = select_copy(k, k.vec(d0), c, max_depth)
-            out.append((c0, d0))
-            out.append((c - c0, d1))
-        stages.append(tuple(out))
+        nxt = _split_sources(k, stages[-1], a, max_depth)
+        # the target side is the source side of the swapped pairs
+        out = _split_sources(k, [(d, c) for c, d in nxt], a, max_depth)
+        stages.append(tuple((c, d) for d, c in out))
     return PartitionBijection(stages)
+
+
+def _split_sources(k, matched, a, max_depth):
+    """Split each source c along a; its partner d gives up a piece of equal vector."""
+    out = []
+    for c, d in matched:
+        c0, c1 = c & a, c - a
+        if c0.is_empty or c1.is_empty:
+            out.append((c, d))
+            continue
+        d0 = d & a
+        if k.vec(d0) != k.vec(c0):
+            d0 = select_copy(k, k.vec(c0), d, max_depth)
+        out += [(c0, d0), (c1, d - d0)]
+    return out
 
 
 def affine_approx(k, partition, values, eps, max_depth=12):

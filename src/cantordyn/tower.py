@@ -34,11 +34,9 @@ __all__ = [
     "NotAPartition",
     "NotEquivalentColumn",
     "balance_columns",
-    "cut_column_at_level",
     "from_columns",
     "locate_atom",
     "refine_small_base_top",
-    "refines",
     "run_decomposition",
     "to_dot",
     "trivial_partition",
@@ -188,14 +186,6 @@ def run_decomposition(s, t):
     return tuple(traces)
 
 
-def refines(s, t):
-    """Tower refinement: columns of s climb t in runs.
-
-    A run starts at a t-base and ends at a t-top, so base and top shrink.
-    """
-    return run_decomposition(s, t) is not None
-
-
 def _split_column(k, column, level, pieces, max_depth=12):
     """Split a column along a partition of its atom at one level.
 
@@ -247,14 +237,6 @@ def _carve(k, host, vecs, max_depth):
         host = host - piece
     pieces.append(host)
     return pieces
-
-
-def cut_column_at_level(k, t, ci, level, pieces, max_depth=12):
-    """New tower with column ci split along a partition of one atom."""
-    subs = _split_column(k, t.columns[ci], level, pieces, max_depth)
-    cols = list(t.columns)
-    cols[ci : ci + 1] = subs
-    return KRPartition(cols)
 
 
 def _pure(a, u):
@@ -373,7 +355,7 @@ def refine_small_base_top(k, t, eps, max_depth=12):
 
     # pin the top: split the first column's top around a deep cylinder
     top0 = cols[0][-1]
-    u = top0.refine_to_depth(max(d_eps, top0.max_leaf_len))[0]
+    u = top0.leaves[0].ljust(max(d_eps, top0.max_leaf_len), "0")
     cu = ClopenSet([u])
     pieces = [ClopenSet([u + "0"]), ClopenSet([u + "1"]), top0 - cu]
     cols[0:1] = _split_column(k, cols[0], len(cols[0]) - 1, pieces, max_depth)
@@ -382,7 +364,7 @@ def refine_small_base_top(k, t, eps, max_depth=12):
     # pin the base: shrink the designated column's base to one cylinder
     b0 = cols[i0][0]
     if b0.diameter() >= eps:
-        w = b0.refine_to_depth(max(d_eps, b0.max_leaf_len))[0]
+        w = b0.leaves[0].ljust(max(d_eps, b0.max_leaf_len), "0")
         cw = ClopenSet([w])
         cols[i0 : i0 + 1] = _split_column(k, cols[i0], 0, [cw, b0 - cw], max_depth)
         i1 += 1
@@ -392,7 +374,7 @@ def refine_small_base_top(k, t, eps, max_depth=12):
     if k.vec(t0) != k.vec(t1):
         sigma0 = None
         for d in range(t0.max_leaf_len + 1, max_depth + 1):
-            cand = ClopenSet([t0.refine_to_depth(d)[0]])
+            cand = ClopenSet([t0.leaves[0].ljust(d, "0")])
             if all(x < y for x, y in zip(k.vec(cand), k.vec(t1))):
                 sigma0 = cand
                 break

@@ -51,7 +51,7 @@ D4 = ["".join(p) for p in product("01", repeat=4)]
 @pytest.fixture(scope="module")
 def sixstage():
     t0 = time.perf_counter()
-    g = build_saturated(UNI, 6, depth_cap=3, max_depth=12)
+    g = build_saturated(UNI, 6, max_depth=12)
     return g, time.perf_counter() - t0
 
 

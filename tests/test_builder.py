@@ -31,7 +31,7 @@ STAGE1 = (
 
 
 def test_enumerate_pairs_prefix():
-    got = enumerate_pairs(UNI, 6, 3)
+    got = enumerate_pairs(UNI, 6)
     assert got == (
         (EMPTY, EMPTY),
         (FULL, FULL),
@@ -43,18 +43,18 @@ def test_enumerate_pairs_prefix():
 
 
 def test_enumerate_pairs_shortfall():
-    # depth cap 1 gives only the two halves besides the trivial sets
-    assert len(enumerate_pairs(UNI, 6, 1)) == 6
-    with pytest.raises(ValueError):
-        enumerate_pairs(UNI, 7, 1)
+    # depth-3 sets of j of the 8 cylinders pair up C(8, j)^2 ways: C(16, 8) in all
+    assert len(enumerate_pairs(UNI, 12870)) == 12870
+    with pytest.raises(ValueError, match="only 12870 equivalent pairs within depth 3"):
+        enumerate_pairs(UNI, 12871)
 
 
 def test_build_two_stages():
-    g = build_saturated(UNI, 2, depth_cap=3, max_depth=12)
+    g = build_saturated(UNI, 2, max_depth=12)
     assert len(g.stages) == 3
     assert g.stages[0] == trivial_partition()
     assert g.budgets == (F(1), F(1, 2), F(1, 4))
-    assert g.pairs == enumerate_pairs(UNI, 2, 3)
+    assert g.pairs == enumerate_pairs(UNI, 2)
     cols = g.stages[1].columns
     assert len(cols) == 1
     assert [a.leaves for a in cols[0]] == [(w,) for w in STAGE1]
@@ -97,7 +97,7 @@ def test_build_two_stages():
     ],
 )
 def test_serialized_build_bytes_pinned(text, stages, max_depth, digest):
-    g = build_saturated(parse_family(text), stages, 3, max_depth)
+    g = build_saturated(parse_family(text), stages, max_depth)
     assert hashlib.sha256(serialize_sequence(g).encode()).hexdigest() == digest
 
 
@@ -107,23 +107,30 @@ def test_build_rejects_bad_inputs():
     dup = MeasureFamily([TreeMeasure(), TreeMeasure()])
     with pytest.raises(ValueError, match="degenerate"):
         build_saturated(dup, 1)
-    with pytest.raises(ValueError):
-        build_saturated(UNI, 2, eps_schedule=[F(1, 2)])
-    with pytest.raises(ValueError):
-        build_saturated(UNI, 1, eps_schedule=[F(0)])
 
 
 def test_build_fails_on_proportional_generators():
     # inside [0] every subset carries exactly half as much of the second
-    # generator as of the first, so the equal-share targets the
-    # refinement asks of the base are unreachable
+    # generator as of the first, so the family is refused before stage 1
     bad = MeasureFamily([TreeMeasure(), TreeMeasure({"": F(1, 4)})])
     with pytest.raises(BuildFailure) as info:
         build_saturated(bad, 1)
     err = info.value
-    assert err.stage == 1
-    assert err.phase == "refine"
+    assert err.stage == 0
+    assert err.phase == "goodness"
     assert "GoodnessFailure" in str(err)
+
+
+def test_build_refuses_a_one_generator_family_that_is_not_good():
+    # one generator, but the masses of [000] and [011] are not one dyadic
+    # multiple of each other: the refinement would have shipped a tower
+    bad = parse_family("measure m\nweight 01 2/5\n")
+    with pytest.raises(BuildFailure) as info:
+        build_saturated(bad, 3)
+    err = info.value
+    assert (err.stage, err.phase) == (0, "goodness")
+    assert "GoodnessFailure" in str(err)
+    assert "A = [000]" in str(err) and "B = [011]" in str(err)
 
 
 def test_apply_walks_the_last_stage():
@@ -200,8 +207,10 @@ def test_load_rejects_malformed_text():
         load_sequence("something else\n" + text)
     with pytest.raises(ValueError):
         load_sequence(text.replace("stage 1 ", "stage 7 "))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="line 12, col 26: zero denominator"):
         load_sequence(text.replace("budget 1/2", "budget 1/0"))
+    with pytest.raises(ValueError, match="line 5, col 10: expected num/den"):
+        load_sequence(text.replace("end measure", "weight e half\nend measure"))
     with pytest.raises(ValueError):
         load_sequence(text.replace("generators 1", "generators x"))
 

@@ -81,7 +81,8 @@ def test_build_fails_on_ungood_family(tmp_path, capsys):
     fam = write(tmp_path, "fam.txt", NONGOOD)
     out = str(tmp_path / "out")
     assert main(["build", "--family", fam, "--stages", "1", "--out", out]) == 2
-    assert "GoodnessFailure" in capsys.readouterr().err
+    # refused up front, with the pair validate prints
+    assert "stage 0 goodness failed: GoodnessFailure: A = [00]" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "tower.txt"))
 
 
@@ -136,13 +137,14 @@ def test_verify_rejects_out_of_range_weight_edit(tmp_path, capsys):
     assert main(["verify", "--out", out]) == 1
 
 
-def test_verify_can_build_in_memory(tmp_path, capsys):
+def test_verify_needs_a_written_tower(tmp_path, capsys):
     fam = write(tmp_path, "fam.txt", UNIFORM)
     missing = tmp_path / "nowhere"
-    args = ["verify", "--family", fam, "--stages", "2", "--out", str(missing)]
-    assert main(args) == 0
-    assert not missing.exists()
     assert main(["verify", "--out", str(missing)]) == 1
+    assert "run build first" in capsys.readouterr().err
+    # verify checks what build wrote; it builds nothing itself
+    assert main(["verify", "--family", fam, "--stages", "2", "--out", str(missing)]) == 1
+    assert not missing.exists()
 
 
 def test_export_dot_needs_tower(tmp_path, capsys):
@@ -166,4 +168,6 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["build"]) == 1
     assert main(["build", "--family", fam, "--eps", "0/1"]) == 1
     assert main(["build", "--family", fam, "--eps", "half"]) == 1
+    assert main(["build", "--family", fam, "--depth-cap", "3"]) == 1
+    assert main(["verify", "--stages", "2"]) == 1
     assert main(["validate", "--family", str(tmp_path / "absent.txt")]) == 1

@@ -11,7 +11,6 @@ from cantordyn.clopen import (
     ClopenSet,
     DepthTooSmall,
     enumerate_clopen,
-    normalize,
     union_all,
 )
 
@@ -33,15 +32,15 @@ sets_st = words_st.map(ClopenSet)
 
 
 def test_normalize_merges_siblings():
-    assert normalize(["00", "01"]).leaves == ("0",)
-    assert normalize(["0", "01"]).leaves == ("0",)
-    assert normalize(["0", "1"]).leaves == ("",)
-    assert normalize([]).leaves == ()
-    assert normalize(["10", "0", "11"]).leaves == ("",)
+    assert ClopenSet(["00", "01"]).leaves == ("0",)
+    assert ClopenSet(["0", "01"]).leaves == ("0",)
+    assert ClopenSet(["0", "1"]).leaves == ("",)
+    assert ClopenSet([]).leaves == ()
+    assert ClopenSet(["10", "0", "11"]).leaves == ("",)
 
 
 def test_normalize_sorted_antichain():
-    s = normalize(["11", "00", "011"])
+    s = ClopenSet(["11", "00", "011"])
     assert s.leaves == ("00", "011", "11")
 
 
@@ -188,8 +187,6 @@ def test_bare_string_rejected():
     # a string is an iterable of one-letter words; "01" would mean [0] | [1]
     with pytest.raises(TypeError):
         ClopenSet("01")
-    with pytest.raises(TypeError):
-        normalize("01")
     assert ClopenSet(["01"]).leaves == ("01",)
 
 
