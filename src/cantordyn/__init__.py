@@ -31,7 +31,6 @@ from cantordyn.oracles import (
     SearchFailure,
     affine_approx,
     approx_divide,
-    build_k_automorphism,
     goodness_select,
     n_copies,
     select_copy,
@@ -51,9 +50,7 @@ from cantordyn.tower import (
 )
 from cantordyn.builder import (
     BuildFailure,
-    HitsTop,
     TowerSequence,
-    apply,
     build_saturated,
     enumerate_pairs,
     load_sequence,

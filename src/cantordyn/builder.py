@@ -14,7 +14,6 @@ the structural ones here.
 from __future__ import annotations
 
 from fractions import Fraction
-from os.path import commonprefix
 
 from cantordyn.clopen import ClopenSet, enumerate_clopen, union_all
 from cantordyn.measure import (
@@ -29,7 +28,6 @@ from cantordyn.tower import (
     _count_in,
     balance_columns,
     from_columns,
-    locate_atom,
     refine_small_base_top,
     run_decomposition,
     trivial_partition,
@@ -37,9 +35,7 @@ from cantordyn.tower import (
 
 __all__ = [
     "BuildFailure",
-    "HitsTop",
     "TowerSequence",
-    "apply",
     "build_saturated",
     "enumerate_pairs",
     "load_sequence",
@@ -62,10 +58,6 @@ class BuildFailure(Exception):
         self.stage = stage
         self.phase = phase
         self.cause = cause
-
-
-class HitsTop(Exception):
-    """The requested orbit segment leaves the tower through its top."""
 
 
 class TowerSequence:
@@ -224,28 +216,6 @@ def validate_sequence(g):
         if g.decomposition(n) is None:
             bad.append("stage %d does not refine stage %d" % (n + 1, n))
     return tuple(bad)
-
-
-def apply(g, word, steps):
-    """Climb `steps` levels of the last stage from the cylinder [word].
-
-    The cylinder must sit inside a single atom.  Returns the enclosing
-    cylinder word of the atom reached; raises HitsTop when the orbit
-    leaves the tower before taking all steps.
-    """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    t = g.stages[-1]
-    ci, ri = locate_atom(t, word)
-    if steps == 0:
-        return word
-    col = t.columns[ci]
-    if ri + steps >= len(col):
-        raise HitsTop(
-            "orbit of [%s] leaves the tower after %d steps" % (word, len(col) - 1 - ri)
-        )
-    atom = col[ri + steps]
-    return commonprefix((atom.leaves[0], atom.leaves[-1]))
 
 
 def serialize_sequence(g):

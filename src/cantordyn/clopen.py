@@ -17,7 +17,9 @@ the largest aligned blocks [j 2^k, (j+1) 2^k), i.e. cylinders.  The cut is
 canonical: blocks of one run are never siblings (the greedy step would have
 taken their parent), runs are not adjacent, and a sibling-free antichain is
 the set of maximal cylinders in its union.  On canonical b, x lies inside b
-exactly when the last leaf of b sorting at or before x is a prefix of x.
+exactly when the last leaf of b sorting at or before x is a prefix of x,
+and [x] meets b exactly when that leaf is a prefix of x or the next leaf
+of b starts with x.
 
 The metric is d(x, y) = 2^(-k) where k is the length of the longest common
 prefix, so a nonempty set has diameter 2^(-k) with k the depth of its
@@ -145,6 +147,14 @@ class ClopenSet:
                 return False
         return True
 
+    def is_disjoint(self, other):
+        b = other.leaves
+        for x in self.leaves:
+            i = bisect_right(b, x)
+            if i and x.startswith(b[i - 1]) or i < len(b) and b[i].startswith(x):
+                return False
+        return True
+
     __or__ = union
     __and__ = intersect
     __sub__ = minus
@@ -227,21 +237,18 @@ def union_all(sets):
     return ClopenSet._raw(_sweep(tuple(words), (), _UNION))
 
 
-def enumerate_clopen(depth_cap=None):
+def enumerate_clopen(depth_cap):
     """Canonical enumeration of clopen sets of canonical depth <= depth_cap.
 
     Sets are ordered first by the depth their canonical form needs, then by
     the indicator bit-vector over the depth-d words taken in lexicographic
-    order.  The empty set and the full space come first.  With depth_cap
-    None the iterator never stops.
+    order.  The empty set and the full space come first.
     """
     yield EMPTY
     yield FULL
-    d = 1
-    while depth_cap is None or d <= depth_cap:
+    for d in range(1, depth_cap + 1):
         words = ["".join(t) for t in product("01", repeat=d)]
         for bits in product((0, 1), repeat=len(words)):
             s = ClopenSet(w for w, b in zip(words, bits) if b)
             if s.max_leaf_len == d:
                 yield s
-        d += 1

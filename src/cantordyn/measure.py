@@ -185,7 +185,7 @@ class TreeMeasure:
 class MeasureFamily:
     """Finite ordered family of measures, the generators of a simplex."""
 
-    __slots__ = ("generators", "_top")
+    __slots__ = ("generators", "_top", "_carves")
 
     def __init__(self, generators):
         gens = tuple(generators)
@@ -194,6 +194,8 @@ class MeasureFamily:
         self.generators = gens
         # weight depth: below it every cylinder halves under every generator
         self._top = max(m._top for m in gens)
+        # tower._split_column's carves: (max_depth, piece vectors) -> shape -> carve
+        self._carves = {}
 
     def vec(self, a):
         """Value vector (mu_1(a), ..., mu_G(a))."""

@@ -16,9 +16,7 @@ boundary (the box, the host's vector).
 
 On top of that sit the derived operations: copying a value vector into a
 host, dividing a set into n almost-equal pieces, stamping out n disjoint
-copies, realizing an affine combination of partition masses, and building
-a stagewise partition bijection carrying one clopen set onto another of
-equal vector while eventually separating all clopen sets.
+copies, and realizing an affine combination of partition masses.
 """
 
 from __future__ import annotations
@@ -27,18 +25,16 @@ from fractions import Fraction
 from itertools import groupby
 from math import lcm
 
-from cantordyn.clopen import EMPTY, FULL, ClopenSet, enumerate_clopen, union_all
+from cantordyn.clopen import EMPTY, FULL, ClopenSet, union_all
 from cantordyn.measure import vec_text
 
 __all__ = [
     "DivisibilityFailure",
     "GoodnessFailure",
     "NotEquivalent",
-    "PartitionBijection",
     "SearchFailure",
     "affine_approx",
     "approx_divide",
-    "build_k_automorphism",
     "goodness_select",
     "n_copies",
     "select_copy",
@@ -295,77 +291,6 @@ def n_copies(k, b, a, n, max_depth=12):
         copies.append(c)
         rem = rem - c
     return tuple(copies)
-
-
-class PartitionBijection:
-    """Stagewise matched refinements of two clopen partitions.
-
-    stages[n] is a tuple of (source, target) pairs; at every stage the
-    sources partition the space, the targets partition the space, and
-    matched pieces share their value vector.  Stage n+1 refines stage n
-    on both sides.
-    """
-
-    __slots__ = ("stages",)
-
-    def __init__(self, stages):
-        self.stages = tuple(tuple(s) for s in stages)
-
-    def matched(self, n):
-        return self.stages[n]
-
-    def sources(self, n):
-        return tuple(c for c, _ in self.stages[n])
-
-    def targets(self, n):
-        return tuple(d for _, d in self.stages[n])
-
-    def __len__(self):
-        return len(self.stages)
-
-
-def build_k_automorphism(k, u, v, n_stages, depth_cap=None, max_depth=12):
-    """Partition bijection carrying u onto v, one enumerated set per stage.
-
-    Stage 0 matches u with v and the complement with the complement.
-    Each later stage takes the next set A from the canonical clopen
-    enumeration and splits every matched pair first along A on the source
-    side, then along A on the target side, selecting the partner piece
-    inside the old partner.  When the partner's own intersection with A
-    already has the right vector it is used as is, so matching u to u
-    yields refinements of the identity.
-    """
-    if not k.sim(u, v):
-        raise NotEquivalent("u and v differ in mass under some generator")
-    first = [(u, v), (u.complement(), v.complement())]
-    stage = tuple((c, d) for c, d in first if not c.is_empty)
-    stages = [stage]
-    gen = enumerate_clopen(depth_cap)
-    for _ in range(n_stages):
-        try:
-            a = next(gen)
-        except StopIteration:
-            raise ValueError("depth cap %r exhausted before %d stages" % (depth_cap, n_stages))
-        nxt = _split_sources(k, stages[-1], a, max_depth)
-        # the target side is the source side of the swapped pairs
-        out = _split_sources(k, [(d, c) for c, d in nxt], a, max_depth)
-        stages.append(tuple((c, d) for d, c in out))
-    return PartitionBijection(stages)
-
-
-def _split_sources(k, matched, a, max_depth):
-    """Split each source c along a; its partner d gives up a piece of equal vector."""
-    out = []
-    for c, d in matched:
-        c0, c1 = c & a, c - a
-        if c0.is_empty or c1.is_empty:
-            out.append((c, d))
-            continue
-        d0 = d & a
-        if k.vec(d0) != k.vec(c0):
-            d0 = select_copy(k, k.vec(c0), d, max_depth)
-        out += [(c0, d0), (c1, d - d0)]
-    return out
 
 
 def affine_approx(k, partition, values, eps, max_depth=12):

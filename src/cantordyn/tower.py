@@ -15,7 +15,7 @@ small cylinders while refining the old tower.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 
 from cantordyn.clopen import FULL, ClopenSet, union_all
@@ -99,14 +99,14 @@ def trivial_partition():
 def from_columns(k, columns):
     """Validated construction: per-column equivalence, then partition.
 
-    Full support makes the partition check cheap: nonempty atoms whose
-    union is the space and whose first-generator masses sum to one are
-    automatically pairwise disjoint.
+    The partition check is one walk over all leaves in sorted order.  A
+    leaf inside the last leaf not nested so far overlaps it; otherwise it
+    must start where that one ends, which for words means the two read
+    c01..1 and c10..0.  A gap is reported before an overlap.
     """
     cols = tuple(tuple(col) for col in columns)
     if not cols:
         raise NotAPartition("no columns")
-    mass0 = []  # generator 0's mass of every atom, as (numerator, depth)
     for ci, col in enumerate(cols):
         if not col:
             raise NotAPartition("column %d has no atoms" % ci)
@@ -119,12 +119,19 @@ def from_columns(k, columns):
                 raise NotEquivalentColumn(
                     "column %d level %d differs in mass from its base" % (ci, ri)
                 )
-        mass0.extend(v[0] for v in masses)
-    atoms = [a for col in cols for a in col]
-    if union_all(atoms) != FULL:
+    leaves = sorted(w for col in cols for a in col for w in a.leaves)
+    last = leaves[0]
+    gap = "1" in last
+    overlap = False
+    for w in leaves[1:]:
+        if w.startswith(last):
+            overlap = True
+        else:
+            gap = gap or last.rstrip("1")[:-1] != w.rstrip("0")[:-1]
+            last = w
+    if gap or "0" in last:
         raise NotAPartition("atoms do not cover the space")
-    depth = max(d for _, d in mass0)
-    if sum(n << (depth - d) for n, d in mass0) != k.generators[0]._den(depth):
+    if overlap:
         raise NotAPartition("atoms overlap")
     return KRPartition(cols)
 
@@ -195,6 +202,8 @@ def _split_column(k, column, level, pieces, max_depth=12):
     Every carved word lies in one leaf, and the carve sees an atom only
     through its shape (each leaf's length and weight-depth prefix): later
     atoms of a shape take the first one's words below their own leaves.
+    The first carves are kept on the family, by max_depth and piece
+    vectors, so a later call carves only the shapes it meets first.
     """
     pieces = [p for p in pieces if not p.is_empty]
     if not pieces:
@@ -208,7 +217,8 @@ def _split_column(k, column, level, pieces, max_depth=12):
         return [tuple(column)]
     vecs = [k.vec(p) for p in pieces[:-1]]
     top = k._top
-    carved = {}  # shape -> per piece, (leaf index, word) of the first carve
+    # shape -> per piece, (leaf index, word) of the first carve
+    carved = k._carves.setdefault((max_depth, tuple(vecs)), {})
     subs = [[None] * len(column) for _ in pieces]
     for r, a in enumerate(column):
         leaves = a.leaves
@@ -240,7 +250,7 @@ def _carve(k, host, vecs, max_depth):
 
 
 def _pure(a, u):
-    return a.is_subset(u) or (a & u).is_empty
+    return a.is_subset(u) or a.is_disjoint(u)
 
 
 def _count_in(col, u):
@@ -278,60 +288,95 @@ def balance_columns(k, t, u, v, max_depth=12, _trace=None):
             _trace.append(imb)
         for sign in (1, -1):
             while sign * imb in ns:
-                di = ns.index(sign * imb)
-                pool = [ci for ci, x in enumerate(ns) if x and (x < 0) == (sign > 0)]
-                cols, _ = _stack_pool_onto(k, cols, di, pool, len(cols[di]) - 1, max_depth)
+                dcol = cols[ns.index(sign * imb)]
+                pool = _Pool([col for col, x in zip(cols, ns) if x and (x < 0) == (sign > 0)])
+                cols, _ = _stack_pool_onto(k, cols, dcol, pool, len(dcol) - 1, max_depth)
                 ns = [_count_in(col, u) - _count_in(col, v) for col in cols]
     return from_columns(k, cols)
 
 
-def _stack_pool_onto(k, cols, di, pool, level, max_depth):
-    """Cut column di at one level and stack a pool base piece on each part.
+class _Pool:
+    """Columns to stack from, held by identity under fixed, ordered keys.
+
+    Keeps the union of their bases and a sorted index of the bases'
+    leaves up to date as columns are used up, instead of rebuilding both
+    from every base for each stack.  A base remainder keeps the key of
+    the column it was cut from.
+    """
+
+    __slots__ = ("cols", "union", "owner", "leaves")
+
+    def __init__(self, cols):
+        self.cols = dict(enumerate(cols))
+        self.union = union_all(col[0] for col in cols)
+        self.owner = {w: i for i, col in self.cols.items() for w in col[0].leaves}
+        self.leaves = sorted(self.owner)
+
+    def take(self, sel, rests):
+        """Give up sel; rests maps the key of each column sel met to its remainder or None."""
+        self.union = self.union - sel
+        for i, rest in rests.items():
+            for w in self.cols.pop(i)[0].leaves:
+                del self.owner[w]
+                del self.leaves[bisect_left(self.leaves, w)]
+            if rest:
+                self.cols[i] = rest
+                for w in rest[0].leaves:
+                    self.owner[w] = i
+                    insort(self.leaves, w)
+
+
+def _stack_pool_onto(k, cols, dcol, pool, level, max_depth):
+    """Cut column dcol at one level and stack a pool base piece on each part.
 
     A copy of the level atom is selected across the bases of the pool
     columns; the atom is carved to match the pieces that copy leaves in
-    each pool base, and every resulting sub-column of di gets the matching
-    pool sub-column stacked on top.  Returns the new column list, with the
-    stacked columns in di's place and the pool leftovers in theirs, and
-    the stacked columns.
+    each pool base, and every resulting sub-column of dcol gets the
+    matching pool sub-column stacked on top.  Returns the new column
+    list, with the stacked columns in dcol's place and the pool leftovers
+    in theirs, and the stacked columns.
     """
-    dcol = cols[di]
     host = dcol[level]
-    sel = select_copy(k, k.vec(host), union_all(cols[qi][0] for qi in pool), max_depth)
-    parts = [(pool[i], x) for i, x in _shares(sel, [cols[qi][0] for qi in pool])]
+    sel = select_copy(k, k.vec(host), pool.union, max_depth)
+    parts = _shares_in(sel, pool.leaves, pool.owner)
     pieces = _carve(k, host, [k.vec(x) for _, x in parts[:-1]], max_depth)
     dsubs = _split_column(k, dcol, level, pieces, max_depth)
     stacked = []
-    groups = [[col] for col in cols]
-    groups[di] = stacked
-    for (qi, x), dsub in zip(parts, dsubs):
-        qcol = cols[qi]
+    rests = {}
+    swap = {id(dcol): stacked}
+    for (i, x), dsub in zip(parts, dsubs):
+        qcol = pool.cols[i]
         if x == qcol[0]:
-            head, groups[qi] = qcol, []
+            head, rests[i] = qcol, None
         else:
-            head, rest = _split_column(k, qcol, 0, [x, qcol[0] - x], max_depth)
-            groups[qi] = [rest]
+            head, rests[i] = _split_column(k, qcol, 0, [x, qcol[0] - x], max_depth)
+        swap[id(qcol)] = [rests[i]] if rests[i] else []
         stacked.append(dsub + head)
-    return [col for group in groups for col in group], stacked
+    pool.take(sel, rests)
+    return [c for col in cols for c in swap.get(id(col), (col,))], stacked
 
 
 def _shares(sel, bases):
-    """(i, sel & bases[i]) for every base sel meets, for disjoint bases holding sel.
+    """(i, sel & bases[i]) for every base sel meets, for disjoint bases holding sel."""
+    owner = {w: i for i, b in enumerate(bases) for w in b.leaves}
+    return _shares_in(sel, sorted(owner), owner)
+
+
+def _shares_in(sel, leaves, owner):
+    """_shares over the bases' sorted leaves, each mapped by owner to its base's key.
 
     A leaf of sel lies in one base leaf or is the union of those it prefixes.
     """
-    owner = {w: i for i, b in enumerate(bases) for w in b.leaves}
-    leaves = sorted(owner)
-    words = [[] for _ in bases]
+    words = {}
     for x in sel.leaves:
         j = bisect_right(leaves, x)
         if j and x.startswith(leaves[j - 1]):
-            words[owner[leaves[j - 1]]].append(x)
+            words.setdefault(owner[leaves[j - 1]], []).append(x)
             continue
         while j < len(leaves) and leaves[j].startswith(x):
-            words[owner[leaves[j]]].append(leaves[j])
+            words.setdefault(owner[leaves[j]], []).append(leaves[j])
             j += 1
-    return [(i, ClopenSet._raw(tuple(ws))) for i, ws in enumerate(words) if ws]
+    return [(i, ClopenSet._raw(tuple(words[i]))) for i in sorted(words)]
 
 
 def refine_small_base_top(k, t, eps, max_depth=12):
@@ -423,8 +468,7 @@ def refine_small_base_top(k, t, eps, max_depth=12):
     e = f  # leftover of mass at most `slack`, kept as its own column
 
     # recut every column so each new base sits in exactly one copy; the
-    # leftover column is set aside and goes last.  Columns are compared by
-    # value: their atoms are disjoint and nonempty, so no two are equal.
+    # leftover column is set aside and goes last.
     recut = []
     for col in cols:
         bits = [x for _, x in _shares(col[0], cs + [e])]
@@ -435,34 +479,35 @@ def refine_small_base_top(k, t, eps, max_depth=12):
     col1 = next(col for col in cols if col[0] == c1)
 
     # absorb all remaining columns into stacks over the c0 copy
+    pool = _Pool([col for col in cols if col is not col0 and col is not col1])
     principals = [col0]
     for _ in range(n - 2):
         new_principals = []
-        for pcol in list(principals):
-            protected = principals + new_principals + [col1]
-            pool = [qi for qi, col in enumerate(cols) if col not in protected]
-            cols, stacked = _stack_pool_onto(k, cols, cols.index(pcol), pool, 0, max_depth)
-            principals.remove(pcol)
+        for pcol in principals:
+            cols, stacked = _stack_pool_onto(k, cols, pcol, pool, 0, max_depth)
             new_principals.extend(stacked)
         principals = new_principals
 
     # route every stack through its matched piece of the c1 copy
     pieces = _carve(k, col1[0], [k.vec(p[0]) for p in principals[:-1]], max_depth)
-    for pcol, csub in zip(principals, _split_column(k, col1, 0, pieces, max_depth)):
-        cols[cols.index(pcol)] = pcol + csub
-    cols.remove(col1)
+    csubs = _split_column(k, col1, 0, pieces, max_depth)
+    routed = {id(p): p + csub for p, csub in zip(principals, csubs)}
+    cols = [routed.get(id(col), col) for col in cols if col is not col1]
     return from_columns(k, cols + tail)
 
 
 def to_dot(t, k):
     """Graphviz text for the tower: one cluster per column, edges go up."""
     lines = ["digraph tower {", "  rankdir=BT;", "  node [shape=box];"]
+    labels = {}  # canonical integer masses -> their text
     for ci, col in enumerate(t.columns):
         lines.append("  subgraph cluster_c%d {" % ci)
         lines.append('    label="column %d";' % ci)
         for ri, a in enumerate(col):
-            masses = " ".join(frac_text(x) for x in k.vec(a))
-            lines.append('    a%d_%d [label="%s\\n%s"];' % (ci, ri, a.text(), masses))
+            key = tuple(m._mass(a) for m in k.generators)
+            if key not in labels:
+                labels[key] = " ".join(frac_text(x) for x in k.vec(a))
+            lines.append('    a%d_%d [label="%s\\n%s"];' % (ci, ri, a.text(), labels[key]))
         for ri in range(len(col) - 1):
             lines.append("    a%d_%d -> a%d_%d;" % (ci, ri, ci, ri + 1))
         lines.append("  }")

@@ -5,9 +5,7 @@ import pytest
 
 from cantordyn.builder import (
     BuildFailure,
-    HitsTop,
     TowerSequence,
-    apply,
     build_saturated,
     enumerate_pairs,
     load_sequence,
@@ -16,7 +14,7 @@ from cantordyn.builder import (
 )
 from cantordyn.clopen import EMPTY, FULL, ClopenSet
 from cantordyn.measure import MeasureFamily, TreeMeasure, parse_family
-from cantordyn.tower import KRPartition, trivial_partition
+from cantordyn.tower import KRPartition, to_dot, trivial_partition
 
 F = Fraction
 UNI = MeasureFamily([TreeMeasure()])
@@ -101,6 +99,24 @@ def test_serialized_build_bytes_pinned(text, stages, max_depth, digest):
     assert hashlib.sha256(serialize_sequence(g).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "text,stages,digest",
+    [
+        ("measure third\nweight e 1/3\n", 2, "4a56283ef08cf086887a913a11bf0cf81a3a93647c4fad724937138b5c146094"),
+        (
+            "measure d2\nweight 0 1/3\nweight 1 2/3\n",
+            3,
+            "6fe2c6f7fc4e808de2df1c5219b3940ee2540282a584e69bb942a39a1e615d8c",
+        ),
+    ],
+)
+def test_stage_dot_bytes_pinned(text, stages, digest):
+    # the stage diagrams of two multi-column builds, every stage joined
+    g = build_saturated(parse_family(text), stages, 16)
+    dots = "".join(to_dot(t, g.family) for t in g.stages)
+    assert hashlib.sha256(dots.encode()).hexdigest() == digest
+
+
 def test_build_rejects_bad_inputs():
     with pytest.raises(ValueError):
         build_saturated(UNI, 0)
@@ -131,27 +147,6 @@ def test_build_refuses_a_one_generator_family_that_is_not_good():
     assert (err.stage, err.phase) == (0, "goodness")
     assert "GoodnessFailure" in str(err)
     assert "A = [000]" in str(err) and "B = [011]" in str(err)
-
-
-def test_apply_walks_the_last_stage():
-    g = build_saturated(UNI, 2)
-    assert apply(g, "0000", 0) == "0000"
-    assert apply(g, "0000", 1) == "0001"
-    assert apply(g, "0001", 2) == "0100"
-    assert apply(g, "00000", 3) == "0100"
-    assert apply(g, "0000", 15) == "0010"
-
-
-def test_apply_errors():
-    g = build_saturated(UNI, 2)
-    with pytest.raises(HitsTop):
-        apply(g, "0010", 1)
-    with pytest.raises(HitsTop):
-        apply(g, "0000", 16)
-    with pytest.raises(ValueError):
-        apply(g, "0", 1)  # spans several atoms
-    with pytest.raises(ValueError):
-        apply(g, "0000", -1)
 
 
 def test_validate_reports_tampering():

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +23,16 @@ def test_validate_uniform(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "eps 1/2 -> delta 1/1 (depth 1)" in out
     assert out.splitlines()[-1].startswith("good: one generator")
+
+
+def test_module_entry_point(tmp_path):
+    # python -m cantordyn runs the same front end in a fresh interpreter
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    cmd = [sys.executable, "-m", "cantordyn", "validate", "--family", write(tmp_path, "fam.txt", UNIFORM)]
+    run = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1].startswith("good: one generator")
 
 
 def test_validate_seeded_output_is_stable(tmp_path, capsys):

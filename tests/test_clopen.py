@@ -31,6 +31,10 @@ words_st = st.lists(st.text(alphabet="01", min_size=0, max_size=DEPTH), max_size
 sets_st = words_st.map(ClopenSet)
 
 
+def C(*words):
+    return ClopenSet(words)
+
+
 def test_normalize_merges_siblings():
     assert ClopenSet(["00", "01"]).leaves == ("0",)
     assert ClopenSet(["0", "01"]).leaves == ("0",)
@@ -93,7 +97,7 @@ def test_bad_alphabet_rejected():
 
 
 def test_enumeration_prefix():
-    got = list(itertools.islice(enumerate_clopen(), 11))
+    got = list(itertools.islice(enumerate_clopen(2), 11))
     want = [
         EMPTY,
         FULL,
@@ -141,6 +145,27 @@ def test_boolean_ops_against_mask(a, b):
     assert to_mask(a - b) == to_mask(a) & ~to_mask(b) & full
     assert to_mask(~a) == ~to_mask(a) & full
     assert a.is_subset(b) == (to_mask(a) | to_mask(b) == to_mask(b))
+
+
+def test_is_disjoint_frozen():
+    assert C("010").is_disjoint(C("011", "1"))
+    assert not C("01").is_disjoint(C("0110"))
+    assert not C("0110").is_disjoint(C("01"))
+    assert EMPTY.is_disjoint(FULL) and FULL.is_disjoint(EMPTY)
+    assert not FULL.is_disjoint(C("1")) and not C("1").is_disjoint(FULL)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_is_disjoint_matches_intersection(data):
+    # sets below one shared stem, nested sets, and the two constants
+    stem = data.draw(st.text(alphabet="01", max_size=3))
+    near = st.lists(st.text(alphabet="01", max_size=3), max_size=4).map(lambda ws: C(*(stem + w for w in ws)))
+    a = data.draw(st.one_of(sets_st, near))
+    b = data.draw(st.one_of(st.just(EMPTY), st.just(FULL), sets_st, near, sets_st.map(a.intersect), sets_st.map(a.union)))
+    for x, y in ((a, b), (b, a)):
+        assert x.is_disjoint(y) == (x & y).is_empty
+        assert x.is_disjoint(y) == (to_mask(x) & to_mask(y) == 0)
 
 
 @given(sets_st, sets_st)

@@ -12,10 +12,8 @@ from cantordyn.measure import MeasureFamily, TreeMeasure
 from cantordyn.oracles import (
     DivisibilityFailure,
     GoodnessFailure,
-    NotEquivalent,
     affine_approx,
     approx_divide,
-    build_k_automorphism,
     goodness_select,
     n_copies,
     select_copy,
@@ -191,52 +189,6 @@ def test_affine_approx_validates():
         affine_approx(UNI, (FULL, FULL), (F(1, 2), F(1, 2)), F(0))
     with pytest.raises(ValueError):
         affine_approx(UNI, (FULL,), (F(3, 2),), F(0))
-
-
-def test_automorphism_identity():
-    u = ClopenSet(["01", "1"])
-    pb = build_k_automorphism(UNI, u, u, 6, depth_cap=3)
-    for n in range(len(pb)):
-        for c, d in pb.matched(n):
-            assert c == d
-
-
-def test_automorphism_invariants():
-    u, v = ClopenSet(["0"]), ClopenSet(["1"])
-    pb = build_k_automorphism(UNI, u, v, 6, depth_cap=3)
-    assert pb.matched(0) == ((u, v), (v, u))
-    for n in range(len(pb)):
-        srcs, tgts = pb.sources(n), pb.targets(n)
-        assert union_all(srcs) == FULL
-        assert union_all(tgts) == FULL
-        assert sum(UNI.vec(c)[0] for c in srcs) == 1
-        assert sum(UNI.vec(d)[0] for d in tgts) == 1
-        for c, d in pb.matched(n):
-            assert UNI.vec(c) == UNI.vec(d)
-        if n:
-            prev = pb.sources(n - 1)
-            for c in srcs:
-                assert any(c.is_subset(p) for p in prev)
-
-
-def test_automorphism_incorporates_enumeration():
-    from cantordyn.clopen import enumerate_clopen
-
-    u, v = ClopenSet(["0"]), ClopenSet(["1"])
-    stages = 8
-    pb = build_k_automorphism(UNI, u, v, stages, depth_cap=3)
-    sets = []
-    gen = enumerate_clopen(3)
-    for _ in range(stages):
-        sets.append(next(gen))
-    for n, a in enumerate(sets, start=1):
-        assert union_all(c for c in pb.sources(n) if c.is_subset(a)) == a
-        assert union_all(d for d in pb.targets(n) if d.is_subset(a)) == a
-
-
-def test_automorphism_not_equivalent():
-    with pytest.raises(NotEquivalent):
-        build_k_automorphism(UNI, ClopenSet(["0"]), ClopenSet(["00"]), 2)
 
 
 def test_subset_in_box_agrees_with_brute_force():

@@ -53,6 +53,12 @@ def test_from_columns_validation():
         from_columns(UNI, [(C("0"),), (C("10"),)])
     with pytest.raises(NotAPartition):
         from_columns(UNI, [(C("0"),), (C("0"),), (C("1"),)])
+    with pytest.raises(NotAPartition, match="atoms overlap"):
+        from_columns(UNI, [(C("0"),), (C("1"),), (C("10"),)])
+    # a gap and an overlap: the gap is reported, wherever it lies
+    for cols in ([(C("0"),), (C("0"),)], [(C("00"),), (C("0"),), (C("10"),)], [(C("1"),), (C("11"),)]):
+        with pytest.raises(NotAPartition, match="atoms do not cover the space"):
+            from_columns(UNI, cols)
 
 
 def test_from_columns_compares_every_generator():
@@ -305,6 +311,40 @@ def test_split_column_carves_one_shape_once():
     assert hosts == [column[1]]
     assert [tuple(c) for c in got] == reference_split(k, column, 0, pieces, 12)
     assert [c[15] for c in got] == [C("0111110"), C("0111111")]
+
+
+def test_split_column_carves_once_per_family():
+    # weight depth 2: 0110 has the shape of 0101, 0000 that of 0001
+    text = "measure d2\nweight 0 1/3\nweight 1 2/3\n"
+    k = parse_family(text)
+    pieces = [C("01000"), C("01001")]
+    first = [C("0100"), C("0101"), C("0001")]
+    second = [C("0100"), C("0110"), C("0000"), C("1000")]
+    got, hosts = split_and_carves(k, first, 0, pieces, 12)
+    assert hosts == [C("0101"), C("0001")]
+    assert [tuple(c) for c in got] == reference_split(k, first, 0, pieces, 12)
+    # the second call carves only the shape it meets first
+    got, hosts = split_and_carves(k, second, 0, pieces, 12)
+    assert hosts == [C("1000")]
+    assert [tuple(c) for c in got] == reference_split(k, second, 0, pieces, 12)
+    # another depth or another family object carves afresh
+    assert split_and_carves(k, second, 0, pieces, 11)[1] == second[1:]
+    assert split_and_carves(parse_family(text), second, 0, pieces, 12)[1] == second[1:]
+
+
+def test_split_column_failing_carve_is_not_kept():
+    k = parse_family("measure uniform\n\nmeasure quarter\nweight e 1/4\n")
+    pieces = [C("000"), C("001")]
+    got, hosts = split_and_carves(k, [C("00"), C("01"), C("10")], 0, pieces, 8)
+    assert hosts == [C("01"), C("10")]
+    assert str(got) == "no subset of 10 attains (1/8, 1/16) (searched to depth 8)"
+    # 11 has the shape of 10, whose carve failed, so it is carved and named
+    column = [C("00"), C("01"), C("11")]
+    got, hosts = split_and_carves(k, column, 0, pieces, 8)
+    assert hosts == [C("11")]
+    assert str(got) == "no subset of 11 attains (1/8, 1/16) (searched to depth 8)"
+    r, exc = reference_split(k, column, 0, pieces, 8)
+    assert r == 2 and type(got) is type(exc) and str(got) == str(exc)
 
 
 def test_split_column_tells_shapes_apart():
