@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from cantordyn.clopen import ClopenSet, enumerate_clopen, union_all
+from cantordyn.clopen import ClopenSet, enumerate_clopen
 from cantordyn.measure import (
     MeasureFamily, TreeMeasure, _parse_rational, format_measure, frac_text,
     goodness_obstruction, obstruction_text, validate_family,
@@ -26,6 +26,7 @@ from cantordyn.tower import (
     NotAPartition,
     NotEquivalentColumn,
     _count_in,
+    _pure,
     balance_columns,
     from_columns,
     refine_small_base_top,
@@ -61,15 +62,20 @@ class BuildFailure(Exception):
 
 
 class TowerSequence:
-    """A refining chain of tower partitions with its schedule and budgets."""
+    """A refining chain of tower partitions with its schedule and budgets.
 
-    __slots__ = ("family", "stages", "pairs", "budgets", "_decompositions")
+    `family_report` is the validate_family report build_saturated
+    computed for the family, or None for a sequence built another way.
+    """
+
+    __slots__ = ("family", "stages", "pairs", "budgets", "family_report", "_decompositions")
 
     def __init__(self, family, stages, pairs, budgets):
         self.family = family
         self.stages = tuple(stages)
         self.pairs = tuple(pairs)
         self.budgets = tuple(Fraction(b) for b in budgets)
+        self.family_report = None
         self._decompositions = {}
 
     def decomposition(self, n):
@@ -122,10 +128,12 @@ def enumerate_pairs(k, count):
 def build_saturated(k, n_stages, max_depth=12):
     """Build the tower sequence: balance a pair, then shrink, per stage.
 
-    Stage n gets the diameter budget 2^-n.  Raises BuildFailure when the
-    family is not good (stage 0, before any stage is built) or when an
-    oracle cannot complete a stage, naming the stage, the phase, and the
-    underlying failure.
+    Stage n gets the diameter budget 2^-n.  Raises ValueError for a
+    degenerate family, fewer than one stage or a negative max_depth, and
+    BuildFailure when the family is not good (stage 0, before any stage
+    is built) or when an oracle cannot complete a stage, naming the
+    stage, the phase, and the underlying failure.  The returned sequence
+    keeps the family's validate_family report as `family_report`.
     """
     report = validate_family(k)
     if not report.ok:
@@ -135,6 +143,8 @@ def build_saturated(k, n_stages, max_depth=12):
         raise BuildFailure(0, "goodness", GoodnessFailure(obstruction_text(k, *pair)))
     if n_stages < 1:
         raise ValueError("need at least one stage")
+    if max_depth < 0:
+        raise ValueError("max_depth must be at least 0, got %d" % max_depth)
     pairs = enumerate_pairs(k, n_stages)
     budgets = [Fraction(1, 2 ** n) for n in range(1, n_stages + 1)]
     stages = [trivial_partition()]
@@ -153,6 +163,7 @@ def build_saturated(k, n_stages, max_depth=12):
     bad = validate_sequence(g)
     if bad:
         raise BuildFailure(n_stages, "validate", AssertionError(bad[0]))
+    g.family_report = report
     return g
 
 
@@ -201,7 +212,7 @@ def validate_sequence(g):
             continue
         t = g.stages[i]
         for w in (u, v):
-            if union_all(a for a in t.atoms if a.is_subset(w)) != w:
+            if not all(_pure(a, w) for a in t.atoms):
                 bad.append("stage %d does not split %s into atoms" % (i, w.text()))
         for ci, col in enumerate(t.columns):
             if _count_in(col, u) != _count_in(col, v):

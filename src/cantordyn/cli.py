@@ -106,7 +106,7 @@ def _cmd_build(args):
     k = parse_family(_read(args.family))
     g = build_saturated(k, args.stages, args.max_depth)
     os.makedirs(args.out, exist_ok=True)
-    lines = list(validate_family(k).lines)
+    lines = list(g.family_report.lines)
     for n, t in enumerate(g.stages):
         lines.append(
             "stage %d: %d columns, %d atoms, base %s, top %s, budget %s"

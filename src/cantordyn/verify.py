@@ -17,7 +17,7 @@ from itertools import product
 from cantordyn.builder import validate_sequence
 from cantordyn.clopen import ClopenSet, union_all
 from cantordyn.measure import frac_text, validate_family, vec_text
-from cantordyn.tower import locate_atom
+from cantordyn.tower import _count_in, locate_atom
 
 __all__ = [
     "FullGroupWitness",
@@ -50,42 +50,36 @@ class StageTooShallow(Exception):
 
 
 class InvariantCone:
-    """Vertices of the invariant-measure cone at one stage.
+    """The invariant-measure cone at one stage, kept as the stage's columns.
 
     A measure invariant under the stage's climb map gives all atoms of one
     column the same mass, so the cone is the simplex of nonnegative column
     values whose height-weighted sum is 1.  Earlier stages add nothing:
     a run through an earlier column visits each of its levels once.  Its
-    vertices are the column-uniform measures, one per column in column
-    order, stored expanded to per-atom mass tuples aligned with `atoms`.
+    vertices are the column-uniform measures, one per column: vertex c
+    gives each atom of column c mass 1/heights[c] and every other atom 0.
+    `atoms` runs column by column, in column order.
     """
 
-    __slots__ = ("stage", "atoms", "vertices", "_col_of", "_heights")
+    __slots__ = ("stage", "atoms", "heights")
 
     def __init__(self, stage, atoms, heights):
         self.stage = stage
         self.atoms = tuple(atoms)
-        self._heights = tuple(heights)
-        self._col_of = tuple(c for c, h in enumerate(self._heights) for _ in range(h))
-        zero = Fraction(0)
-        self.vertices = tuple(
-            tuple(Fraction(1, h) if d == c else zero for d in self._col_of)
-            for c, h in enumerate(self._heights)
-        )
+        self.heights = tuple(heights)
 
     def contains(self, atom_masses):
         """Exact membership of a per-atom mass vector in the cone."""
         if len(atom_masses) != len(self.atoms):
             raise ValueError("mass vector length does not match the atoms")
-        y = [None] * len(self._heights)
-        for mass, c in zip(atom_masses, self._col_of):
-            if mass < 0:
+        masses = iter(atom_masses)
+        total = 0
+        for h in self.heights:
+            x = next(masses)
+            if x < 0 or any(next(masses) != x for _ in range(h - 1)):
                 return False
-            if y[c] is None:
-                y[c] = mass
-            elif y[c] != mass:
-                return False
-        return sum(h * x for h, x in zip(self._heights, y)) == 1
+            total += h * x
+        return total == 1
 
 
 def _chain_traces(g, n):
@@ -117,32 +111,24 @@ def invariant_cone(g, n):
     return InvariantCone(n, t.atoms, t.heights)
 
 
-def collapse_metric(g, n, cone=None):
+def collapse_metric(g, n):
     """Worst spread, over depth-3 cylinders, of masses the cone allows.
 
-    For each cylinder the outer value sums vertex masses of every atom
-    meeting it, the inner value those of atoms inside it.  The metric is
-    the largest outer-minus-inner gap across vertices and cylinders; it
-    reaches 0 exactly when the cone pins every depth-3 mass to one value.
+    Vertex c of the stage-n cone puts mass 1/h on each of the h atoms of
+    column c.  So for a cylinder w its outer value is the share of those
+    atoms that meet w, and its inner value the share inside w.  The
+    metric is the largest outer minus the smallest inner value, maximised
+    over cylinders; it reaches 0 exactly when the cone pins every depth-3
+    mass to one value.  Raises ValueError like invariant_cone.
     """
-    if cone is None:
-        cone = invariant_cone(g, n)
+    invariant_cone(g, n)
+    cols = g.stages[n].columns
     worst = Fraction(0)
     for bits in product("01", repeat=3):
         w = ClopenSet(["".join(bits)])
-        outer = []
-        inner = []
-        for v in cone.vertices:
-            o = i = Fraction(0)
-            for a, mass in zip(cone.atoms, v):
-                if a.is_subset(w):
-                    i += mass
-                    o += mass
-                elif not (a & w).is_empty:
-                    o += mass
-            outer.append(o)
-            inner.append(i)
-        worst = max(worst, max(outer) - min(inner))
+        outer = max(Fraction(sum(not a.is_disjoint(w) for a in col), len(col)) for col in cols)
+        inner = min(Fraction(_count_in(col, w), len(col)) for col in cols)
+        worst = max(worst, outer - inner)
     return worst
 
 
@@ -233,7 +219,7 @@ def minimality_check(g, n):
     else:
         for ci, col in enumerate(t.columns):
             for di, dol in enumerate(t.columns):
-                if not (col[-1] & dol[0]).is_empty:
+                if not col[-1].is_disjoint(dol[0]):
                     edges[ci].add(di)
     succs = [sorted(e) for e in edges]
     comps = _strongly_connected(ncols, succs)
@@ -390,10 +376,10 @@ def verification_report(g):
                     violations.append(
                         "stage %d: generator %d escapes the invariant cone" % (n, gi)
                     )
-            spread = collapse_metric(g, n, cone)
+            spread = collapse_metric(g, n)
             lines.append(
                 "stage %d: %d columns, %d atoms, cone vertices %d, collapse %s"
-                % (n, len(t.columns), len(t.atoms), len(cone.vertices), frac_text(spread))
+                % (n, len(t.columns), len(t.atoms), len(cone.heights), frac_text(spread))
             )
         last = len(g.stages) - 1
         mr = minimality_check(g, last)

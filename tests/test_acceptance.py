@@ -98,7 +98,7 @@ def test_criterion_2_cone_collapse(sixstage):
         cone = invariant_cone(g, n)
         for m in g.family.generators:
             assert cone.contains(tuple(m.eval(a) for a in cone.atoms))
-        values.append(collapse_metric(g, n, cone))
+        values.append(collapse_metric(g, n))
     assert all(x >= y for x, y in zip(values, values[1:]))
     assert values[-1] <= F(1, 32)
     print(

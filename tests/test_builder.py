@@ -120,6 +120,8 @@ def test_stage_dot_bytes_pinned(text, stages, digest):
 def test_build_rejects_bad_inputs():
     with pytest.raises(ValueError):
         build_saturated(UNI, 0)
+    with pytest.raises(ValueError, match="max_depth must be at least 0"):
+        build_saturated(UNI, 2, max_depth=-3)
     dup = MeasureFamily([TreeMeasure(), TreeMeasure()])
     with pytest.raises(ValueError, match="degenerate"):
         build_saturated(dup, 1)
@@ -169,6 +171,17 @@ def test_validate_reports_tampering():
 
     orphan = TowerSequence(g.family, g.stages[:2], g.pairs, g.budgets[:2])
     assert any("has no stage" in m for m in validate_sequence(orphan))
+
+
+def test_validate_reports_a_pair_not_split_into_atoms():
+    # each atom of the pairing stage straddles [0] and [1]; every column
+    # still visits both sets equally often (never)
+    straddling = KRPartition(((C("00", "10"), C("01", "11")),))
+    g = TowerSequence(UNI, (trivial_partition(), straddling), ((C("0"), C("1")),), (F(1), F(1)))
+    assert validate_sequence(g) == (
+        "stage 1 does not split 0 into atoms",
+        "stage 1 does not split 1 into atoms",
+    )
 
 
 def test_serialize_round_trip():

@@ -4,6 +4,9 @@ import sys
 
 import pytest
 
+import cantordyn.builder
+import cantordyn.cli
+import cantordyn.measure
 from cantordyn.cli import main
 
 UNIFORM = "measure uniform\ndepth_bound 3\n"
@@ -98,6 +101,22 @@ def test_build_fails_on_ungood_family(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "tower.txt"))
 
 
+def test_build_validates_the_family_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = cantordyn.measure.validate_family
+
+    def counted(k):
+        calls.append(k)
+        return real(k)
+
+    for mod in (cantordyn.measure, cantordyn.builder, cantordyn.cli):
+        monkeypatch.setattr(mod, "validate_family", counted)
+    fam = write(tmp_path, "fam.txt", UNIFORM)
+    assert main(["build", "--family", fam, "--stages", "2", "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+    assert "eps 1/2 -> delta 1/1 (depth 1)" in capsys.readouterr().out
+
+
 def test_verify_written_tower(tmp_path, capsys):
     fam = write(tmp_path, "fam.txt", UNIFORM)
     out = str(tmp_path / "out")
@@ -181,5 +200,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["build", "--family", fam, "--eps", "0/1"]) == 1
     assert main(["build", "--family", fam, "--eps", "half"]) == 1
     assert main(["build", "--family", fam, "--depth-cap", "3"]) == 1
+    # a negative cap is refused before the construction runs
+    assert main(["build", "--family", fam, "--max-depth", "-3", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.endswith("error: max_depth must be at least 0, got -3\n")
     assert main(["verify", "--stages", "2"]) == 1
     assert main(["validate", "--family", str(tmp_path / "absent.txt")]) == 1

@@ -1,6 +1,10 @@
+import hashlib
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantordyn.builder import TowerSequence, build_saturated
 from cantordyn.clopen import EMPTY, FULL, ClopenSet
@@ -16,6 +20,7 @@ from cantordyn.verify import (
     invariant_cone,
     minimality_check,
     saturation_witness,
+    verification_report,
     verify_all,
 )
 
@@ -38,7 +43,8 @@ def test_cone_single_column():
     cone = invariant_cone(g, 1)
     assert cone.stage == 1
     assert len(cone.atoms) == 16
-    assert cone.vertices == ((F(1, 16),) * 16,)
+    assert cone.heights == g.stages[1].heights == (16,)
+    assert column_simplex(g.stages[1]) == ((F(1, 16),) * 16,)
     assert cone.contains((F(1, 16),) * 16)
     lopsided = (F(1, 8),) + (F(1, 16),) * 14 + (F(0),)
     assert not cone.contains(lopsided)
@@ -49,7 +55,10 @@ def test_cone_single_column():
 def test_cone_two_columns():
     g = seq(UNI, [KRPartition(((C("0"),), (C("1"),)))])
     cone = invariant_cone(g, 1)
-    assert cone.vertices == ((F(1), F(0)), (F(0), F(1)))
+    assert cone.heights == g.stages[1].heights == (1, 1)
+    vertices = column_simplex(g.stages[1])
+    assert vertices == ((F(1), F(0)), (F(0), F(1)))
+    assert all(cone.contains(v) for v in vertices)
     assert cone.contains((F(1, 2), F(1, 2)))
     assert cone.contains((F(2, 3), F(1, 3)))
     assert not cone.contains((F(1, 2), F(1, 4)))
@@ -66,10 +75,14 @@ def refined_twice():
 def test_cone_after_refinement():
     g = refined_twice()
     cone = invariant_cone(g, 2)
-    assert set(cone.vertices) == {
+    assert cone.heights == g.stages[2].heights == (2, 2)
+    vertices = column_simplex(g.stages[2])
+    assert set(vertices) == {
         (F(1, 2), F(1, 2), F(0), F(0)),
         (F(0), F(0), F(1, 2), F(1, 2)),
     }
+    assert all(cone.contains(v) for v in vertices)
+    assert not cone.contains((F(1, 2), F(1, 4), F(0), F(1, 4)))
     # the uniform measure itself sits inside
     masses = tuple(TreeMeasure().eval(a) for a in cone.atoms)
     assert cone.contains(masses)
@@ -109,16 +122,17 @@ def test_cone_is_the_column_simplex(make):
     for n, t in enumerate(g.stages):
         cone = invariant_cone(g, n)
         assert cone.atoms == t.atoms
-        assert cone.vertices == column_simplex(t)
-        for v in cone.vertices:
+        assert cone.heights == t.heights
+        vertices = column_simplex(t)
+        for v in vertices:
             assert cone.contains(v)
         for m in g.family.generators:
             assert cone.contains(tuple(m.eval(a) for a in cone.atoms))
     # the last stage has a column of height 2 or more
-    v = list(cone.vertices[0])
+    v = list(vertices[0])
     v[0], v[1] = v[0] + F(1, 64), v[1] - F(1, 64)
     assert not cone.contains(tuple(v))
-    assert not cone.contains(tuple(2 * x for x in cone.vertices[0]))
+    assert not cone.contains(tuple(2 * x for x in vertices[0]))
 
 
 @SEQUENCES
@@ -248,6 +262,90 @@ def test_verify_all_accepts_built_tower():
     assert any("strongly connected" in line for line in report.lines)
 
 
+def reference_contains(t, masses):
+    """Cone membership as the cone once decided it, atom by atom."""
+    col_of = [c for c, col in enumerate(t.columns) for _ in col]
+    y = {}
+    for mass, c in zip(masses, col_of):
+        if mass < 0 or y.setdefault(c, mass) != mass:
+            return False
+    return sum(len(col) * y[c] for c, col in enumerate(t.columns)) == 1
+
+
+def reference_collapse(t):
+    """The collapse metric as once computed: Fraction sums per expanded vertex."""
+    worst = F(0)
+    for bits in product("01", repeat=3):
+        w = C("".join(bits))
+        outer = []
+        inner = []
+        for v in column_simplex(t):
+            o = i = F(0)
+            for a, mass in zip(t.atoms, v):
+                if a.is_subset(w):
+                    i += mass
+                    o += mass
+                elif not (a & w).is_empty:
+                    o += mass
+            outer.append(o)
+            inner.append(i)
+        worst = max(worst, max(outer) - min(inner))
+    return worst
+
+
+def _cut(draw, items):
+    """items cut at random into two or more consecutive runs."""
+    cuts = sorted(draw(st.sets(st.integers(1, len(items) - 1), min_size=1)))
+    return [tuple(items[i:j]) for i, j in zip([0] + cuts, cuts + [len(items)])]
+
+
+@st.composite
+def multi_column_sequences(draw):
+    """Stage 1 stacks the depth-d cylinders into two or more columns; stage 2,
+    when present, halves every column and stacks the halves again."""
+    d = draw(st.integers(1, 4))
+    words = draw(st.permutations(["".join(b) for b in product("01", repeat=d)]))
+    cols = _cut(draw, [C(x) for x in words])
+    stages = [KRPartition(cols)]
+    if draw(st.booleans()):
+        halves = draw(st.permutations([tuple(C(a.leaves[0] + b) for a in col) for col in cols for b in "01"]))
+        stages.append(KRPartition(tuple(sum(run, ())) for run in _cut(draw, halves)))
+    return seq(UNI, stages)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multi_column_sequences(), st.data())
+def test_cone_and_collapse_match_the_expanded_vertices(g, data):
+    for n, t in enumerate(g.stages):
+        assert collapse_metric(g, n) == reference_collapse(t)
+        cone = invariant_cone(g, n)
+        # column-constant and normalised, so inside unless a column is negative
+        values = data.draw(st.lists(st.integers(-1, 4), min_size=len(t.columns), max_size=len(t.columns)))
+        total = sum(h * x for h, x in zip(t.heights, values)) or 1
+        flat = tuple(F(x, total) for x, col in zip(values, t.columns) for _ in col)
+        i = data.draw(st.integers(0, len(flat) - 1))
+        nudged = flat[:i] + (flat[i] + data.draw(st.sampled_from([F(-1, 7), F(1, 7)])),) + flat[i + 1 :]
+        for masses in column_simplex(t) + (flat, nudged, tuple(2 * x for x in flat)):
+            assert cone.contains(masses) == reference_contains(t, masses)
+    assert len(g.stages[-1].columns) >= 2
+
+
+@pytest.mark.parametrize(
+    "make, digest",
+    [
+        (lambda: build_saturated(UNI, 3), "4f69ba1c1213450c907b9ba5ff2318eb4222136df3ad875c9ea90c7a6b2ea13f"),
+        (
+            lambda: build_saturated(THIRD, 2, max_depth=16),
+            "89279cda4521f226e1998c7cd189369464a7c8f6d0d3a9b3bf360c79e6eb316c",
+        ),
+    ],
+    ids=["uniform_three_stages", "third_two_stages"],
+)
+def test_verification_report_bytes_pinned(make, digest):
+    text = verification_report(make()).text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def swapped_levels():
     """A built sequence whose last stage swaps two levels of stage 1."""
     g = build_saturated(UNI, 2)
@@ -263,7 +361,11 @@ def swapped_levels():
 
 def test_cone_refuses_a_stage_that_does_not_refine():
     bad = swapped_levels()
-    assert invariant_cone(bad, 1).vertices == column_simplex(bad.stages[1])
+    cone = invariant_cone(bad, 1)
+    assert cone.heights == bad.stages[1].heights
+    v = column_simplex(bad.stages[1])[0]
+    assert cone.contains(v)
+    assert not cone.contains((v[0] + F(1, 64), v[1] - F(1, 64)) + v[2:])
     with pytest.raises(ValueError, match="stage 2 does not refine stage 1"):
         invariant_cone(bad, 2)
 
