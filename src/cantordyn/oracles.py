@@ -6,12 +6,12 @@ family lands in a prescribed box.  Full support (all branching weights in
 (0,1)) makes the search finite at each cylinder depth d: the host's
 depth-d cylinders have integer value vectors over per-generator common
 denominators, consecutive cylinders of equal vector form runs, and an
-exact integer subset-sum sweep over the runs picks a count from each.
+exact integer subset-sum search over the runs picks a count from each.
 Below the family's weight depth cylinders split evenly, so the runs are
 read off the host's own leaves, one block of equal cylinders per leaf;
 only leaves shorter than the weight depth are refined.  Taking the
 largest admissible count from each run, first cylinders first, makes the
-answer canonical.  The sweep works on integers; Fraction stays at the
+answer canonical.  The search works on integers; Fraction stays at the
 boundary (the box, the host's vector).
 
 On top of that sit the derived operations: copying a value vector into a
@@ -86,7 +86,11 @@ def _solve_at_depth(runs, lo, hi):
     A run (v, c) stands for c consecutive cylinders of one integer vector
     v; within a run only the count matters.  The bounds are integer
     vectors over the same denominators.  Among all solutions this picks
-    the largest feasible count at every run, left to right.
+    the largest feasible count at every run, left to right: a depth-first
+    search tries each run's admissible counts largest first, so the first
+    complete path is that solution.  It remembers, per run, the partial
+    sums from which the box cannot be reached, so no state is searched
+    twice.
     """
     zero = (0,) * len(lo)
     if any(h < 0 for h in hi):  # sums start at zero and never shrink
@@ -97,43 +101,30 @@ def _solve_at_depth(runs, lo, hi):
         suffix[j] = tuple(s + c * x for s, x in zip(suffix[j + 1], v))
     if any(s < l for s, l in zip(suffix[0], lo)):
         return None
-    layers = [{zero}]
-    for j, (v, c) in enumerate(runs):
-        nxt = set()
-        tail = suffix[j + 1]
-        for acc in layers[-1]:
-            a, b = _span(acc, v, c, tail, lo, hi)
-            for t in range(a, b + 1):
-                nxt.add(tuple(x + t * y for x, y in zip(acc, v)))
-        if not nxt:
-            return None
-        layers.append(nxt)
-    # the last run's tail is zero, so every final sum already lies in the box
-    feas = [None] * len(runs) + [layers[-1]]
-    for j in range(len(runs) - 1, -1, -1):
-        v, c = runs[j]
-        tail = suffix[j + 1]
-        after = feas[j + 1]
-        ok = set()
-        for acc in layers[j]:
-            a, b = _span(acc, v, c, tail, lo, hi)
-            for t in range(a, b + 1):
-                if tuple(x + t * y for x, y in zip(acc, v)) in after:
-                    ok.add(acc)
-                    break
-        feas[j] = ok
-    if zero not in feas[0]:
-        return None
-    counts = []
-    acc = zero
-    for j, (v, c) in enumerate(runs):
-        a, b = _span(acc, v, c, suffix[j + 1], lo, hi)
-        for t in range(b, a - 1, -1):
-            cand = tuple(x + t * y for x, y in zip(acc, v))
-            if cand in feas[j + 1]:
-                counts.append(t)
-                acc = cand
-                break
+    # the path: counts so far, the partial sum before each run on it, and
+    # per run on it the counts not tried yet (a stack, since nothing caps
+    # the number of runs)
+    counts, sums, todo = [], [zero], []
+    dead = [set() for _ in range(len(runs) + 1)]
+    while len(counts) < len(runs):
+        j = len(counts)
+        if len(todo) == j:
+            v, c = runs[j]
+            a, b = _span(sums[j], v, c, suffix[j + 1], lo, hi)
+            todo.append(iter(range(b, a - 1, -1)))
+        t = next(todo[j], None)
+        if t is None:
+            dead[j].add(sums.pop())
+            todo.pop()
+            if not counts:
+                return None
+            counts.pop()
+            continue
+        acc = tuple(x + t * y for x, y in zip(sums[j], runs[j][0]))
+        if acc not in dead[j + 1]:
+            counts.append(t)
+            sums.append(acc)
+    # the last run's tail is zero, so the final sum lies in the box
     return counts
 
 

@@ -263,7 +263,10 @@ def balance_columns(k, t, u, v, max_depth=12, _trace=None):
     First cuts columns until each atom lies inside or outside both sets,
     then repeatedly stacks columns of opposite count defect onto the
     worst offenders.  Each stacked sub-column absorbs exactly one piece
-    of the opposite sign, so the worst defect strictly decreases.
+    of the opposite sign, so the worst defect strictly decreases.  A
+    column's defect is counted once: its atoms never change.  The result
+    is not run through from_columns; build_saturated validates every
+    stage once, with validate_sequence.
     """
     if not k.sim(u, v):
         raise NotEquivalent("u and v differ in mass under some generator")
@@ -279,8 +282,15 @@ def balance_columns(k, t, u, v, max_depth=12, _trace=None):
         a = col[ri]
         pieces = [a & u & v, (a & u) - v, (a & v) - u, (a - u) - v]
         cols[ci : ci + 1] = _split_column(k, col, ri, pieces, max_depth)
+    defects = {}  # column -> its visits to u minus its visits to v
+
+    def defect(col):
+        if col not in defects:
+            defects[col] = _count_in(col, u) - _count_in(col, v)
+        return defects[col]
+
     while True:
-        ns = [_count_in(col, u) - _count_in(col, v) for col in cols]
+        ns = [defect(col) for col in cols]
         imb = max((abs(x) for x in ns), default=0)
         if imb == 0:
             break
@@ -291,8 +301,8 @@ def balance_columns(k, t, u, v, max_depth=12, _trace=None):
                 dcol = cols[ns.index(sign * imb)]
                 pool = _Pool([col for col, x in zip(cols, ns) if x and (x < 0) == (sign > 0)])
                 cols, _ = _stack_pool_onto(k, cols, dcol, pool, len(dcol) - 1, max_depth)
-                ns = [_count_in(col, u) - _count_in(col, v) for col in cols]
-    return from_columns(k, cols)
+                ns = [defect(col) for col in cols]
+    return KRPartition(cols)
 
 
 class _Pool:
@@ -386,7 +396,8 @@ def refine_small_base_top(k, t, eps, max_depth=12):
     column's top: everything is rerouted so the new base is a small
     piece below [u0] plus a leftover of mass below eps, and the new top
     sits inside [u].  Returns t itself when both diameters are already
-    small enough.
+    small enough.  Like balance_columns, it leaves validating the result
+    to validate_sequence.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -493,7 +504,7 @@ def refine_small_base_top(k, t, eps, max_depth=12):
     csubs = _split_column(k, col1, 0, pieces, max_depth)
     routed = {id(p): p + csub for p, csub in zip(principals, csubs)}
     cols = [routed.get(id(col), col) for col in cols if col is not col1]
-    return from_columns(k, cols + tail)
+    return KRPartition(cols + tail)
 
 
 def to_dot(t, k):

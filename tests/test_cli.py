@@ -4,9 +4,11 @@ import sys
 
 import pytest
 
+import cantordyn
 import cantordyn.builder
 import cantordyn.cli
 import cantordyn.measure
+import cantordyn.tower
 from cantordyn.cli import main
 
 UNIFORM = "measure uniform\ndepth_bound 3\n"
@@ -115,6 +117,28 @@ def test_build_validates_the_family_once(tmp_path, capsys, monkeypatch):
     assert main(["build", "--family", fam, "--stages", "2", "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
     assert "eps 1/2 -> delta 1/1 (depth 1)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "text, stages",
+    [(UNIFORM, "3"), ("measure third\nweight e 1/3\n", "2")],
+    ids=["uniform_three_stages", "third_two_stages"],
+)
+def test_build_validates_each_stage_once(tmp_path, capsys, monkeypatch, text, stages):
+    # the tower moves hand their stage to validate_sequence unchecked
+    calls = []
+    real = cantordyn.tower.from_columns
+
+    def counted(k, columns):
+        calls.append(k)
+        return real(k, columns)
+
+    for mod in (cantordyn, cantordyn.tower, cantordyn.builder):
+        monkeypatch.setattr(mod, "from_columns", counted)
+    fam = write(tmp_path, "fam.txt", text)
+    out = str(tmp_path / "out")
+    assert main(["build", "--family", fam, "--stages", stages, "--max-depth", "16", "--out", out]) == 0
+    assert len(calls) == int(stages) + 1
 
 
 def test_verify_written_tower(tmp_path, capsys):

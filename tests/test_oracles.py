@@ -4,7 +4,7 @@ from itertools import groupby, product
 from math import prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cantordyn.clopen import EMPTY, FULL, ClopenSet, union_all
@@ -12,6 +12,7 @@ from cantordyn.measure import MeasureFamily, TreeMeasure
 from cantordyn.oracles import (
     DivisibilityFailure,
     GoodnessFailure,
+    _solve_at_depth,
     affine_approx,
     approx_divide,
     goodness_select,
@@ -319,3 +320,39 @@ def test_subset_in_box_matches_exhaustive_reference(k, host, exact, data):
     want = reference_subset_in_box(k, host, lo, hi, max_depth)
     got = subset_in_box(k, host, lo, hi, max_depth)
     assert got == want, (k.generators, host, lo, hi, max_depth)
+
+
+def reference_solve(runs, lo, hi):
+    """The first count vector, in descending lexicographic order, whose sums lie in [lo, hi]."""
+    for counts in product(*(range(c, -1, -1) for _, c in runs)):
+        sums = [sum(t * v[i] for (v, _), t in zip(runs, counts)) for i in range(len(lo))]
+        if all(l <= s <= h for l, s, h in zip(lo, sums, hi)):
+            return list(counts)
+    return None
+
+
+@st.composite
+def solver_cases(draw):
+    """Up to 7 runs under 1-3 generators, and a box that may be empty,
+    negative, out of reach, or around a sum some counts attain."""
+    g = draw(st.integers(1, 3))
+    runs = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 4)] * g), st.integers(1, 3)), max_size=7))
+    if draw(st.booleans()):
+        counts = [draw(st.integers(0, c)) for _, c in runs]
+        center = [sum(t * v[i] for (v, _), t in zip(runs, counts)) for i in range(g)]
+        lo = tuple(x - draw(st.integers(0, 1)) for x in center)
+    else:
+        total = [sum(c * v[i] for v, c in runs) for i in range(g)]
+        lo = tuple(draw(st.integers(-3, x + 3)) for x in total)
+    hi = tuple(l + draw(st.integers(-2, 2)) for l in lo)
+    return runs, lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(solver_cases())
+# the largest first count, 1, leaves 1 to make from twos: the search has to back up
+@example(([((3,), 1), ((2,), 2)], (4,), (4,)))
+@example(([], (0,), (0,)))
+def test_solve_at_depth_matches_exhaustive_reference(case):
+    runs, lo, hi = case
+    assert _solve_at_depth(runs, lo, hi) == reference_solve(runs, lo, hi)

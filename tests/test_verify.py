@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantordyn.builder import TowerSequence, build_saturated
-from cantordyn.clopen import EMPTY, FULL, ClopenSet
+from cantordyn.builder import TowerSequence, build_saturated, validate_sequence
+from cantordyn.clopen import EMPTY, FULL, ClopenSet, union_all
 from cantordyn.measure import MeasureFamily, TreeMeasure
 from cantordyn.tower import KRPartition, run_decomposition, trivial_partition
 from cantordyn.verify import (
@@ -27,6 +27,7 @@ from cantordyn.verify import (
 F = Fraction
 UNI = MeasureFamily([TreeMeasure()])
 THIRD = MeasureFamily([TreeMeasure({"": Fraction(1, 3)})])
+TWO = MeasureFamily([TreeMeasure(), TreeMeasure({"": Fraction(1, 3)})])
 C = lambda *ws: ClopenSet(ws)
 
 
@@ -183,6 +184,59 @@ def test_minimality_trap_certificate():
     mr = minimality_check(g, 1)
     assert not mr.ok
     assert mr.certificate == C("0")
+
+
+def closure(edges, c):
+    """Columns reachable from c, grown one step at a time until nothing changes."""
+    seen = {c}
+    while True:
+        more = {d for a in seen for d in edges[a]} - seen
+        if not more:
+            return seen
+        seen |= more
+
+
+def assert_minimality_matches_brute_force(g, n):
+    """minimality_check(g, n) below the last stage, against reachability by brute force."""
+    t = g.stages[n]
+    ncols = len(t.columns)
+    runs = g.decomposition(n)
+    edges = [set() for _ in range(ncols)]
+    for run in runs:
+        for a, b in zip(run, run[1:]):
+            edges[a].add(b)
+    reach = [closure(edges, c) for c in range(ncols)]
+    mr = minimality_check(g, n)
+    if all(len(r) == ncols for r in reach):
+        # strongly connected: only the spread can fail, and then the trap is everything
+        assert mr.ok or mr.certificate == FULL
+        return
+    assert not mr.ok
+    inside = {c for c, col in enumerate(t.columns) if col[0].is_subset(mr.certificate)}
+    assert inside == next(r for r in reach if len(r) < ncols)
+    assert mr.certificate == union_all(a for c in inside for a in t.columns[c])
+    # no run of the next stage steps out of the trapped columns
+    for run in runs:
+        for a, b in zip(run, run[1:]):
+            assert a not in inside or b in inside
+
+
+def test_minimality_trap_is_closed_under_the_next_stage():
+    # stage 1 has three columns; stage 2 runs 0 -> 1 -> 2 -> 2, 0 -> 1 and 0.
+    # Column 0 reaches every column, column 1 only itself and column 2.
+    three = KRPartition(((C("0"),), (C("10"),), (C("11"),)))
+    runs = KRPartition(
+        (
+            (C("000"), C("100"), C("110"), C("111")),
+            (C("001"), C("101")),
+            (C("01"),),
+        )
+    )
+    g = seq(UNI, [three, runs])
+    assert validate_sequence(g) == ()
+    assert g.decomposition(1) == ((0, 1, 2, 2), (0, 1), (0,))
+    assert_minimality_matches_brute_force(g, 1)
+    assert minimality_check(g, 1).certificate == C("1")
 
 
 def test_trapped_region_is_summarised():
@@ -376,3 +430,65 @@ def test_verify_all_flags_tampering():
     assert "does not refine" in first
     assert report.violations
     assert any(line.startswith("violation:") for line in report.lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multi_column_sequences())
+def test_minimality_matches_brute_force_reachability(g):
+    for n in range(len(g.stages) - 1):
+        assert_minimality_matches_brute_force(g, n)
+
+
+def two_generators():
+    """Hand-built under two generators: halves, then quarters stacked in pairs."""
+    halves = KRPartition(((C("0"),), (C("1"),)))
+    pairs = KRPartition(((C("00"), C("01")), (C("10"), C("11"))))
+    return seq(TWO, [halves, pairs])
+
+
+VALID = [
+    build_saturated(UNI, 2),
+    build_saturated(THIRD, 2, max_depth=16),
+    refined_twice(),
+    interleaved(),
+    two_generators(),
+]
+
+
+@st.composite
+def perturbed_sequences(draw):
+    """A valid sequence with levels or columns swapped, or leaves moved between atoms."""
+    g = draw(st.sampled_from(VALID))
+    stages = [[list(col) for col in t.columns] for t in g.stages]
+    for _ in range(draw(st.integers(1, 3))):
+        cols = draw(st.sampled_from(stages[1:]))
+        col = draw(st.sampled_from(cols))
+        i = draw(st.integers(0, len(col) - 1))
+        kind = draw(st.sampled_from(["levels", "columns", "leaf"]))
+        if kind == "levels":
+            j = draw(st.integers(0, len(col) - 1))
+            col[i], col[j] = col[j], col[i]
+        elif kind == "columns":
+            j = draw(st.integers(0, len(cols) - 1))
+            ci = next(c for c, x in enumerate(cols) if x is col)
+            cols[ci], cols[j] = cols[j], cols[ci]
+        elif col[i].leaves:
+            # the whole leaf or one half of it, into another atom anywhere in the stage
+            w = draw(st.sampled_from(col[i].leaves)) + draw(st.sampled_from(["", "0", "1"]))
+            other = draw(st.sampled_from(cols))
+            j = draw(st.integers(0, len(other) - 1))
+            col[i] = col[i] - C(w)
+            other[j] = other[j] | C(w)
+    return TowerSequence(g.family, [KRPartition(cols) for cols in stages], g.pairs, g.budgets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_sequences())
+def test_a_structurally_valid_sequence_keeps_every_generator_in_the_cone(g):
+    # why verification_report has no cone test of its own
+    if validate_sequence(g) != ():
+        return
+    for n in range(len(g.stages)):
+        cone = invariant_cone(g, n)
+        for m in g.family.generators:
+            assert cone.contains(tuple(m.eval(a) for a in cone.atoms))
