@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from cantordyn.clopen import ClopenSet, enumerate_clopen
 from cantordyn.measure import (
-    MeasureFamily, TreeMeasure, _parse_rational, format_measure, frac_text,
-    goodness_obstruction, obstruction_text, validate_family,
+    _parse_rational, format_measure, frac_text, goodness_obstruction, obstruction_text,
+    parse_family, validate_family,
 )
 from cantordyn.oracles import GoodnessFailure, NotEquivalent, SearchFailure
 from cantordyn.tower import (
@@ -264,91 +264,86 @@ class _Cursor:
         self.pos += 1
         return line.strip()
 
+    def error(self, msg):
+        return ValueError("line %d: %s" % (self.pos, msg))
+
+    def count(self, keyword):
+        line = self.take()
+        toks = line.split()
+        if len(toks) != 2 or toks[0] != keyword or not toks[1].lstrip("-").isdigit():
+            raise self.error("expected '%s <int>', got %r" % (keyword, line))
+        n = int(toks[1])
+        if n < 0:
+            raise self.error("negative %s count" % keyword)
+        return n
+
     def rational(self, tok):
         """tok, the last token of the line just taken, as a Fraction."""
         return _parse_rational(tok, self.pos, self.lines[self.pos - 1].rindex(tok) + 1)
 
-
-def _int_field(line, keyword):
-    toks = line.split()
-    if len(toks) != 2 or toks[0] != keyword or not toks[1].lstrip("-").isdigit():
-        raise ValueError("expected '%s <int>', got %r" % (keyword, line))
-    n = int(toks[1])
-    if n < 0:
-        raise ValueError("negative %s count" % keyword)
-    return n
+    def clopen(self, tok):
+        try:
+            return ClopenSet.from_text(tok)
+        except ValueError as exc:
+            raise self.error(exc) from None
 
 
 def load_sequence(text):
-    """Parse the tower text format; strict on shape, no semantic checks.
+    """Parse the tower text format.
 
-    Semantic problems (atoms that do not partition, broken refinement)
-    are deliberately left to validate_sequence so that a damaged file
-    loads and is then reported as a verification failure.
+    The generator blocks are family-file text, read by parse_family with
+    the tower file's line numbers.  The rest is checked for shape only, so
+    that a damaged tower (atoms that do not partition, broken refinement)
+    loads and validate_sequence then reports it.
     """
     cur = _Cursor(text)
     if cur.take() != "cantordyn tower v1":
         raise ValueError("not a tower file")
-    gcount = _int_field(cur.take(), "generators")
+    gcount = cur.count("generators")
     if gcount < 1:
-        raise ValueError("no generators")
-    measures = []
+        raise cur.error("no generators")
+    start = cur.pos
     for _ in range(gcount):
-        toks = cur.take().split()
-        if len(toks) != 2 or toks[0] != "measure":
-            raise ValueError("expected 'measure <name>'")
-        name = toks[1]
-        bound = _int_field(cur.take(), "depth_bound")
-        weights = {}
-        while True:
-            line = cur.take()
-            if line == "end measure":
-                break
-            wt = line.split()
-            if len(wt) != 3 or wt[0] != "weight":
-                raise ValueError("expected 'weight <word> <num/den>', got %r" % line)
-            word = "" if wt[1] == "e" else wt[1]
-            if any(c not in "01" for c in word) or word in weights:
-                raise ValueError("bad or duplicate weight word %r" % wt[1])
-            weights[word] = cur.rational(wt[2])
-        measures.append(TreeMeasure(weights, bound, name))
-    family = MeasureFamily(measures)
-    pcount = _int_field(cur.take(), "pairs")
+        while cur.take() != "end measure":
+            pass
+    # blank the lines before the blocks and each end marker; parse_family skips them
+    block = ["" if line.strip() == "end measure" else line for line in cur.lines[start:cur.pos]]
+    family = parse_family("\n" * start + "\n".join(block))
+    if len(family) != gcount:
+        raise cur.error("generators %d but %d measures" % (gcount, len(family)))
+    pcount = cur.count("pairs")
     pairs = []
     for _ in range(pcount):
         toks = cur.take().split()
         if len(toks) != 3 or toks[0] != "pair":
-            raise ValueError("expected 'pair <clopen> <clopen>'")
-        pairs.append((ClopenSet.from_text(toks[1]), ClopenSet.from_text(toks[2])))
-    scount = _int_field(cur.take(), "stages")
+            raise cur.error("expected 'pair <clopen> <clopen>'")
+        pairs.append((cur.clopen(toks[1]), cur.clopen(toks[2])))
+    scount = cur.count("stages")
     if scount < 1:
-        raise ValueError("no stages")
+        raise cur.error("no stages")
     stages = []
     budgets = []
     for n in range(scount):
         toks = cur.take().split()
         if (
             len(toks) != 6
-            or toks[0] != "stage"
-            or toks[2] != "columns"
-            or toks[4] != "budget"
-            or not toks[1].isdigit()
-            or not toks[3].isdigit()
+            or toks[::2] != ["stage", "columns", "budget"]
+            or not (toks[1] + toks[3]).isdigit()
         ):
-            raise ValueError("expected 'stage <n> columns <c> budget <q>'")
+            raise cur.error("expected 'stage <n> columns <c> budget <q>'")
         if int(toks[1]) != n:
-            raise ValueError("stage %s out of order" % toks[1])
+            raise cur.error("stage %s out of order" % toks[1])
         ncols = int(toks[3])
         if ncols < 1:
-            raise ValueError("stage %d has no columns" % n)
+            raise cur.error("stage %d has no columns" % n)
         budgets.append(cur.rational(toks[5]))
         cols = []
         for _ in range(ncols):
             ct = cur.take().split()
             if len(ct) != 2 or ct[0] != "column" or not ct[1].isdigit() or int(ct[1]) < 1:
-                raise ValueError("expected 'column <height>'")
-            cols.append(tuple(ClopenSet.from_text(cur.take()) for _ in range(int(ct[1]))))
+                raise cur.error("expected 'column <height>'")
+            cols.append(tuple(cur.clopen(cur.take()) for _ in range(int(ct[1]))))
         stages.append(KRPartition(cols))
     if cur.take() != "end tower":
-        raise ValueError("missing 'end tower' marker")
+        raise cur.error("missing 'end tower' marker")
     return TowerSequence(family, stages, pairs, budgets)

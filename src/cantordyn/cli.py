@@ -139,6 +139,9 @@ def _cmd_verify(args):
         print("first-return probe: 3 classes, remainder %s" % rem.text())
     except StageTooShallow as exc:
         print("first-return probe: stage too shallow (%s)" % exc)
+    except ValueError as exc:
+        # the last stage does not cover X, and the report names that violation
+        print("first-return probe: not run (%s)" % exc)
     if not ok:
         print("violated: %s" % first)
         return 3

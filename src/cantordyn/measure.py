@@ -310,6 +310,7 @@ def obstruction_text(k, a, b):
 
 
 _RAT_RE = re.compile(r"^[0-9]+/[0-9]+$")
+_TOKEN_RE = re.compile(r"\S+")
 
 
 def _parse_rational(tok, lineno, col):
@@ -346,16 +347,16 @@ def parse_family(text):
         measures.append(TreeMeasure(weights, bound or 0, name))
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        found = list(_TOKEN_RE.finditer(raw))
+        if not found or found[0].group().startswith("#"):
             continue
-        toks = line.split()
-        col = raw.index(toks[0]) + 1
+        toks = [t.group() for t in found]
+        col, *argcols = [t.start() + 1 for t in found]
         if toks[0] == "measure":
             if len(toks) != 2:
                 raise FamilyParseError(lineno, col, "measure takes exactly one name")
             if toks[1] in names:
-                raise FamilyParseError(lineno, raw.index(toks[1]) + 1, "duplicate measure name %r" % toks[1])
+                raise FamilyParseError(lineno, argcols[0], "duplicate measure name %r" % toks[1])
             names.add(toks[1])
             finish()
             cur = [toks[1], None, {}, lineno]
@@ -373,16 +374,14 @@ def parse_family(text):
             if len(toks) != 3:
                 raise FamilyParseError(lineno, col, "weight takes a word and a rational")
             word = "" if toks[1] == "e" else toks[1]
-            wcol = raw.index(toks[1], col) + 1
+            wcol, qcol = argcols
             if any(c not in "01" for c in word):
                 raise FamilyParseError(lineno, wcol, "bad branching word %r" % toks[1])
             if word in cur[2]:
                 raise FamilyParseError(lineno, wcol, "duplicate weight for %r" % toks[1])
-            q = _parse_rational(toks[2], lineno, raw.index(toks[2], wcol) + 1)
+            q = _parse_rational(toks[2], lineno, qcol)
             if not (0 < q < 1):
-                raise FamilyParseError(
-                    lineno, raw.index(toks[2], wcol) + 1, "weight %s not in (0,1)" % frac_text(q)
-                )
+                raise FamilyParseError(lineno, qcol, "weight %s not in (0,1)" % frac_text(q))
             cur[2][word] = q
         else:
             raise FamilyParseError(lineno, col, "unknown keyword %r" % toks[0])

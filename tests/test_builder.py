@@ -2,6 +2,8 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantordyn.builder import (
     BuildFailure,
@@ -209,18 +211,101 @@ def test_serialize_round_trip_two_generators():
 def test_load_rejects_malformed_text():
     g = build_saturated(UNI, 1)
     text = serialize_sequence(g)
-    with pytest.raises(ValueError, match="truncated"):
+    with pytest.raises(ValueError, match="truncated tower file after line 27"):
         load_sequence("\n".join(text.splitlines()[:-3]))
     with pytest.raises(ValueError, match="not a tower file"):
         load_sequence("something else\n" + text)
-    with pytest.raises(ValueError):
-        load_sequence(text.replace("stage 1 ", "stage 7 "))
     with pytest.raises(ValueError, match="line 12, col 26: zero denominator"):
         load_sequence(text.replace("budget 1/2", "budget 1/0"))
     with pytest.raises(ValueError, match="line 5, col 10: expected num/den"):
         load_sequence(text.replace("end measure", "weight e half\nend measure"))
-    with pytest.raises(ValueError):
-        load_sequence(text.replace("generators 1", "generators x"))
+    # every shape error names the line it found
+    for old, new, message in [
+        ("generators 1", "generators x", "line 2: expected 'generators <int>', got 'generators x'"),
+        ("generators 1", "generators 0", "line 2: no generators"),
+        ("pairs 1", "pairs -1", "line 6: negative pairs count"),
+        ("pair ∅ ∅", "pair ∅", "line 7: expected 'pair <clopen> <clopen>'"),
+        ("pair ∅ ∅", "pair ∅ 0,", "line 7: bad clopen text"),
+        ("stages 2", "stages 0", "line 8: no stages"),
+        ("stage 1 ", "stage 7 ", "line 12: stage 7 out of order"),
+        ("stage 1 columns 1", "stage 1 rows 1", "line 12: expected 'stage <n> columns <c> budget <q>'"),
+        ("stage 1 columns 1", "stage 1 columns 0", "line 12: stage 1 has no columns"),
+        ("column 16", "column 0", "line 13: expected 'column <height>'"),
+        ("\n0010\n", "\n0020\n", "line 29: cylinder words use the alphabet"),
+        ("end tower", "end", "line 30: missing 'end tower' marker"),
+    ]:
+        assert old in text
+        with pytest.raises(ValueError) as info:
+            load_sequence(text.replace(old, new, 1))
+        assert str(info.value).startswith(message), (old, new)
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("depth_bound 0", "depht_bound 0", "line 4, col 1: unknown keyword 'depht_bound'"),
+        ("end measure", "weight 0x 1/3\nend measure", "line 5, col 8: bad branching word '0x'"),
+        ("end measure", "weight e 1/3\nweight e 1/4\nend measure", "line 6, col 8: duplicate weight for 'e'"),
+        ("end measure", "weight e 3/2\nend measure", "line 5, col 10: weight 3/2 not in (0,1)"),
+        (
+            "end measure",
+            "weight 01 1/3\nend measure",
+            "line 3, col 1: depth_bound 0 below weight depth 3 in measure mu0",
+        ),
+        (
+            "generators 1\nmeasure mu0\ndepth_bound 0\nend measure",
+            "generators 2\nmeasure mu0\nend measure\n  measure mu0\nend measure",
+            "line 5, col 11: duplicate measure name 'mu0'",
+        ),
+        ("end measure", "measure b\nend measure", "line 6: generators 1 but 2 measures"),
+        ("generators 1", "generators 2", "truncated tower file after line 30"),
+    ],
+    ids=["keyword", "word", "duplicate-weight", "range", "depth-bound", "duplicate-name", "count", "truncated"],
+)
+def test_load_reads_generator_blocks_by_family_rules(old, new, message):
+    # the generator blocks are family-file text; errors carry the tower
+    # file's line and column
+    text = serialize_sequence(build_saturated(UNI, 1))
+    assert old in text
+    with pytest.raises(ValueError) as info:
+        load_sequence(text.replace(old, new, 1))
+    assert str(info.value) == message
+
+
+def test_load_accepts_family_file_text_in_a_block():
+    g = build_saturated(UNI, 1)
+    text = serialize_sequence(g).replace("depth_bound 0\n", "# a comment\n\n   \n")
+    assert load_sequence(text) == g
+
+
+names_st = st.one_of(st.just(""), st.text(alphabet="abxyz", min_size=1, max_size=3))
+measure_st = st.builds(
+    TreeMeasure,
+    st.dictionaries(
+        st.text(alphabet="01", max_size=2),
+        st.fractions(min_value=F(1, 50), max_value=F(49, 50), max_denominator=50),
+        max_size=3,
+    ),
+    st.integers(0, 4),
+    names_st,
+)
+
+
+@given(
+    st.lists(measure_st, min_size=1, max_size=3).filter(
+        lambda ms: len({m.name for m in ms if m.name}) == sum(1 for m in ms if m.name)
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_serialize_round_trip_hand_built(measures):
+    # a trivial stage and one two-column stage over 1-3 generators whose
+    # names are distinct or absent
+    stage = KRPartition(((C("00"), C("10")), (C("01"), C("11"))))
+    g = TowerSequence(MeasureFamily(measures), (trivial_partition(), stage), ((C("1"), C("0")),), (F(1), F(1)))
+    text = serialize_sequence(g)
+    back = load_sequence(text)
+    assert back == g
+    assert serialize_sequence(back) == text
 
 
 def test_load_defers_semantic_checks():

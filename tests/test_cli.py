@@ -167,6 +167,26 @@ def test_verify_catches_edited_atom(tmp_path, capsys):
     assert "violated:" in capsys.readouterr().out
 
 
+def test_verify_catches_edited_last_stage_atom(tmp_path, capsys):
+    # the damaged stage is the last one, which the first-return probe reads
+    fam = write(tmp_path, "fam.txt", UNIFORM)
+    out = str(tmp_path / "out")
+    assert main(["build", "--family", fam, "--stages", "2", "--out", out]) == 0
+    tower = os.path.join(out, "tower.txt")
+    with open(tower) as fh:
+        lines = fh.read().splitlines()
+    last = len(lines) - 1 - lines[::-1].index("0011")
+    assert last > lines.index("stage 2 columns 1 budget 1/4")
+    lines[last] = "0000"
+    with open(tower, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--out", out]) == 3
+    text = capsys.readouterr().out
+    assert "first-return probe: not run (the set is not a union of last-stage atoms)" in text
+    assert text.splitlines()[-1].startswith("violated: stage 2 is not a tower partition")
+
+
 def test_verify_rejects_truncated_file(tmp_path, capsys):
     fam = write(tmp_path, "fam.txt", UNIFORM)
     out = str(tmp_path / "out")
@@ -189,7 +209,9 @@ def test_verify_rejects_out_of_range_weight_edit(tmp_path, capsys):
     lines.insert(lines.index("end measure"), "weight e 3/2")
     with open(tower, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
     assert main(["verify", "--out", out]) == 1
+    assert capsys.readouterr().err == "error: line 5, col 10: weight 3/2 not in (0,1)\n"
 
 
 def test_verify_needs_a_written_tower(tmp_path, capsys):

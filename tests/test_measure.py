@@ -181,6 +181,20 @@ class ParseTest(unittest.TestCase):
         self.assert_error("measure a\ndepth_bound 1\nweight 01 1/3\n", 1, "depth_bound 1 below")
         self.assert_error("measure a\ndepth_bound -1\n", 2, "nonnegative")
 
+    def test_error_columns(self):
+        # each column points at its own token, also when the keyword
+        # contains it or the line is indented
+        for text, line, col in [
+            ("measure a\nmeasure a\n", 2, 9),
+            ("measure a\nweight e 1/3\nweight e 1/4\n", 3, 8),
+            ("measure a\n  weight 1 1/3\n\tweight 1 1/4\n", 3, 9),
+            ("measure e\n   weight e 3/2\n", 2, 13),
+            ("  measure a\n  measure a\n", 2, 11),
+        ]:
+            with self.assertRaises(FamilyParseError) as cm:
+                parse_family(text)
+            self.assertEqual((cm.exception.line, cm.exception.col), (line, col), text)
+
     def test_frac_text(self):
         self.assertEqual(frac_text(Fraction(0)), "0/1")
         self.assertEqual(frac_text(Fraction(1)), "1/1")
