@@ -175,7 +175,9 @@ def validate_sequence(g):
     visited equally often by every column, and consecutive stages
     refine.  A run decomposition of a partition over its predecessor
     already puts base inside base and top inside top, and makes the
-    climb map extend the earlier one.
+    climb map extend the earlier one.  A stage equal to its predecessor,
+    when that one is a tower partition, is one too: its partition check
+    is not run again, and it refines its predecessor column by column.
     """
     k = g.family
     bad = []
@@ -187,12 +189,13 @@ def validate_sequence(g):
         return tuple(bad)
     broken = set()
     for n, t in enumerate(g.stages):
-        try:
-            from_columns(k, t.columns)
-        except (NotAPartition, NotEquivalentColumn) as exc:
-            bad.append("stage %d is not a tower partition: %s" % (n, exc))
-            broken.add(n)
-            continue
+        if n == 0 or n - 1 in broken or t != g.stages[n - 1]:
+            try:
+                from_columns(k, t.columns)
+            except (NotAPartition, NotEquivalentColumn) as exc:
+                bad.append("stage %d is not a tower partition: %s" % (n, exc))
+                broken.add(n)
+                continue
         budget = g.budgets[n]
         if t.base.diameter() > budget:
             bad.append(
@@ -292,9 +295,10 @@ def load_sequence(text):
     """Parse the tower text format.
 
     The generator blocks are family-file text, read by parse_family with
-    the tower file's line numbers.  The rest is checked for shape only, so
-    that a damaged tower (atoms that do not partition, broken refinement)
-    loads and validate_sequence then reports it.
+    the tower file's line numbers; each opens with its `measure` header.
+    The rest is checked for shape only, so that a damaged tower (atoms
+    that do not partition, broken refinement) loads and validate_sequence
+    then reports it.
     """
     cur = _Cursor(text)
     if cur.take() != "cantordyn tower v1":
@@ -307,8 +311,19 @@ def load_sequence(text):
         while cur.take() != "end measure":
             pass
     # blank the lines before the blocks and each end marker; parse_family skips them
-    block = ["" if line.strip() == "end measure" else line for line in cur.lines[start:cur.pos]]
-    family = parse_family("\n" * start + "\n".join(block))
+    lines = [""] * start
+    opened = False  # the current block has had its header
+    for raw in cur.lines[start : cur.pos]:
+        line = raw.strip()
+        if line == "end measure":
+            raw, opened = "", False
+        elif not opened and line and not line.startswith("#"):
+            # a line before the header would join the block before it
+            if line.split()[0] != "measure":
+                raise ValueError("line %d: expected 'measure <name>', got %r" % (len(lines) + 1, line))
+            opened = True
+        lines.append(raw)
+    family = parse_family("\n".join(lines))
     if len(family) != gcount:
         raise cur.error("generators %d but %d measures" % (gcount, len(family)))
     pcount = cur.count("pairs")

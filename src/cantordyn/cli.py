@@ -24,6 +24,7 @@ from cantordyn.builder import (
     build_saturated,
     load_sequence,
     serialize_sequence,
+    validate_sequence,
 )
 from cantordyn.clopen import FULL
 from cantordyn.measure import frac_text, goodness_obstruction, obstruction_text, parse_family, validate_family
@@ -82,8 +83,11 @@ def _write_atomic(path, text):
 
 
 def _write_dots(out, g):
+    # a stage equal to its predecessor is drawn once and written again
     for n, t in enumerate(g.stages):
-        _write_atomic(os.path.join(out, "stage_%02d.dot" % n), to_dot(t, g.family))
+        if n == 0 or t != g.stages[n - 1]:
+            text = to_dot(t, g.family)
+        _write_atomic(os.path.join(out, "stage_%02d.dot" % n), text)
 
 
 def _cmd_validate(args):
@@ -151,6 +155,11 @@ def _cmd_verify(args):
 
 def _cmd_export_dot(args):
     g = _load_written(args.out)
+    # the diagrams label each column by its base, so every stage must be a partition
+    bad = validate_sequence(g)
+    if bad:
+        print("violated: %s" % bad[0])
+        return 3
     _write_dots(args.out, g)
     print("wrote %d stage diagrams under %s" % (len(g.stages), args.out))
     return 0

@@ -168,8 +168,12 @@ def run_decomposition(s, t):
     Returns, per s-column, the sequence of t-column indices it traverses
     bottom to top, or None if s does not refine t as a tower: every run
     must start at a t-base, match t's atoms level by level, and the runs
-    must exhaust the column exactly.
+    must exhaust the column exactly.  Both must be tower partitions, as
+    from_columns checks: then a partition equal to t runs through it
+    column by column, ((0,), (1,), ...), and that is returned unsearched.
     """
+    if s == t:
+        return tuple((ci,) for ci in range(len(t.columns)))
     idx = _atom_index(t)
     traces = []
     for col in s.columns:
@@ -508,17 +512,18 @@ def refine_small_base_top(k, t, eps, max_depth=12):
 
 
 def to_dot(t, k):
-    """Graphviz text for the tower: one cluster per column, edges go up."""
+    """Graphviz text for the tower: one cluster per column, edges go up.
+
+    t must be a tower partition: an atom's label, its value vector, is
+    made once per column, from the column's base.
+    """
     lines = ["digraph tower {", "  rankdir=BT;", "  node [shape=box];"]
-    labels = {}  # canonical integer masses -> their text
     for ci, col in enumerate(t.columns):
         lines.append("  subgraph cluster_c%d {" % ci)
         lines.append('    label="column %d";' % ci)
+        label = " ".join(frac_text(x) for x in k.vec(col[0]))
         for ri, a in enumerate(col):
-            key = tuple(m._mass(a) for m in k.generators)
-            if key not in labels:
-                labels[key] = " ".join(frac_text(x) for x in k.vec(a))
-            lines.append('    a%d_%d [label="%s\\n%s"];' % (ci, ri, a.text(), labels[key]))
+            lines.append('    a%d_%d [label="%s\\n%s"];' % (ci, ri, a.text(), label))
         for ri in range(len(col) - 1):
             lines.append("    a%d_%d -> a%d_%d;" % (ci, ri, ci, ri + 1))
         lines.append("  }")

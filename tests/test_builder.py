@@ -16,7 +16,9 @@ from cantordyn.builder import (
 )
 from cantordyn.clopen import EMPTY, FULL, ClopenSet
 from cantordyn.measure import MeasureFamily, TreeMeasure, parse_family
-from cantordyn.tower import KRPartition, to_dot, trivial_partition
+import cantordyn.builder
+from cantordyn import tower
+from cantordyn.tower import KRPartition, run_decomposition, to_dot, trivial_partition
 
 F = Fraction
 UNI = MeasureFamily([TreeMeasure()])
@@ -175,6 +177,65 @@ def test_validate_reports_tampering():
     assert any("has no stage" in m for m in validate_sequence(orphan))
 
 
+def test_validate_checks_a_changed_repeat_in_full(monkeypatch):
+    # stage 2 of this build repeats stage 1 and is not checked again; with
+    # its top atom moved to the bottom it is still a partition, but no
+    # longer a repeat, and it does not refine stage 1
+    calls = []
+    real = cantordyn.builder.from_columns
+
+    def counted(k, columns):
+        calls.append(k)
+        return real(k, columns)
+
+    monkeypatch.setattr(cantordyn.builder, "from_columns", counted)
+    g = build_saturated(UNI, 3)
+    assert g.stages[3] == g.stages[2] == g.stages[1]
+    del calls[:]
+    assert validate_sequence(g) == ()
+    assert len(calls) == 2
+    col = g.stages[1].columns[0]
+    moved = KRPartition((col[-1:] + col[:-1],))
+    bad = TowerSequence(g.family, g.stages[:2] + (moved, g.stages[3]), g.pairs, g.budgets)
+    del calls[:]
+    assert validate_sequence(bad) == (
+        "stage 2 does not refine stage 1",
+        "stage 3 does not refine stage 2",
+    )
+    assert len(calls) == 4
+
+
+PINNED_BUILDS = [
+    ("measure uniform\ndepth_bound 3\n", 6, 12),
+    ("measure uniform\ndepth_bound 3\n", 3, 12),
+    ("measure third\nweight e 1/3\n", 4, 16),
+    ("measure third\nweight e 1/3\n", 2, 16),
+    ("measure d2\nweight 0 1/3\nweight 1 2/3\n", 3, 16),
+]
+
+
+@pytest.mark.parametrize(
+    "text,stages,max_depth", PINNED_BUILDS, ids=["uniform6", "uniform3", "third4", "third2", "d2_3"]
+)
+def test_run_decomposition_of_a_stage_over_itself_is_the_identity(monkeypatch, text, stages, max_depth):
+    g = build_saturated(parse_family(text), stages, max_depth)
+    for t in g.stages:
+        # every leaf of an atom lies in that atom alone, so each column
+        # runs through itself
+        idx = tower._atom_index(t)
+        for ci, col in enumerate(t.columns):
+            for ri, a in enumerate(col):
+                assert all(tower._locate(idx, w) == (ci, ri) for w in a.leaves)
+
+    def refuse(t):
+        raise AssertionError("searched a stage equal to its predecessor")
+
+    # an equal partition is answered without building the atom index
+    monkeypatch.setattr(tower, "_atom_index", refuse)
+    for t in g.stages:
+        assert run_decomposition(KRPartition(t.columns), t) == tuple((ci,) for ci in range(len(t.columns)))
+
+
 def test_validate_reports_a_pair_not_split_into_atoms():
     # each atom of the pairing stage straddles [0] and [1]; every column
     # still visits both sets equally often (never)
@@ -270,6 +331,21 @@ def test_load_reads_generator_blocks_by_family_rules(old, new, message):
     with pytest.raises(ValueError) as info:
         load_sequence(text.replace(old, new, 1))
     assert str(info.value) == message
+
+
+def test_load_refuses_a_line_between_generator_blocks():
+    # a weight after one block's end marker and before the next header
+    # would join the measure before it
+    g = build_saturated(parse_family("measure uniform\ndepth_bound 3\n"), 2)
+    text = serialize_sequence(g)
+    old = "generators 1\nmeasure uniform\ndepth_bound 3\nend measure"
+    new = "generators 2\nmeasure uniform\nend measure\nweight e 1/3\nmeasure b\nend measure"
+    assert old in text
+    with pytest.raises(ValueError) as info:
+        load_sequence(text.replace(old, new, 1))
+    assert str(info.value) == "line 5: expected 'measure <name>', got 'weight e 1/3'"
+    # a comment or a blank line may still come before a header
+    assert load_sequence(text.replace("measure uniform", "# the first\n\nmeasure uniform", 1)) == g
 
 
 def test_load_accepts_family_file_text_in_a_block():

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -120,12 +121,14 @@ def test_build_validates_the_family_once(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "text, stages",
-    [(UNIFORM, "3"), ("measure third\nweight e 1/3\n", "2")],
-    ids=["uniform_three_stages", "third_two_stages"],
+    "text, stages, distinct",
+    [(UNIFORM, "3", 2), ("measure third\nweight e 1/3\n", "2", 2), (UNIFORM, "6", 3)],
+    ids=["uniform_three_stages", "third_two_stages", "uniform_six_stages"],
 )
-def test_build_validates_each_stage_once(tmp_path, capsys, monkeypatch, text, stages):
-    # the tower moves hand their stage to validate_sequence unchecked
+def test_build_validates_each_stage_once(tmp_path, capsys, monkeypatch, text, stages, distinct):
+    # the tower moves hand their stage to validate_sequence unchecked, and
+    # a stage equal to its predecessor is that partition again: stages 2-3
+    # of these builds repeat stage 1, and stages 5-6 of six repeat stage 4
     calls = []
     real = cantordyn.tower.from_columns
 
@@ -138,7 +141,32 @@ def test_build_validates_each_stage_once(tmp_path, capsys, monkeypatch, text, st
     fam = write(tmp_path, "fam.txt", text)
     out = str(tmp_path / "out")
     assert main(["build", "--family", fam, "--stages", stages, "--max-depth", "16", "--out", out]) == 0
-    assert len(calls) == int(stages) + 1
+    assert len(calls) == distinct
+
+
+def test_build_draws_each_distinct_stage_once(tmp_path, capsys, monkeypatch):
+    # stages 0, 1 and 4 of the six-stage uniform build are drawn; each
+    # repeat is written with its predecessor's text
+    drawn = []
+    real = cantordyn.cli.to_dot
+
+    def counted(t, k):
+        drawn.append(t)
+        return real(t, k)
+
+    monkeypatch.setattr(cantordyn.cli, "to_dot", counted)
+    fam = write(tmp_path, "fam.txt", UNIFORM)
+    out = str(tmp_path / "out")
+    assert main(["build", "--family", fam, "--stages", "6", "--out", out]) == 0
+    assert len(drawn) == 3
+    names = sorted(name for name in os.listdir(out) if name.startswith("stage_"))
+    assert names == ["stage_%02d.dot" % n for n in range(7)]
+    dots = b""
+    for name in names:
+        with open(os.path.join(out, name), "rb") as fh:
+            dots += fh.read()
+    digest = "4d19d77d7bb6782970beb65ec785b333d84aad1e4226874be996f9c8e90bd316"
+    assert hashlib.sha256(dots).hexdigest() == digest
 
 
 def test_verify_written_tower(tmp_path, capsys):
@@ -236,6 +264,30 @@ def test_export_dot_needs_tower(tmp_path, capsys):
     assert main(["export-dot", "--out", out]) == 0
     with open(dot, "rb") as fh:
         assert fh.read() == blob
+
+
+def test_export_dot_refuses_a_stage_that_is_not_a_partition(tmp_path, capsys):
+    # the diagrams label a column by its base's masses, so a column whose
+    # masses differ is reported, not drawn
+    fam = write(tmp_path, "fam.txt", UNIFORM)
+    out = str(tmp_path / "out")
+    assert main(["build", "--family", fam, "--stages", "2", "--out", out]) == 0
+    tower = os.path.join(out, "tower.txt")
+    with open(tower) as fh:
+        lines = fh.read().splitlines()
+    # stage 1, level 2: mass 1/8 in a column of atoms of mass 1/16
+    lines[lines.index("0011")] = "001"
+    with open(tower, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    for name in os.listdir(out):
+        if name.endswith(".dot"):
+            os.remove(os.path.join(out, name))
+    capsys.readouterr()
+    assert main(["export-dot", "--out", out]) == 3
+    assert capsys.readouterr().out == (
+        "violated: stage 1 is not a tower partition: column 0 level 2 differs in mass from its base\n"
+    )
+    assert not [name for name in os.listdir(out) if name.endswith(".dot")]
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):
