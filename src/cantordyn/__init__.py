@@ -45,12 +45,12 @@ from cantordyn.tower import (
     locate_atom,
     refine_small_base_top,
     run_decomposition,
-    to_dot,
     trivial_partition,
 )
 from cantordyn.builder import (
     BuildFailure,
     TowerSequence,
+    bratteli_dot,
     build_saturated,
     enumerate_pairs,
     load_sequence,

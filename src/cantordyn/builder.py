@@ -25,8 +25,6 @@ from cantordyn.tower import (
     KRPartition,
     NotAPartition,
     NotEquivalentColumn,
-    _count_in,
-    _pure,
     balance_columns,
     from_columns,
     refine_small_base_top,
@@ -37,6 +35,7 @@ from cantordyn.tower import (
 __all__ = [
     "BuildFailure",
     "TowerSequence",
+    "bratteli_dot",
     "build_saturated",
     "enumerate_pairs",
     "load_sequence",
@@ -214,22 +213,49 @@ def validate_sequence(g):
         if i in broken:
             continue
         t = g.stages[i]
-        for w in (u, v):
-            if not all(_pure(a, w) for a in t.atoms):
-                bad.append("stage %d does not split %s into atoms" % (i, w.text()))
+        split_u = split_v = True  # every atom lies inside or outside the set
+        unequal = None  # the first column that visits u and v unequally
         for ci, col in enumerate(t.columns):
-            if _count_in(col, u) != _count_in(col, v):
-                bad.append(
-                    "stage %d column %d visits %s and %s unequally"
-                    % (i, ci, u.text(), v.text())
-                )
-                break
+            defect = 0  # visits to u minus visits to v
+            for a in col:
+                in_u, in_v = a.is_subset(u), a.is_subset(v)
+                split_u = split_u and (in_u or a.is_disjoint(u))
+                split_v = split_v and (in_v or a.is_disjoint(v))
+                defect += in_u - in_v
+            if defect and unequal is None:
+                unequal = ci
+        for split, w in ((split_u, u), (split_v, v)):
+            if not split:
+                bad.append("stage %d does not split %s into atoms" % (i, w.text()))
+        if unequal is not None:
+            bad.append("stage %d column %d visits %s and %s unequally" % (i, unequal, u.text(), v.text()))
     for n in range(len(g.stages) - 1):
         if n in broken or n + 1 in broken:
             continue
         if g.decomposition(n) is None:
             bad.append("stage %d does not refine stage %d" % (n + 1, n))
     return tuple(bad)
+
+
+def bratteli_dot(g):
+    """Graphviz text for the sequence's ordered Bratteli diagram.
+
+    One node per column per stage, labelled with its height and mass
+    vector, and one edge per run of a column through a column of the
+    previous stage, numbered in climb order from 1.  g must pass
+    validate_sequence, which computes the run decompositions read here.
+    """
+    lines = ["digraph bratteli {", "  node [shape=box];"]
+    for n, t in enumerate(g.stages):
+        for ci, col in enumerate(t.columns):
+            mass = " ".join(frac_text(x) for x in g.family.vec(col[0]))
+            lines.append('  s%d_%d [label="height %d\\nmass %s"];' % (n, ci, len(col), mass))
+    for n in range(len(g.stages) - 1):
+        for ci, runs in enumerate(g.decomposition(n)):
+            for j, c in enumerate(runs, start=1):
+                lines.append('  s%d_%d -> s%d_%d [label="%d"];' % (n, c, n + 1, ci, j))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def serialize_sequence(g):
@@ -270,13 +296,19 @@ class _Cursor:
     def error(self, msg):
         return ValueError("line %d: %s" % (self.pos, msg))
 
+    def natural(self, tok, msg):
+        if not (tok.isascii() and tok.isdigit()):
+            raise self.error(msg)
+        return int(tok)
+
     def count(self, keyword):
         line = self.take()
         toks = line.split()
-        if len(toks) != 2 or toks[0] != keyword or not toks[1].lstrip("-").isdigit():
-            raise self.error("expected '%s <int>', got %r" % (keyword, line))
-        n = int(toks[1])
-        if n < 0:
+        msg = "expected '%s <int>', got %r" % (keyword, line)
+        if len(toks) != 2 or toks[0] != keyword:
+            raise self.error(msg)
+        n = self.natural(toks[1].removeprefix("-"), msg)
+        if toks[1].startswith("-"):
             raise self.error("negative %s count" % keyword)
         return n
 
@@ -340,23 +372,21 @@ def load_sequence(text):
     budgets = []
     for n in range(scount):
         toks = cur.take().split()
-        if (
-            len(toks) != 6
-            or toks[::2] != ["stage", "columns", "budget"]
-            or not (toks[1] + toks[3]).isdigit()
-        ):
-            raise cur.error("expected 'stage <n> columns <c> budget <q>'")
-        if int(toks[1]) != n:
+        msg = "expected 'stage <n> columns <c> budget <q>'"
+        if len(toks) != 6 or toks[::2] != ["stage", "columns", "budget"]:
+            raise cur.error(msg)
+        index, ncols = cur.natural(toks[1], msg), cur.natural(toks[3], msg)
+        if index != n:
             raise cur.error("stage %s out of order" % toks[1])
-        ncols = int(toks[3])
         if ncols < 1:
             raise cur.error("stage %d has no columns" % n)
         budgets.append(cur.rational(toks[5]))
         cols = []
         for _ in range(ncols):
             ct = cur.take().split()
-            if len(ct) != 2 or ct[0] != "column" or not ct[1].isdigit() or int(ct[1]) < 1:
-                raise cur.error("expected 'column <height>'")
+            msg = "expected 'column <height>'"
+            if len(ct) != 2 or ct[0] != "column" or cur.natural(ct[1], msg) < 1:
+                raise cur.error(msg)
             cols.append(tuple(cur.clopen(cur.take()) for _ in range(int(ct[1]))))
         stages.append(KRPartition(cols))
     if cur.take() != "end tower":

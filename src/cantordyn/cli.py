@@ -2,8 +2,8 @@
 
 Four subcommands: decide whether a measure family is good, build a
 saturated tower sequence, verify a sequence against every invariant, and
-export the stage diagrams.  All output is deterministic for fixed inputs:
-no timestamps, stable ordering, atomic file writes.
+export its ordered Bratteli diagram.  All output is deterministic for
+fixed inputs: no timestamps, stable ordering, atomic file writes.
 
 Exit codes: 0 success; 1 for usage, I/O, parse, or family-validation
 problems; 2 when the family is not good (validate prints a refuting pair
@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from cantordyn.builder import (
     BuildFailure,
+    bratteli_dot,
     build_saturated,
     load_sequence,
     serialize_sequence,
@@ -29,7 +30,6 @@ from cantordyn.builder import (
 from cantordyn.clopen import FULL
 from cantordyn.measure import frac_text, goodness_obstruction, obstruction_text, parse_family, validate_family
 from cantordyn.oracles import SearchFailure
-from cantordyn.tower import to_dot
 from cantordyn.verify import StageTooShallow, first_return_divide, verify_all
 
 __all__ = ["main"]
@@ -57,7 +57,7 @@ def _build_parser():
     p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("export-dot", help="write stage diagrams for a written tower")
+    p = sub.add_parser("export-dot", help="write the Bratteli diagram of a written tower")
     p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_export_dot)
     return parser
@@ -80,14 +80,6 @@ def _write_atomic(path, text):
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
     os.replace(tmp, path)
-
-
-def _write_dots(out, g):
-    # a stage equal to its predecessor is drawn once and written again
-    for n, t in enumerate(g.stages):
-        if n == 0 or t != g.stages[n - 1]:
-            text = to_dot(t, g.family)
-        _write_atomic(os.path.join(out, "stage_%02d.dot" % n), text)
 
 
 def _cmd_validate(args):
@@ -125,7 +117,7 @@ def _cmd_build(args):
         )
     lines.append("construction complete")
     _write_atomic(os.path.join(args.out, "tower.txt"), serialize_sequence(g))
-    _write_dots(args.out, g)
+    _write_atomic(os.path.join(args.out, "bratteli.dot"), bratteli_dot(g))
     _write_atomic(os.path.join(args.out, "build.log"), "\n".join(lines) + "\n")
     for line in lines:
         print(line)
@@ -155,13 +147,14 @@ def _cmd_verify(args):
 
 def _cmd_export_dot(args):
     g = _load_written(args.out)
-    # the diagrams label each column by its base, so every stage must be a partition
+    # the diagram reads each column's base masses and runs, so the sequence must pass
     bad = validate_sequence(g)
     if bad:
         print("violated: %s" % bad[0])
         return 3
-    _write_dots(args.out, g)
-    print("wrote %d stage diagrams under %s" % (len(g.stages), args.out))
+    path = os.path.join(args.out, "bratteli.dot")
+    _write_atomic(path, bratteli_dot(g))
+    print("wrote %s" % path)
     return 0
 
 

@@ -19,7 +19,6 @@ from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 
 from cantordyn.clopen import FULL, ClopenSet, union_all
-from cantordyn.measure import frac_text
 from cantordyn.oracles import (
     DivisibilityFailure,
     GoodnessFailure,
@@ -38,7 +37,6 @@ __all__ = [
     "locate_atom",
     "refine_small_base_top",
     "run_decomposition",
-    "to_dot",
     "trivial_partition",
 ]
 
@@ -107,13 +105,18 @@ def from_columns(k, columns):
     cols = tuple(tuple(col) for col in columns)
     if not cols:
         raise NotAPartition("no columns")
+    vecs = {}  # each leaf's length and first k._top letters fix an atom's masses
     for ci, col in enumerate(cols):
         if not col:
             raise NotAPartition("column %d has no atoms" % ci)
+        masses = []
         for ri, a in enumerate(col):
             if a.is_empty:
                 raise NotAPartition("column %d level %d is empty" % (ci, ri))
-        masses = [tuple(m._mass(a) for m in k.generators) for a in col]
+            shape = tuple((len(w), w[: k._top]) for w in a.leaves)
+            if shape not in vecs:
+                vecs[shape] = tuple(m._mass(a) for m in k.generators)
+            masses.append(vecs[shape])
         for ri, v in enumerate(masses[1:], start=1):
             if v != masses[0]:
                 raise NotEquivalentColumn(
@@ -509,29 +512,3 @@ def refine_small_base_top(k, t, eps, max_depth=12):
     routed = {id(p): p + csub for p, csub in zip(principals, csubs)}
     cols = [routed.get(id(col), col) for col in cols if col is not col1]
     return KRPartition(cols + tail)
-
-
-def to_dot(t, k):
-    """Graphviz text for the tower: one cluster per column, edges go up.
-
-    t must be a tower partition: an atom's label, its value vector, is
-    made once per column, from the column's base.
-    """
-    lines = ["digraph tower {", "  rankdir=BT;", "  node [shape=box];"]
-    for ci, col in enumerate(t.columns):
-        lines.append("  subgraph cluster_c%d {" % ci)
-        lines.append('    label="column %d";' % ci)
-        label = " ".join(frac_text(x) for x in k.vec(col[0]))
-        for ri, a in enumerate(col):
-            lines.append('    a%d_%d [label="%s\\n%s"];' % (ci, ri, a.text(), label))
-        for ri in range(len(col) - 1):
-            lines.append("    a%d_%d -> a%d_%d;" % (ci, ri, ci, ri + 1))
-        lines.append("  }")
-    lines.append('  base [shape=plaintext, label="base"];')
-    lines.append('  top [shape=plaintext, label="top"];')
-    lines.append("  top -> base [style=dashed];")
-    for ci, col in enumerate(t.columns):
-        lines.append("  base -> a%d_0 [style=dotted];" % ci)
-        lines.append("  a%d_%d -> top [style=dotted];" % (ci, len(col) - 1))
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from cantordyn.builder import (
     BuildFailure,
     TowerSequence,
+    bratteli_dot,
     build_saturated,
     enumerate_pairs,
     load_sequence,
@@ -15,10 +17,10 @@ from cantordyn.builder import (
     validate_sequence,
 )
 from cantordyn.clopen import EMPTY, FULL, ClopenSet
-from cantordyn.measure import MeasureFamily, TreeMeasure, parse_family
+from cantordyn.measure import MeasureFamily, TreeMeasure, frac_text, parse_family
 import cantordyn.builder
 from cantordyn import tower
-from cantordyn.tower import KRPartition, run_decomposition, to_dot, trivial_partition
+from cantordyn.tower import KRPartition, run_decomposition, trivial_partition
 
 F = Fraction
 UNI = MeasureFamily([TreeMeasure()])
@@ -103,22 +105,50 @@ def test_serialized_build_bytes_pinned(text, stages, max_depth, digest):
     assert hashlib.sha256(serialize_sequence(g).encode()).hexdigest() == digest
 
 
+D2 = "measure d2\nweight 0 1/3\nweight 1 2/3\n"
+
+
 @pytest.mark.parametrize(
-    "text,stages,digest",
+    "text,stages,max_depth,digest",
     [
-        ("measure third\nweight e 1/3\n", 2, "4a56283ef08cf086887a913a11bf0cf81a3a93647c4fad724937138b5c146094"),
-        (
-            "measure d2\nweight 0 1/3\nweight 1 2/3\n",
-            3,
-            "6fe2c6f7fc4e808de2df1c5219b3940ee2540282a584e69bb942a39a1e615d8c",
-        ),
+        ("measure uniform\ndepth_bound 3\n", 6, 12, "9892e3d4c67f9fe91dfc5a9bdc4cd8aba4ba0960c148dac7047b0a58497bdae9"),
+        ("measure third\nweight e 1/3\n", 2, 16, "733202a9ca5e65d9aceab2c89cf5d11784fa101b8ea350c2f19ecb2d9dd81efa"),
+        (D2, 3, 16, "58a13bf8c0e6d5f7fbcf501973e8380837a4bc286494a1770981458f5cc8f9a7"),
     ],
+    ids=["uniform6", "third2", "d2_3"],
 )
-def test_stage_dot_bytes_pinned(text, stages, digest):
-    # the stage diagrams of two multi-column builds, every stage joined
-    g = build_saturated(parse_family(text), stages, 16)
-    dots = "".join(to_dot(t, g.family) for t in g.stages)
-    assert hashlib.sha256(dots.encode()).hexdigest() == digest
+def test_bratteli_dot_bytes_pinned(text, stages, max_depth, digest):
+    g = build_saturated(parse_family(text), stages, max_depth)
+    assert hashlib.sha256(bratteli_dot(g).encode()).hexdigest() == digest
+
+
+def test_bratteli_dot_draws_columns_and_their_runs():
+    # a node per column with its height and masses; the j-th edge into a
+    # column comes from the column of the stage before that it climbs
+    # through j-th
+    g = build_saturated(parse_family(D2), 3, 16)
+    nodes = {}
+    runs = {}
+    for line in bratteli_dot(g).splitlines():
+        node = re.fullmatch(r'  s(\d+)_(\d+) \[label="height (\d+)\\nmass (.*)"\];', line)
+        edge = re.fullmatch(r'  s(\d+)_(\d+) -> s(\d+)_(\d+) \[label="(\d+)"\];', line)
+        if node:
+            n, c, height = map(int, node.groups()[:3])
+            nodes[n, c] = (height, node.group(4))
+        elif edge:
+            n, c, m, d, j = map(int, edge.groups())
+            assert m == n + 1
+            runs.setdefault((n, d), []).append((j, c))
+    assert nodes == {
+        (n, c): (len(col), " ".join(frac_text(x) for x in g.family.vec(col[0])))
+        for n, t in enumerate(g.stages)
+        for c, col in enumerate(t.columns)
+    }
+    assert runs == {
+        (n, d): list(enumerate(trace, start=1))
+        for n in range(len(g.stages) - 1)
+        for d, trace in enumerate(g.decomposition(n))
+    }
 
 
 def test_build_rejects_bad_inputs():
@@ -247,6 +277,27 @@ def test_validate_reports_a_pair_not_split_into_atoms():
     )
 
 
+def test_validate_reports_the_first_column_visiting_a_pair_unequally():
+    # column 0 visits [0] and [1] once each; columns 1 and 2 each visit one
+    # of them, and only the first is reported
+    stage = KRPartition(((C("00"), C("10")), (C("01"),), (C("11"),)))
+    g = TowerSequence(UNI, (trivial_partition(), stage), ((C("0"), C("1")),), (F(1), F(1)))
+    assert validate_sequence(g) == ("stage 1 column 1 visits 0 and 1 unequally",)
+
+
+def test_validate_reports_straddled_sets_before_unequal_visits():
+    # column 0's atom [1] straddles v = [11], column 2's atom straddles
+    # u = [00], and column 1 visits u only: u is reported first, then v,
+    # then the column
+    stage = KRPartition(((C("1"),), (C("000"),), (C("001", "01"),)))
+    g = TowerSequence(UNI, (trivial_partition(), stage), ((C("00"), C("11")),), (F(1), F(1)))
+    assert validate_sequence(g) == (
+        "stage 1 does not split 00 into atoms",
+        "stage 1 does not split 11 into atoms",
+        "stage 1 column 1 visits 00 and 11 unequally",
+    )
+
+
 def test_serialize_round_trip():
     g = build_saturated(UNI, 2)
     text = serialize_sequence(g)
@@ -299,6 +350,27 @@ def test_load_rejects_malformed_text():
         with pytest.raises(ValueError) as info:
             load_sequence(text.replace(old, new, 1))
         assert str(info.value).startswith(message), (old, new)
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("generators 1", "generators --1", "line 2: expected 'generators <int>', got 'generators --1'"),
+        ("pairs 1", "pairs --5", "line 6: expected 'pairs <int>', got 'pairs --5'"),
+        ("stages 2", "stages --1", "line 8: expected 'stages <int>', got 'stages --1'"),
+        ("column 16", "column ²", "line 13: expected 'column <height>'"),
+        ("stage 1 columns 1", "stage ¹ columns 1", "line 12: expected 'stage <n> columns <c> budget <q>'"),
+    ],
+    ids=["generators", "pairs", "stages", "column", "stage"],
+)
+def test_load_reads_integer_fields_as_ascii_digits(old, new, message):
+    # a doubled sign and a superscript digit are no integers, and each is
+    # refused with its line
+    text = serialize_sequence(build_saturated(UNI, 1))
+    assert old in text
+    with pytest.raises(ValueError) as info:
+        load_sequence(text.replace(old, new, 1))
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,3 @@
-import hashlib
 import os
 import subprocess
 import sys
@@ -79,7 +78,8 @@ def test_build_writes_deterministic_outputs(tmp_path, capsys):
     fam = write(tmp_path, "fam.txt", UNIFORM)
     out = str(tmp_path / "out")
     assert main(["build", "--family", fam, "--stages", "2", "--out", out]) == 0
-    names = ["tower.txt", "build.log", "stage_00.dot", "stage_01.dot", "stage_02.dot"]
+    names = ["tower.txt", "build.log", "bratteli.dot"]
+    assert sorted(os.listdir(out)) == sorted(names)
     blobs = {}
     for name in names:
         path = os.path.join(out, name)
@@ -142,31 +142,6 @@ def test_build_validates_each_stage_once(tmp_path, capsys, monkeypatch, text, st
     out = str(tmp_path / "out")
     assert main(["build", "--family", fam, "--stages", stages, "--max-depth", "16", "--out", out]) == 0
     assert len(calls) == distinct
-
-
-def test_build_draws_each_distinct_stage_once(tmp_path, capsys, monkeypatch):
-    # stages 0, 1 and 4 of the six-stage uniform build are drawn; each
-    # repeat is written with its predecessor's text
-    drawn = []
-    real = cantordyn.cli.to_dot
-
-    def counted(t, k):
-        drawn.append(t)
-        return real(t, k)
-
-    monkeypatch.setattr(cantordyn.cli, "to_dot", counted)
-    fam = write(tmp_path, "fam.txt", UNIFORM)
-    out = str(tmp_path / "out")
-    assert main(["build", "--family", fam, "--stages", "6", "--out", out]) == 0
-    assert len(drawn) == 3
-    names = sorted(name for name in os.listdir(out) if name.startswith("stage_"))
-    assert names == ["stage_%02d.dot" % n for n in range(7)]
-    dots = b""
-    for name in names:
-        with open(os.path.join(out, name), "rb") as fh:
-            dots += fh.read()
-    digest = "4d19d77d7bb6782970beb65ec785b333d84aad1e4226874be996f9c8e90bd316"
-    assert hashlib.sha256(dots).hexdigest() == digest
 
 
 def test_verify_written_tower(tmp_path, capsys):
@@ -257,7 +232,7 @@ def test_export_dot_needs_tower(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["export-dot", "--out", out]) == 1
     assert main(["build", "--family", fam, "--stages", "1", "--out", out]) == 0
-    dot = os.path.join(out, "stage_01.dot")
+    dot = os.path.join(out, "bratteli.dot")
     with open(dot, "rb") as fh:
         blob = fh.read()
     os.remove(dot)
@@ -266,8 +241,25 @@ def test_export_dot_needs_tower(tmp_path, capsys):
         assert fh.read() == blob
 
 
+def test_export_dot_rewrites_the_diagram_build_wrote(tmp_path, capsys):
+    # a multi-column build: export-dot draws the same diagram from tower.txt
+    fam = write(tmp_path, "fam.txt", "measure third\nweight e 1/3\n")
+    out = str(tmp_path / "out")
+    assert main(["build", "--family", fam, "--stages", "2", "--max-depth", "16", "--out", out]) == 0
+    dot = os.path.join(out, "bratteli.dot")
+    with open(dot, "rb") as fh:
+        blob = fh.read()
+    with open(dot, "w") as fh:
+        fh.write("stale\n")
+    capsys.readouterr()
+    assert main(["export-dot", "--out", out]) == 0
+    assert capsys.readouterr().out == "wrote %s\n" % dot
+    with open(dot, "rb") as fh:
+        assert fh.read() == blob
+
+
 def test_export_dot_refuses_a_stage_that_is_not_a_partition(tmp_path, capsys):
-    # the diagrams label a column by its base's masses, so a column whose
+    # the diagram labels a column by its base's masses, so a column whose
     # masses differ is reported, not drawn
     fam = write(tmp_path, "fam.txt", UNIFORM)
     out = str(tmp_path / "out")

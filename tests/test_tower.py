@@ -18,7 +18,6 @@ from cantordyn.tower import (
     locate_atom,
     refine_small_base_top,
     run_decomposition,
-    to_dot,
     trivial_partition,
 )
 
@@ -469,15 +468,3 @@ def test_balance_not_equivalent():
     t = trivial_partition()
     with pytest.raises(NotEquivalent):
         balance_columns(UNI, t, C("0"), C("00"))
-
-
-def test_to_dot_structure():
-    t = from_columns(UNI, [(C("00"), C("10")), (C("01"), C("11"))])
-    dot = to_dot(t, UNI)
-    assert dot.startswith("digraph tower {")
-    assert "rankdir=BT" in dot
-    assert "cluster_c0" in dot and "cluster_c1" in dot
-    assert 'a0_0 [label="00\\n1/4"]' in dot
-    assert "a0_0 -> a0_1;" in dot
-    assert "top -> base [style=dashed];" in dot
-    assert dot.count("style=dotted") == 4
