@@ -67,7 +67,7 @@ class TowerSequence:
     computed for the family, or None for a sequence built another way.
     """
 
-    __slots__ = ("family", "stages", "pairs", "budgets", "family_report", "_decompositions")
+    __slots__ = ("family", "stages", "pairs", "budgets", "family_report", "_steps")
 
     def __init__(self, family, stages, pairs, budgets):
         self.family = family
@@ -75,17 +75,26 @@ class TowerSequence:
         self.pairs = tuple(pairs)
         self.budgets = tuple(Fraction(b) for b in budgets)
         self.family_report = None
-        self._decompositions = {}
+        self._steps = {}  # j -> run_decomposition of stage j+1 over stage j
 
-    def decomposition(self, n):
-        """run_decomposition of stage n+1 over stage n, computed once.
+    def runs(self, n, m):
+        """Each stage-n column's runs through the stage-m columns, m <= n.
 
-        Computed on first use, not on construction, so that a sequence
-        with a damaged stage still loads and validate_sequence reports it.
+        Telescoped from each stage's runs through its predecessor, which
+        are computed once, on first use rather than on construction, so
+        that a damaged sequence still loads and validate_sequence reports
+        it.  runs(n, n) is the identity.  Raises ValueError for the first
+        step down from n that does not refine.
         """
-        if n not in self._decompositions:
-            self._decompositions[n] = run_decomposition(self.stages[n + 1], self.stages[n])
-        return self._decompositions[n]
+        cur = tuple((c,) for c in range(len(self.stages[n].columns)))
+        for j in range(n - 1, m - 1, -1):
+            if j not in self._steps:
+                self._steps[j] = run_decomposition(self.stages[j + 1], self.stages[j])
+            step = self._steps[j]
+            if step is None:
+                raise ValueError("stage %d does not refine stage %d" % (j + 1, j))
+            cur = tuple(tuple(x for c in run for x in step[c]) for run in cur)
+        return cur
 
     def __eq__(self, other):
         return (
@@ -232,8 +241,10 @@ def validate_sequence(g):
     for n in range(len(g.stages) - 1):
         if n in broken or n + 1 in broken:
             continue
-        if g.decomposition(n) is None:
-            bad.append("stage %d does not refine stage %d" % (n + 1, n))
+        try:
+            g.runs(n + 1, n)
+        except ValueError as exc:
+            bad.append(str(exc))
     return tuple(bad)
 
 
@@ -243,7 +254,7 @@ def bratteli_dot(g):
     One node per column per stage, labelled with its height and mass
     vector, and one edge per run of a column through a column of the
     previous stage, numbered in climb order from 1.  g must pass
-    validate_sequence, which computes the run decompositions read here.
+    validate_sequence, which computes the runs read here.
     """
     lines = ["digraph bratteli {", "  node [shape=box];"]
     for n, t in enumerate(g.stages):
@@ -251,8 +262,8 @@ def bratteli_dot(g):
             mass = " ".join(frac_text(x) for x in g.family.vec(col[0]))
             lines.append('  s%d_%d [label="height %d\\nmass %s"];' % (n, ci, len(col), mass))
     for n in range(len(g.stages) - 1):
-        for ci, runs in enumerate(g.decomposition(n)):
-            for j, c in enumerate(runs, start=1):
+        for ci, run in enumerate(g.runs(n + 1, n)):
+            for j, c in enumerate(run, start=1):
                 lines.append('  s%d_%d -> s%d_%d [label="%d"];' % (n, c, n + 1, ci, j))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -174,6 +174,3 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

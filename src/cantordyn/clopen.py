@@ -162,9 +162,6 @@ class ClopenSet:
     def __invert__(self):
         return self.complement()
 
-    def __le__(self, other):
-        return self.is_subset(other)
-
     def __bool__(self):
         return bool(self.leaves)
 

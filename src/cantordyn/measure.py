@@ -363,7 +363,7 @@ def parse_family(text):
         elif toks[0] == "depth_bound":
             if cur is None:
                 raise FamilyParseError(lineno, col, "depth_bound outside a measure")
-            if len(toks) != 2 or not toks[1].isdigit():
+            if len(toks) != 2 or not (toks[1].isascii() and toks[1].isdigit()):
                 raise FamilyParseError(lineno, col, "depth_bound takes one nonnegative integer")
             if cur[1] is not None:
                 raise FamilyParseError(lineno, col, "depth_bound given twice")

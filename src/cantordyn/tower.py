@@ -422,18 +422,18 @@ def refine_small_base_top(k, t, eps, max_depth=12):
     cu = ClopenSet([u])
     pieces = [ClopenSet([u + "0"]), ClopenSet([u + "1"]), top0 - cu]
     cols[0:1] = _split_column(k, cols[0], len(cols[0]) - 1, pieces, max_depth)
-    i0, i1 = 0, 1
+    i1 = 1
 
     # pin the base: shrink the designated column's base to one cylinder
-    b0 = cols[i0][0]
+    b0 = cols[0][0]
     if b0.diameter() >= eps:
         w = b0.leaves[0].ljust(max(d_eps, b0.max_leaf_len), "0")
         cw = ClopenSet([w])
-        cols[i0 : i0 + 1] = _split_column(k, cols[i0], 0, [cw, b0 - cw], max_depth)
+        cols[0:1] = _split_column(k, cols[0], 0, [cw, b0 - cw], max_depth)
         i1 += 1
 
     # give the two designated columns tops of equal vector
-    t0, t1 = cols[i0][-1], cols[i1][-1]
+    t0, t1 = cols[0][-1], cols[i1][-1]
     if k.vec(t0) != k.vec(t1):
         sigma0 = None
         for d in range(t0.max_leaf_len + 1, max_depth + 1):
@@ -443,8 +443,8 @@ def refine_small_base_top(k, t, eps, max_depth=12):
                 break
         if sigma0 is None:
             raise GoodnessFailure("no common small top", max_depth)
-        cols[i0 : i0 + 1] = _split_column(
-            k, cols[i0], len(cols[i0]) - 1, [sigma0, t0 - sigma0], max_depth
+        cols[0:1] = _split_column(
+            k, cols[0], len(cols[0]) - 1, [sigma0, t0 - sigma0], max_depth
         )
         i1 += 1
         sigma1 = select_copy(k, k.vec(sigma0), t1, max_depth)
@@ -453,7 +453,7 @@ def refine_small_base_top(k, t, eps, max_depth=12):
         )
 
     # division order: 1/n strictly below the designated base mass
-    m = k.vec(cols[i0][0])
+    m = k.vec(cols[0][0])
     n = 4
     while any(Fraction(1, n) >= x for x in m):
         n *= 2
@@ -465,10 +465,10 @@ def refine_small_base_top(k, t, eps, max_depth=12):
 
     # n disjoint copies of the near-n-th part, anchored in the two
     # designated bases, the rest carved from the remaining base mass
-    c0 = select_copy(k, pv, cols[i0][0], max_depth)
+    c0 = select_copy(k, pv, cols[0][0], max_depth)
     c1 = select_copy(k, pv, cols[i1][0], max_depth)
-    f = cols[i0][0] - c0
-    wset = (b_all - cols[i0][0]) - c1
+    f = cols[0][0] - c0
+    wset = (b_all - cols[0][0]) - c1
     cs = [c0, c1]
     for j in range(2, n):
         after = n - 1 - j

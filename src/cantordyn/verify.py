@@ -21,7 +21,7 @@ from itertools import product
 from cantordyn.builder import validate_sequence
 from cantordyn.clopen import ClopenSet, union_all
 from cantordyn.measure import frac_text, validate_family, vec_text
-from cantordyn.tower import _count_in, locate_atom
+from cantordyn.tower import locate_atom
 
 __all__ = [
     "FullGroupWitness",
@@ -86,31 +86,13 @@ class InvariantCone:
         return total == 1
 
 
-def _chain_traces(g, n):
-    """Stage-n column runs through each earlier stage m, as traces[m].
-
-    Telescoped from consecutive decompositions: a stage-n column runs
-    through the stage-m columns that its stage-(m+1) columns run through.
-    """
-    traces = [None] * n
-    cur = tuple((c,) for c in range(len(g.stages[n].columns)))
-    for m in range(n - 1, -1, -1):
-        step = g.decomposition(m)
-        if step is None:
-            raise ValueError("stage %d does not refine stage %d" % (m + 1, m))
-        cur = traces[m] = tuple(tuple(x for c in trace for x in step[c]) for trace in cur)
-    return traces
-
-
 def invariant_cone(g, n):
     """The invariant-measure cone at stage n: one vertex per column.
 
     Raises ValueError when some stage up to n does not refine its
     predecessor.
     """
-    for m in range(n - 1, -1, -1):
-        if g.decomposition(m) is None:
-            raise ValueError("stage %d does not refine stage %d" % (m + 1, m))
+    g.runs(n, 0)
     t = g.stages[n]
     return InvariantCone(n, t.atoms, t.heights)
 
@@ -125,13 +107,13 @@ def collapse_metric(g, n):
     over cylinders; it reaches 0 exactly when the cone pins every depth-3
     mass to one value.  Raises ValueError like invariant_cone.
     """
-    invariant_cone(g, n)
+    g.runs(n, 0)
     cols = g.stages[n].columns
     worst = Fraction(0)
     for bits in product("01", repeat=3):
         w = ClopenSet(["".join(bits)])
         outer = max(Fraction(sum(not a.is_disjoint(w) for a in col), len(col)) for col in cols)
-        inner = min(Fraction(_count_in(col, w), len(col)) for col in cols)
+        inner = min(Fraction(sum(a.is_subset(w) for a in col), len(col)) for col in cols)
         worst = max(worst, outer - inner)
     return worst
 
@@ -153,8 +135,8 @@ class MinimalityReport:
 def minimality_check(g, n):
     """Column-transition connectivity and spread of stage n.
 
-    Before the last stage, transitions are read off the run
-    decomposition of the next stage; at the last stage a transition
+    Before the last stage, transitions are read off the runs of the
+    next stage through this one; at the last stage a transition
     c -> d is possible whenever the top of c meets the base of d.
     The stage also has to spread: every atom of stage 1 must contain an
     atom of every column, which holds exactly when every column's
@@ -171,11 +153,8 @@ def minimality_check(g, n):
     ncols = len(t.columns)
     edges = [set() for _ in range(ncols)]
     if n + 1 < len(g.stages):
-        tr = g.decomposition(n)
-        if tr is None:
-            raise ValueError("stage %d does not refine stage %d" % (n + 1, n))
-        for trace in tr:
-            for a, b in zip(trace, trace[1:]):
+        for run in g.runs(n + 1, n):
+            for a, b in zip(run, run[1:]):
                 edges[a].add(b)
     else:
         for ci, col in enumerate(t.columns):
@@ -194,9 +173,8 @@ def minimality_check(g, n):
             break
     ok = len(trap) == ncols
     if ok and n >= 1:
-        runs = _chain_traces(g, n)[1] if n > 1 else [(c,) for c in range(ncols)]
         every = set(range(len(g.stages[1].columns)))
-        ok = all(set(run) == every for run in runs)
+        ok = all(set(run) == every for run in g.runs(n, 1))
     if ok:
         return MinimalityReport(True, n, None)
     cert = union_all(a for ci in trap for a in t.columns[ci])

@@ -18,6 +18,7 @@ from cantordyn.builder import (
 )
 from cantordyn.clopen import EMPTY, FULL, ClopenSet
 from cantordyn.measure import MeasureFamily, TreeMeasure, frac_text, parse_family
+from cantordyn.oracles import DivisibilityFailure
 import cantordyn.builder
 from cantordyn import tower
 from cantordyn.tower import KRPartition, run_decomposition, trivial_partition
@@ -147,7 +148,7 @@ def test_bratteli_dot_draws_columns_and_their_runs():
     assert runs == {
         (n, d): list(enumerate(trace, start=1))
         for n in range(len(g.stages) - 1)
-        for d, trace in enumerate(g.decomposition(n))
+        for d, trace in enumerate(g.runs(n + 1, n))
     }
 
 
@@ -183,6 +184,48 @@ def test_build_refuses_a_one_generator_family_that_is_not_good():
     assert (err.stage, err.phase) == (0, "goodness")
     assert "GoodnessFailure" in str(err)
     assert "A = [000]" in str(err) and "B = [011]" in str(err)
+
+
+def test_build_names_the_stage_an_oracle_failed_in():
+    # depth 8 is too shallow for stage 4's division; the default 12 builds all six stages
+    with pytest.raises(BuildFailure) as info:
+        build_saturated(parse_family("measure uniform\ndepth_bound 3\n"), 6, max_depth=8)
+    err = info.value
+    assert (err.stage, err.phase, type(err.cause)) == (4, "refine", DivisibilityFailure)
+    assert err.cause.max_depth == 8
+    assert str(err) == (
+        "stage 4 refine failed: DivisibilityFailure: no n-th part of 0000 for n=128, eps=31/4064"
+        " (searched to depth 8)"
+    )
+
+
+def test_refine_matches_unequal_tops_before_dividing(monkeypatch):
+    # refining the trivial tower first splits off the one-atom columns
+    # [000] and [001], here of masses 1/27 and 2/27; refine_small_base_top
+    # matches their tops with select_copy before it divides the base, and
+    # no other select_copy call comes before approx_divide
+    calls = []
+
+    def spy(name):
+        real = getattr(tower, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in ("select_copy", "approx_divide"):
+        monkeypatch.setattr(tower, name, spy(name))
+    weights = "".join("weight %s 1/3\n" % w for w in ("e", "0", "1", "00", "01", "10", "11"))
+    g = build_saturated(parse_family("measure deep\n" + weights), 1, max_depth=12)
+    assert validate_sequence(g) == ()
+    assert len(g.stages[1].columns) == 18
+    assert calls[:2] == ["select_copy", "approx_divide"]
+    # the uniform measure gives [000] and [001] one mass
+    del calls[:]
+    build_saturated(UNI, 1)
+    assert calls[0] == "approx_divide"
 
 
 def test_validate_reports_tampering():
@@ -233,6 +276,10 @@ def test_validate_checks_a_changed_repeat_in_full(monkeypatch):
         "stage 3 does not refine stage 2",
     )
     assert len(calls) == 4
+    # runs names the first step that fails going down from its upper stage
+    with pytest.raises(ValueError, match="^stage 3 does not refine stage 2$"):
+        bad.runs(3, 0)
+    assert bad.runs(1, 0) == g.runs(1, 0)
 
 
 PINNED_BUILDS = [
@@ -336,6 +383,7 @@ def test_load_rejects_malformed_text():
         ("generators 1", "generators x", "line 2: expected 'generators <int>', got 'generators x'"),
         ("generators 1", "generators 0", "line 2: no generators"),
         ("pairs 1", "pairs -1", "line 6: negative pairs count"),
+        ("pairs 1", "pair 1", "line 6: expected 'pairs <int>', got 'pair 1'"),
         ("pair ∅ ∅", "pair ∅", "line 7: expected 'pair <clopen> <clopen>'"),
         ("pair ∅ ∅", "pair ∅ 0,", "line 7: bad clopen text"),
         ("stages 2", "stages 0", "line 8: no stages"),
@@ -392,8 +440,12 @@ def test_load_reads_integer_fields_as_ascii_digits(old, new, message):
         ),
         ("end measure", "measure b\nend measure", "line 6: generators 1 but 2 measures"),
         ("generators 1", "generators 2", "truncated tower file after line 30"),
+        ("depth_bound 0", "depth_bound ²", "line 4, col 1: depth_bound takes one nonnegative integer"),
     ],
-    ids=["keyword", "word", "duplicate-weight", "range", "depth-bound", "duplicate-name", "count", "truncated"],
+    ids=[
+        "keyword", "word", "duplicate-weight", "range", "depth-bound", "duplicate-name", "count", "truncated",
+        "depth-bound-digits",
+    ],
 )
 def test_load_reads_generator_blocks_by_family_rules(old, new, message):
     # the generator blocks are family-file text; errors carry the tower

@@ -64,6 +64,18 @@ def test_validate_flags_ungood_family(tmp_path, capsys):
     assert "the A/B ratios (1/2, 1/6) are not one dyadic q" in last
 
 
+def test_validate_rejects_duplicate_generators(tmp_path, capsys):
+    fam = write(tmp_path, "fam.txt", "measure a\nweight e 1/3\n\nmeasure b\nweight e 1/3\n")
+    assert main(["validate", "--family", fam]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [
+        "duplicate generators: 0 and 1",
+        "generators 2, all weights in (0,1)",
+        "eps 1/2 -> delta 1/2 (depth 2)",
+    ]
+    assert lines[-1] == "family rejected"
+
+
 def test_validate_makes_no_oracle_search(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("validate searched for a subset")
@@ -101,6 +113,17 @@ def test_build_fails_on_ungood_family(tmp_path, capsys):
     assert main(["build", "--family", fam, "--stages", "1", "--out", out]) == 2
     # refused up front, with the pair validate prints
     assert "stage 0 goodness failed: GoodnessFailure: A = [00]" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "tower.txt"))
+
+
+def test_build_names_the_stage_an_oracle_failed_in(tmp_path, capsys):
+    fam = write(tmp_path, "fam.txt", UNIFORM)
+    out = str(tmp_path / "out")
+    assert main(["build", "--family", fam, "--stages", "6", "--max-depth", "8", "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "error: stage 4 refine failed: DivisibilityFailure: no n-th part of 0000 for n=128,"
+        " eps=31/4064 (searched to depth 8)\n"
+    )
     assert not os.path.exists(os.path.join(out, "tower.txt"))
 
 
@@ -188,6 +211,23 @@ def test_verify_catches_edited_last_stage_atom(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "first-return probe: not run (the set is not a union of last-stage atoms)" in text
     assert text.splitlines()[-1].startswith("violated: stage 2 is not a tower partition")
+
+
+def test_verify_reports_a_stage_too_shallow_to_divide(tmp_path, capsys):
+    # one column [0], [1] holds every invariant, but three first-return
+    # classes need a column of height three or more
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "tower.txt").write_text(
+        "cantordyn tower v1\ngenerators 1\nmeasure mu0\ndepth_bound 0\nend measure\npairs 0\n"
+        "stages 2\nstage 0 columns 1 budget 1/1\ncolumn 1\nX\n"
+        "stage 1 columns 1 budget 1/1\ncolumn 2\n0\n1\nend tower\n"
+    )
+    assert main(["verify", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "first-return probe: stage too shallow (remainder holds 1/1 of the set, more than the allowed 1/4)",
+        "verified: all invariants hold",
+    ]
 
 
 def test_verify_rejects_truncated_file(tmp_path, capsys):

@@ -180,6 +180,13 @@ class ParseTest(unittest.TestCase):
         self.assert_error("measure a\nfrobnicate 3\n", 2, "unknown keyword")
         self.assert_error("measure a\ndepth_bound 1\nweight 01 1/3\n", 1, "depth_bound 1 below")
         self.assert_error("measure a\ndepth_bound -1\n", 2, "nonnegative")
+        # a superscript two and an Arabic-Indic three are digits to str.isdigit
+        self.assert_error("measure a\ndepth_bound ²\n", 2, "line 2, col 1: depth_bound takes one nonnegative integer")
+        self.assert_error("measure a\ndepth_bound ٣\n", 2, "line 2, col 1: depth_bound takes one nonnegative integer")
+        self.assert_error("measure a b\n", 1, "line 1, col 1: measure takes exactly one name")
+        self.assert_error("depth_bound 3\nmeasure a\n", 1, "line 1, col 1: depth_bound outside a measure")
+        self.assert_error("measure a\ndepth_bound 3\ndepth_bound 3\n", 3, "line 3, col 1: depth_bound given twice")
+        self.assert_error("measure a\nweight e\n", 2, "line 2, col 1: weight takes a word and a rational")
 
     def test_error_columns(self):
         # each column points at its own token, also when the keyword

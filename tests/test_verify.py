@@ -11,7 +11,6 @@ from cantordyn.clopen import EMPTY, FULL, ClopenSet, union_all
 from cantordyn.measure import MeasureFamily, TreeMeasure
 from cantordyn.tower import KRPartition, run_decomposition, trivial_partition
 from cantordyn.verify import (
-    _chain_traces,
     PairNotScheduled,
     StageTooShallow,
     apply_witness,
@@ -138,12 +137,11 @@ def test_cone_is_the_column_simplex(make):
 
 @SEQUENCES
 def test_chain_traces_match_direct_decomposition(make):
+    # the telescoped runs agree with decomposing stage n over stage m at once
     g = make()
     for n in range(len(g.stages)):
-        traces = _chain_traces(g, n)
-        assert len(traces) == n
-        for m in range(n):
-            assert traces[m] == run_decomposition(g.stages[n], g.stages[m])
+        for m in range(n + 1):
+            assert g.runs(n, m) == run_decomposition(g.stages[n], g.stages[m])
 
 
 def test_collapse_pins_down_masses():
@@ -173,7 +171,7 @@ def test_minimality_needs_spread():
         )
     )
     g = seq(UNI, [halves, quarters, eighths])
-    assert g.decomposition(2) == ((0, 1, 2, 0), (1, 2))
+    assert g.runs(3, 2) == ((0, 1, 2, 0), (1, 2))
     mr = minimality_check(g, 2)
     assert not mr.ok
     assert mr.certificate == FULL
@@ -200,7 +198,7 @@ def assert_minimality_matches_brute_force(g, n):
     """minimality_check(g, n) below the last stage, against reachability by brute force."""
     t = g.stages[n]
     ncols = len(t.columns)
-    runs = g.decomposition(n)
+    runs = g.runs(n + 1, n)
     edges = [set() for _ in range(ncols)]
     for run in runs:
         for a, b in zip(run, run[1:]):
@@ -234,7 +232,7 @@ def test_minimality_trap_is_closed_under_the_next_stage():
     )
     g = seq(UNI, [three, runs])
     assert validate_sequence(g) == ()
-    assert g.decomposition(1) == ((0, 1, 2, 2), (0, 1), (0,))
+    assert g.runs(2, 1) == ((0, 1, 2, 2), (0, 1), (0,))
     assert_minimality_matches_brute_force(g, 1)
     assert minimality_check(g, 1).certificate == C("1")
 
