@@ -69,7 +69,6 @@ from cantordyn.verify import (
     invariant_cone,
     minimality_check,
     saturation_witness,
-    verify_all,
 )
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from cantordyn.builder import (
 from cantordyn.clopen import FULL
 from cantordyn.measure import frac_text, goodness_obstruction, obstruction_text, parse_family, validate_family
 from cantordyn.oracles import SearchFailure
-from cantordyn.verify import StageTooShallow, first_return_divide, verify_all
+from cantordyn.verify import StageTooShallow, first_return_divide, verification_report
 
 __all__ = ["main"]
 
@@ -127,7 +127,7 @@ def _cmd_build(args):
 
 def _cmd_verify(args):
     g = _load_written(args.out)
-    ok, first, report = verify_all(g)
+    report = verification_report(g)
     for line in report.lines:
         print(line)
     try:
@@ -138,8 +138,8 @@ def _cmd_verify(args):
     except ValueError as exc:
         # the last stage does not cover X, and the report names that violation
         print("first-return probe: not run (%s)" % exc)
-    if not ok:
-        print("violated: %s" % first)
+    if not report.ok:
+        print("violated: %s" % report.violations[0])
         return 3
     print("verified: all invariants hold")
     return 0

@@ -373,16 +373,12 @@ def _stack_pool_onto(k, cols, dcol, pool, level, max_depth):
     return [c for col in cols for c in swap.get(id(col), (col,))], stacked
 
 
-def _shares(sel, bases):
-    """(i, sel & bases[i]) for every base sel meets, for disjoint bases holding sel."""
-    owner = {w: i for i, b in enumerate(bases) for w in b.leaves}
-    return _shares_in(sel, sorted(owner), owner)
-
-
 def _shares_in(sel, leaves, owner):
-    """_shares over the bases' sorted leaves, each mapped by owner to its base's key.
+    """(i, sel & base i) for every base i sel meets, for disjoint bases holding sel.
 
-    A leaf of sel lies in one base leaf or is the union of those it prefixes.
+    leaves are the bases' leaves, sorted, and owner maps each to its
+    base's key.  A leaf of sel lies in one base leaf or is the union of
+    those it prefixes.
     """
     words = {}
     for x in sel.leaves:
@@ -487,9 +483,11 @@ def refine_small_base_top(k, t, eps, max_depth=12):
 
     # recut every column so each new base sits in exactly one copy; the
     # leftover column is set aside and goes last.
+    owner = {w: i for i, b in enumerate(cs + [e]) for w in b.leaves}
+    leaves = sorted(owner)
     recut = []
     for col in cols:
-        bits = [x for _, x in _shares(col[0], cs + [e])]
+        bits = [x for _, x in _shares_in(col[0], leaves, owner)]
         recut.extend(_split_column(k, col, 0, bits, max_depth))
     cols = [col for col in recut if col[0] != e]
     tail = [col for col in recut if col[0] == e]

@@ -37,7 +37,6 @@ __all__ = [
     "minimality_check",
     "saturation_witness",
     "verification_report",
-    "verify_all",
 ]
 
 
@@ -135,9 +134,11 @@ class MinimalityReport:
 def minimality_check(g, n):
     """Column-transition connectivity and spread of stage n.
 
-    Before the last stage, transitions are read off the runs of the
-    next stage through this one; at the last stage a transition
-    c -> d is possible whenever the top of c meets the base of d.
+    The transitions of stage n are the steps of the runs of stage n + 1
+    through it, the only ones the finite sequence witnesses, so the last
+    stage has none and passes only with a single column.  (Where a top
+    meets a base adds nothing: distinct atoms of a partition are
+    disjoint, so that gives at most a one-atom column a self-loop.)
     The stage also has to spread: every atom of stage 1 must contain an
     atom of every column, which holds exactly when every column's
     telescoped run through stage 1 visits every stage-1 column (runs
@@ -152,15 +153,9 @@ def minimality_check(g, n):
     t = g.stages[n]
     ncols = len(t.columns)
     edges = [set() for _ in range(ncols)]
-    if n + 1 < len(g.stages):
-        for run in g.runs(n + 1, n):
-            for a, b in zip(run, run[1:]):
-                edges[a].add(b)
-    else:
-        for ci, col in enumerate(t.columns):
-            for di, dol in enumerate(t.columns):
-                if not col[-1].is_disjoint(dol[0]):
-                    edges[ci].add(di)
+    for run in g.runs(n + 1, n) if n + 1 < len(g.stages) else ():
+        for a, b in zip(run, run[1:]):
+            edges[a].add(b)
     trap = range(ncols)
     for c in range(ncols):
         reached, todo = {c}, [c]
@@ -280,7 +275,7 @@ def first_return_divide(g, a, n, eps):
 
 
 class VerificationReport:
-    """Everything verify_all measured, plus the verdict."""
+    """Everything verification_report measured, plus the verdict."""
 
     __slots__ = ("ok", "violations", "lines")
 
@@ -353,10 +348,3 @@ def verification_report(g):
     for bad in violations:
         lines.append("violation: " + bad)
     return VerificationReport(not violations, violations, lines)
-
-
-def verify_all(g):
-    """(ok, first violated invariant or None, full report)."""
-    report = verification_report(g)
-    first = report.violations[0] if report.violations else None
-    return report.ok, first, report

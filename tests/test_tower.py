@@ -357,10 +357,16 @@ def test_split_column_tells_shapes_apart():
     assert [tuple(c) for c in got] == reference_split(k, column, 0, pieces, 12)
 
 
+def shares(sel, bases):
+    """tower._shares_in over the given bases, keyed by position."""
+    owner = {w: i for i, b in enumerate(bases) for w in b.leaves}
+    return tower._shares_in(sel, sorted(owner), owner)
+
+
 def test_shares_cut_a_leaf_that_spans_bases():
     # [0] of sel covers the leaf 00 of one base and the leaf 01 of another
     bases = [C("00", "11"), C("01")]
-    assert tower._shares(C("0", "110"), bases) == [(0, C("00", "110")), (1, C("01"))]
+    assert shares(C("0", "110"), bases) == [(0, C("00", "110")), (1, C("01"))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -383,7 +389,7 @@ def test_shares_match_intersections(data):
             chosen.extend(data.draw(st.lists(st.sampled_from(subs), unique=True)))
     sel = C(*chosen)
     want = [(i, sel & b) for i, b in enumerate(bases) if not (sel & b).is_empty]
-    got = tower._shares(sel, bases)
+    got = shares(sel, bases)
     assert [(i, x.leaves) for i, x in got] == [(i, x.leaves) for i, x in want]
 
 
@@ -428,6 +434,28 @@ def test_refine_postconditions_weighted():
     assert run_decomposition(got, t) is not None
     # base mass must come out strictly positive and the atoms partition X
     assert sum(k.generators[0].eval(a) for a in got.atoms) == 1
+
+
+def test_refine_pins_a_wide_base(monkeypatch):
+    # the top [01] is cut around [010], and the first sub-column's base
+    # 00000,11000 has diameter 1, so it is split again around [00000]
+    calls = []
+    real = tower._split_column
+
+    def spy(k, column, level, pieces, max_depth=12):
+        calls.append((column[level], level, list(pieces)))
+        return real(k, column, level, pieces, max_depth)
+
+    monkeypatch.setattr(tower, "_split_column", spy)
+    t = from_columns(
+        UNI,
+        [(C("00000", "110", "1110", "11110"), C("01")), (C("00001", "0001", "001", "10", "11111"),)],
+    )
+    got = refine_small_base_top(UNI, t, F(1, 4))
+    assert calls[1] == (C("00000", "11000"), 0, [C("00000"), C("11000")])
+    assert from_columns(UNI, got.columns) == got
+    assert run_decomposition(got, t) is not None
+    assert got.base.diameter() == got.top.diameter() == F(1, 128)
 
 
 def test_balance_two_singletons():

@@ -9,8 +9,17 @@ from hypothesis import strategies as st
 from cantordyn.builder import TowerSequence, build_saturated, validate_sequence
 from cantordyn.clopen import EMPTY, FULL, ClopenSet, union_all
 from cantordyn.measure import MeasureFamily, TreeMeasure
-from cantordyn.tower import KRPartition, run_decomposition, trivial_partition
+from cantordyn import tower
+from cantordyn.tower import (
+    KRPartition,
+    NotAPartition,
+    NotEquivalentColumn,
+    from_columns,
+    run_decomposition,
+    trivial_partition,
+)
 from cantordyn.verify import (
+    MinimalityReport,
     PairNotScheduled,
     StageTooShallow,
     apply_witness,
@@ -20,7 +29,6 @@ from cantordyn.verify import (
     minimality_check,
     saturation_witness,
     verification_report,
-    verify_all,
 )
 
 F = Fraction
@@ -195,10 +203,11 @@ def closure(edges, c):
 
 
 def assert_minimality_matches_brute_force(g, n):
-    """minimality_check(g, n) below the last stage, against reachability by brute force."""
+    """minimality_check(g, n) against reachability by brute force over the
+    runs of stage n + 1, the only transitions it reads (the last stage has none)."""
     t = g.stages[n]
     ncols = len(t.columns)
-    runs = g.runs(n + 1, n)
+    runs = g.runs(n + 1, n) if n + 1 < len(g.stages) else ()
     edges = [set() for _ in range(ncols)]
     for run in runs:
         for a, b in zip(run, run[1:]):
@@ -243,8 +252,9 @@ def test_trapped_region_is_summarised():
     g = build_saturated(THIRD, 2, max_depth=16)
     cert = minimality_check(g, 2).certificate
     assert len(cert.leaves) == 16 and cert.leaves[:3] == ("00000", "00011", "00100")
-    ok, first, report = verify_all(g)
-    assert not ok
+    report = verification_report(g)
+    assert not report.ok
+    first = report.violations[0]
     assert first == (
         "stage 2: orbits can stay trapped in a region of 16 leaves "
         "(00000,00011,00100,...), masses (1/3), diameter 1/1"
@@ -265,9 +275,14 @@ def test_witness_for_identity_pair():
         saturation_witness(g, C("1"), C("0"))
 
 
-def test_witness_swaps_halves():
+def swapped_halves():
+    """One column of quarters, paired to carry [0] onto [1]."""
     s = KRPartition(((C("00"), C("01"), C("10"), C("11")),))
-    g = seq(UNI, [s], pairs=((C("0"), C("1")),))
+    return seq(UNI, [s], pairs=((C("0"), C("1")),))
+
+
+def test_witness_swaps_halves():
+    g = swapped_halves()
     w = saturation_witness(g, C("0"), C("1"))
     assert w.stage == 1
     assert w.exponents == (-2, 2)
@@ -305,10 +320,10 @@ def test_first_return_remainder_tolerance():
         first_return_divide(g, FULL, 0, 0)
 
 
-def test_verify_all_accepts_built_tower():
+def test_verification_report_accepts_built_tower():
     g = build_saturated(UNI, 2)
-    ok, first, report = verify_all(g)
-    assert ok and first is None
+    report = verification_report(g)
+    assert report.ok and report.violations == ()
     assert bool(report)
     assert any("collapse 0/1" in line for line in report.lines)
     assert any("strongly connected" in line for line in report.lines)
@@ -422,18 +437,17 @@ def test_cone_refuses_a_stage_that_does_not_refine():
         invariant_cone(bad, 2)
 
 
-def test_verify_all_flags_tampering():
-    ok, first, report = verify_all(swapped_levels())
-    assert not ok
-    assert "does not refine" in first
-    assert report.violations
+def test_verification_report_flags_tampering():
+    report = verification_report(swapped_levels())
+    assert not report.ok
+    assert "does not refine" in report.violations[0]
     assert any(line.startswith("violation:") for line in report.lines)
 
 
 @settings(max_examples=60, deadline=None)
 @given(multi_column_sequences())
 def test_minimality_matches_brute_force_reachability(g):
-    for n in range(len(g.stages) - 1):
+    for n in range(len(g.stages)):
         assert_minimality_matches_brute_force(g, n)
 
 
@@ -454,9 +468,9 @@ VALID = [
 
 
 @st.composite
-def perturbed_sequences(draw):
+def perturbed_sequences(draw, sources=VALID):
     """A valid sequence with levels or columns swapped, or leaves moved between atoms."""
-    g = draw(st.sampled_from(VALID))
+    g = draw(st.sampled_from(sources))
     stages = [[list(col) for col in t.columns] for t in g.stages]
     for _ in range(draw(st.integers(1, 3))):
         cols = draw(st.sampled_from(stages[1:]))
@@ -490,3 +504,79 @@ def test_a_structurally_valid_sequence_keeps_every_generator_in_the_cone(g):
         cone = invariant_cone(g, n)
         for m in g.family.generators:
             assert cone.contains(tuple(m.eval(a) for a in cone.atoms))
+
+
+def minimality_with_top_meets_base(g):
+    """minimality_check on the last stage as it once ran: a transition
+    c -> d wherever the top of column c meets the base of column d."""
+    n = len(g.stages) - 1
+    cols = g.stages[n].columns
+    edges = [{d for d, dol in enumerate(cols) if not col[-1].is_disjoint(dol[0])} for col in cols]
+    trap = next((r for r in (closure(edges, c) for c in range(len(cols))) if len(r) < len(cols)), None)
+    if trap is None:
+        every = set(range(len(g.stages[1].columns)))
+        if all(set(run) == every for run in g.runs(n, 1)):
+            return MinimalityReport(True, n, None)
+        trap = range(len(cols))
+    return MinimalityReport(False, n, union_all(a for c in trap for a in cols[c]))
+
+
+def outcome(check):
+    """(ok, certificate) of a minimality check, or the ValueError it raises."""
+    try:
+        mr = check()
+    except ValueError as exc:
+        return str(exc)
+    return mr.ok, mr.certificate
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(multi_column_sequences(), perturbed_sequences()))
+def test_last_stage_minimality_ignores_where_tops_meet_bases(g):
+    # distinct atoms of a partition are disjoint, so a top meets a base only
+    # in a one-atom column, and that self-loop changes no reachability
+    last = len(g.stages) - 1
+    try:
+        from_columns(g.family, g.stages[last].columns)
+    except (NotAPartition, NotEquivalentColumn):
+        return
+    want = outcome(lambda: minimality_with_top_meets_base(g))
+    assert outcome(lambda: minimality_check(g, last)) == want
+
+
+def witness_images(g, u, v):
+    """Union of the pairing stage's u-atoms moved by saturation_witness(g, u, v),
+    each found by its first leaf in one atom index of that stage."""
+    w = saturation_witness(g, u, v)
+    t = g.stages[w.stage]
+    idx = tower._atom_index(t)
+    imgs = []
+    for a in t.atoms:
+        if a.is_subset(u):
+            ci, ri = tower._locate(idx, a.leaves[0])
+            e = next(e for piece, e in zip(w.pieces, w.exponents) if a.is_subset(piece))
+            imgs.append(t.columns[ci][ri + e])
+    return union_all(imgs)
+
+
+# pair 4 of the 4-stage uniform build carries [1] onto [0] across 2,048 atoms
+PAIRED = [build_saturated(UNI, 4), swapped_halves()]
+
+
+def test_pairs_that_move_something_reach_the_witness_check():
+    assert PAIRED[0].pairs[3] == (C("1"), C("0"))
+    for g in PAIRED:
+        assert validate_sequence(g) == ()
+        assert any(u != v for u, v in g.pairs)
+        for u, v in g.pairs:
+            assert witness_images(g, u, v) == v
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_sequences(VALID + PAIRED))
+def test_a_structurally_valid_sequence_has_witnesses_that_carry_u_onto_v(g):
+    # what lets verification_report drop its witness replay
+    if validate_sequence(g) != ():
+        return
+    for u, v in g.pairs:
+        assert witness_images(g, u, v) == v
