@@ -12,7 +12,8 @@ read off the host's own leaves, one block of equal cylinders per leaf;
 only leaves shorter than the weight depth are refined.  Taking the
 largest admissible count from each run, first cylinders first, makes the
 answer canonical.  The search works on integers; Fraction stays at the
-boundary (the box, the host's vector).
+boundary (the box, the host's vector).  Feasibility only grows with depth,
+so a box with no integer point at max_depth is refused without a search.
 
 On top of that sit the derived operations: copying a value vector into a
 host, dividing a set into n almost-equal pieces, stamping out n disjoint
@@ -149,7 +150,9 @@ def subset_in_box(k, host, lo, hi, max_depth=12):
     Tries cylinder depths d from the host's own depth up to max_depth and
     returns the canonical solution at the first depth that has one.  At
     depth d generator i's masses are integers over one denominator D_i,
-    so the box becomes ceil(lo_i D_i) .. floor(hi_i D_i), exactly.  Below
+    so the box becomes ceil(lo_i D_i) .. floor(hi_i D_i), exactly.  A box
+    point or a solution at depth d is one at every deeper depth, so a box
+    with no point at max_depth is refused before any search.  Below
     the family's weight depth every depth-d cylinder under a word has the
     same vector, so only host leaves shorter than e = min(d, weight depth)
     are refined, to depth e: each word w is then a block of 2^(d-|w|)
@@ -165,15 +168,29 @@ def subset_in_box(k, host, lo, hi, max_depth=12):
 
 def _in_box(k, host, hv, lo, hi, max_depth):
     """subset_in_box for checked bounds, given the host's vector hv."""
+    if max_depth < 0:
+        raise ValueError("max_depth must be at least 0, got %d" % max_depth)
     if any(l > h for l, h in zip(lo, hi)):
         return None
     if all(l <= x <= h for l, x, h in zip(lo, hv, hi)):
         return host
-    if host.is_empty:
-        return None
-    base = host.max_leaf_len
-    top = k._top
     gens = k.generators
+    bounds = [(l.numerator, l.denominator, h.numerator, h.denominator) for l, h in zip(lo, hi)]
+
+    def box(d):
+        """The integer box at depth d as (lows, highs), or None when it is empty."""
+        pts = []
+        for m, (a, b, c, e) in zip(gens, bounds):
+            n = m._den(d)
+            pts.append((-(-a * n // b), c * n // e))
+            if pts[-1][0] > pts[-1][1]:
+                return None
+        return zip(*pts)
+
+    base = host.max_leaf_len
+    if host.is_empty or base > max_depth or box(max_depth) is None:
+        return None
+    top = k._top
     for d in range(base, max_depth + 1):
         if d == base or d <= top:  # past the weight depth the runs stay put
             e = min(d, top)
@@ -186,13 +203,11 @@ def _in_box(k, host, hv, lo, hi, max_depth):
                 (v, list(bs))
                 for v, bs in groupby(blocks, lambda b: tuple(m._num(b[: m._top]) for m in gens))
             ]
-        dens = tuple(m._den(d) for m in gens)
-        ilo = tuple(-(-l.numerator * n // l.denominator) for l, n in zip(lo, dens))
-        ihi = tuple(h.numerator * n // h.denominator for h, n in zip(hi, dens))
-        if any(l > h for l, h in zip(ilo, ihi)):
+        ib = box(d)
+        if ib is None:
             continue
         sized = [(v, sum(1 << (d - len(b)) for b in bs)) for v, bs in runs]
-        counts = _solve_at_depth(sized, ilo, ihi)
+        counts = _solve_at_depth(sized, *ib)
         if counts is not None:
             chosen = []
             for (_, bs), t in zip(runs, counts):

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import groupby, product
-from math import prod
+from math import ceil, floor, lcm, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cantordyn import oracles
 from cantordyn.clopen import EMPTY, FULL, ClopenSet, union_all
 from cantordyn.measure import MeasureFamily, TreeMeasure
 from cantordyn.oracles import (
@@ -268,21 +269,40 @@ def reference_runs(k, host, depth):
     return [(v, [w for w, _ in grp]) for v, grp in groupby(zip(words, vecs), key=lambda p: p[1])]
 
 
-def reference_subset_in_box(k, host, lo, hi, max_depth):
-    """subset_in_box by exhaustion over the count vectors of each depth."""
+def reference_solve(runs, lo, hi):
+    """The first count vector, in descending lexicographic order, whose sums lie in [lo, hi]."""
+    for counts in product(*(range(c, -1, -1) for _, c in runs)):
+        sums = [sum(t * v[i] for (v, _), t in zip(runs, counts)) for i in range(len(lo))]
+        if all(l <= s <= h for l, s, h in zip(lo, sums, hi)):
+            return list(counts)
+    return None
+
+
+def integer_solve(runs, lo, hi):
+    """_solve_at_depth on Fraction runs, over each generator's least common denominator."""
+    dens = [lcm(*(v[i].denominator for v, _ in runs)) for i in range(len(lo))]
+    ints = [(tuple(int(x * n) for x, n in zip(v, dens)), c) for v, c in runs]
+    ilo = tuple(ceil(l * n) for l, n in zip(lo, dens))
+    ihi = tuple(floor(h * n) for h, n in zip(hi, dens))
+    return _solve_at_depth(ints, ilo, ihi)
+
+
+def reference_subset_in_box(k, host, lo, hi, max_depth, solve=reference_solve):
+    """subset_in_box as a plain scan over every depth up to max_depth.
+
+    At each depth from the host's own, `solve` picks a count from each run
+    of reference_runs; the first depth with an answer wins.  The default
+    solver is exhaustion over the count vectors.
+    """
     if any(l > h for l, h in zip(lo, hi)):
         return None
     if all(l <= x <= h for l, x, h in zip(lo, k.vec(host), hi)):
         return host
     for d in range(host.max_leaf_len, max_depth + 1):
         runs = reference_runs(k, host, d)
-        # descending lexicographic order: the first feasible count vector is the largest
-        for counts in product(*(range(len(ws), -1, -1) for _, ws in runs)):
-            s = [F(0)] * len(lo)
-            for (v, _), c in zip(runs, counts):
-                s = [a + c * x for a, x in zip(s, v)]
-            if all(l <= a <= h for l, a, h in zip(lo, s, hi)):
-                return ClopenSet(w for (_, ws), c in zip(runs, counts) for w in ws[:c])
+        counts = solve([(v, len(ws)) for v, ws in runs], lo, hi)
+        if counts is not None:
+            return ClopenSet(w for (_, ws), c in zip(runs, counts) for w in ws[:c])
     return None
 
 
@@ -322,15 +342,6 @@ def test_subset_in_box_matches_exhaustive_reference(k, host, exact, data):
     assert got == want, (k.generators, host, lo, hi, max_depth)
 
 
-def reference_solve(runs, lo, hi):
-    """The first count vector, in descending lexicographic order, whose sums lie in [lo, hi]."""
-    for counts in product(*(range(c, -1, -1) for _, c in runs)):
-        sums = [sum(t * v[i] for (v, _), t in zip(runs, counts)) for i in range(len(lo))]
-        if all(l <= s <= h for l, s, h in zip(lo, sums, hi)):
-            return list(counts)
-    return None
-
-
 @st.composite
 def solver_cases(draw):
     """Up to 7 runs under 1-3 generators, and a box that may be empty,
@@ -356,3 +367,88 @@ def solver_cases(draw):
 def test_solve_at_depth_matches_exhaustive_reference(case):
     runs, lo, hi = case
     assert _solve_at_depth(runs, lo, hi) == reference_solve(runs, lo, hi)
+
+
+@st.composite
+def box_cases(draw, caps):
+    """A family, a host, a cap, and a box around a subset of the host's
+    cylinders of some depth up to the cap: the exact vector, a box off it,
+    or a single point moved off the cylinder masses' grid."""
+    k, host, cap = draw(family_st), draw(host_st), draw(caps)
+    depth = draw(st.integers(host.max_leaf_len, max(host.max_leaf_len, cap)))
+    words = host.refine_to_depth(depth)
+    center = k.vec(ClopenSet(draw(st.lists(st.sampled_from(words), max_size=6))))
+    mode = draw(st.sampled_from(["exact", "box", "point"]))
+    if mode == "exact":
+        lo = hi = center
+    elif mode == "box":
+        lo = tuple(x + draw(offset_st) for x in center)
+        hi = tuple(x + draw(offset_st) for x in center)
+    else:
+        lo = hi = tuple(x + draw(offset_st) for x in center)
+    return k, host, lo, hi, cap
+
+
+@settings(max_examples=60, deadline=None)
+@given(box_cases(st.integers(6, 12)))
+# a twelfth of [00] has no point on the dyadic grid at any depth
+@example((UNI, C("00"), (F(1, 12),), (F(1, 12),), 10))
+# on the grid for the first generator, never for the second
+@example((TWO, C("1"), (F(1, 8), F(1, 7)), (F(1, 8), F(1, 7)), 12))
+def test_subset_in_box_matches_the_depth_scan_at_real_depths(case):
+    k, host, lo, hi, cap = case
+    want = reference_subset_in_box(k, host, lo, hi, cap, solve=integer_solve)
+    assert subset_in_box(k, host, lo, hi, cap) == want, case
+
+
+@settings(max_examples=200, deadline=None)
+@given(box_cases(st.integers(0, 10)))
+def test_an_answer_within_one_cap_is_the_answer_within_the_next(case):
+    k, host, lo, hi, cap = case
+    got = subset_in_box(k, host, lo, hi, cap)
+    if got is not None:
+        assert subset_in_box(k, host, lo, hi, cap + 1) == got, case
+
+
+def test_a_box_with_no_point_at_the_cap_is_refused_without_a_search(monkeypatch):
+    calls, depths = [], []
+    den = TreeMeasure._den
+
+    def spy(*args):
+        calls.append(args)
+        return _solve_at_depth(*args)
+
+    def den_spy(m, depth):
+        depths.append(depth)
+        return den(m, depth)
+
+    monkeypatch.setattr(oracles, "_solve_at_depth", spy)
+    monkeypatch.setattr(TreeMeasure, "_den", den_spy)
+    # a third of [00] is 1/12, which no dyadic cylinder depth reaches
+    with pytest.raises(DivisibilityFailure) as info:
+        approx_divide(UNI, C("00"), 3, 0, max_depth=10)
+    assert calls == []
+    # the host's vector reads depth 2; of the search depths only the cap's box is made
+    assert set(depths) == {2, 10}
+    assert info.value.max_depth == 10
+    assert str(info.value).endswith("(searched to depth 10)")
+    # the spy sees the search when there is one
+    assert approx_divide(UNI, C("00"), 2, 0, max_depth=10) == C("000")
+    assert calls
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: subset_in_box(UNI, C("0"), (F(1, 8),), (F(1, 8),), max_depth=-3),
+        lambda: select_copy(UNI, (F(1, 8),), C("0"), max_depth=-3),
+        lambda: approx_divide(UNI, C("0"), 4, max_depth=-3),
+        lambda: goodness_select(UNI, C("000"), C("0"), max_depth=-3),
+        lambda: n_copies(UNI, C("000"), C("0"), 2, max_depth=-3),
+        lambda: affine_approx(UNI, (FULL,), (F(1, 2),), F(0), max_depth=-3),
+    ],
+    ids=["subset_in_box", "select_copy", "approx_divide", "goodness_select", "n_copies", "affine_approx"],
+)
+def test_a_negative_max_depth_is_refused_before_any_search(call):
+    with pytest.raises(ValueError, match="^max_depth must be at least 0, got -3$"):
+        call()
