@@ -19,7 +19,6 @@ from cantordyn.measure import (
     InvalidWeights,
     MeasureFamily,
     TreeMeasure,
-    format_family,
     goodness_obstruction,
     parse_family,
     validate_family,

@@ -5,15 +5,18 @@ measure family, together with the schedule of equivalent clopen pairs
 incorporated along the way and the per-stage diameter budgets.  Stage 0
 is the trivial partition; stage n first balances the n-th scheduled pair
 across columns, then refines until base and top fit the stage budget.
-The limit of such a chain is a minimal homeomorphism whose invariant
-measures are exactly the simplex spanned by the family, and every finite
-stage carries checkable certificates of that; validate_sequence checks
-the structural ones here.
+The limit of such a chain is meant to be a minimal homeomorphism whose
+invariant measures are exactly the simplex spanned by the family;
+validate_sequence checks the structural certificates of each stage.
+Minimality is not yet certified for multi-column builds: no stage is
+made to run through every column of the one before, and verify can
+reject such a tower as trapped.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 from cantordyn.clopen import ClopenSet, enumerate_clopen
 from cantordyn.measure import (
@@ -46,6 +49,11 @@ __all__ = [
 # Scheduled pairs are clopen sets of depth at most 3.  The pair order, and
 # with it every built tower, depends on this depth.
 _PAIR_DEPTH = 3
+
+
+def _budget(n):
+    """The diameter budget of stage n."""
+    return Fraction(1, 2 ** n)
 
 
 class BuildFailure(Exception):
@@ -119,18 +127,17 @@ def enumerate_pairs(k, count):
     ordered by the enumeration index of a, then of b.  The diagonal is
     included.
     """
+    if count < 0:
+        raise ValueError("pair count must be at least 0, got %d" % count)
     universe = list(enumerate_clopen(_PAIR_DEPTH))
     vecs = [k.vec(a) for a in universe]
-    pairs = []
-    for i, a in enumerate(universe):
-        for j, b in enumerate(universe):
-            if vecs[i] == vecs[j]:
-                pairs.append((a, b))
-                if len(pairs) == count:
-                    return tuple(pairs)
-    raise ValueError(
-        "only %d equivalent pairs within depth %d, need %d" % (len(pairs), _PAIR_DEPTH, count)
-    )
+    found = ((a, b) for a, va in zip(universe, vecs) for b, vb in zip(universe, vecs) if va == vb)
+    pairs = tuple(islice(found, count))
+    if len(pairs) < count:
+        raise ValueError(
+            "only %d equivalent pairs within depth %d, need %d" % (len(pairs), _PAIR_DEPTH, count)
+        )
+    return pairs
 
 
 def build_saturated(k, n_stages, max_depth=12):
@@ -154,7 +161,7 @@ def build_saturated(k, n_stages, max_depth=12):
     if max_depth < 0:
         raise ValueError("max_depth must be at least 0, got %d" % max_depth)
     pairs = enumerate_pairs(k, n_stages)
-    budgets = [Fraction(1, 2 ** n) for n in range(1, n_stages + 1)]
+    budgets = [_budget(n) for n in range(n_stages + 1)]
     stages = [trivial_partition()]
     for i in range(n_stages):
         u, v = pairs[i]
@@ -163,11 +170,11 @@ def build_saturated(k, n_stages, max_depth=12):
         try:
             cur = balance_columns(k, cur, u, v, max_depth)
             phase = "refine"
-            cur = refine_small_base_top(k, cur, budgets[i], max_depth)
+            cur = refine_small_base_top(k, cur, budgets[i + 1], max_depth)
         except (SearchFailure, NotEquivalent) as exc:
             raise BuildFailure(i + 1, phase, exc) from exc
         stages.append(cur)
-    g = TowerSequence(k, stages, pairs, (Fraction(1),) + tuple(budgets))
+    g = TowerSequence(k, stages, pairs, budgets)
     bad = validate_sequence(g)
     if bad:
         raise BuildFailure(n_stages, "validate", AssertionError(bad[0]))
@@ -205,16 +212,12 @@ def validate_sequence(g):
                 broken.add(n)
                 continue
         budget = g.budgets[n]
-        if t.base.diameter() > budget:
-            bad.append(
-                "stage %d base diameter %s exceeds budget %s"
-                % (n, frac_text(t.base.diameter()), frac_text(budget))
-            )
-        if t.top.diameter() > budget:
-            bad.append(
-                "stage %d top diameter %s exceeds budget %s"
-                % (n, frac_text(t.top.diameter()), frac_text(budget))
-            )
+        for name, end in (("base", t.base), ("top", t.top)):
+            if end.diameter() > budget:
+                bad.append(
+                    "stage %d %s diameter %s exceeds budget %s"
+                    % (n, name, frac_text(end.diameter()), frac_text(budget))
+                )
     for i, (u, v) in enumerate(g.pairs, start=1):
         if i >= len(g.stages):
             bad.append("pair %d has no stage" % i)

@@ -53,7 +53,6 @@ _FULL_LEAVES = ("",)
 _UNION = (False, True, True, True)
 _INTER = (False, False, False, True)
 _MINUS = (False, True, False, False)
-_COMPL = (True, False, False, False)
 
 
 def _check_word(word):
@@ -65,20 +64,20 @@ def _sweep(a, b, keep):
     """Canonical leaves of the points x with keep[(x in a) + 2 * (x in b)].
 
     The cylinders of the word tuples `a` and `b` may overlap, in any order.
+    keep[0] is False: no point outside both operands is kept.
     """
     depth = max(map(len, a + b), default=0)
-    top = 1 << depth  # set in every position, so that bin() keeps leading zeros
     events = []  # position << 2 | entering << 1 | operand
     for tag, words in ((0, a), (1, b)):
         for w in words:
             k = depth - len(w)
-            s = int("1" + w, 2) << k
+            s = int("1" + w, 2) << k  # a leading 1 that bin() then drops
             events.append(s << 2 | 2 | tag)
             events.append((s + (1 << k)) << 2 | tag)
     events.sort()
     count = [0, 0]
-    inside = keep[0]
-    bounds = [top] if inside else []
+    inside = False
+    bounds = []
     for ev in events:
         count[ev & 1] += 1 if ev & 2 else -1
         now = keep[(count[0] > 0) + 2 * (count[1] > 0)]
@@ -89,8 +88,6 @@ def _sweep(a, b, keep):
                 bounds.pop()  # changed twice at one point: no boundary
             else:
                 bounds.append(pos)
-    if inside:
-        bounds.append(top << 1)
     leaves = []
     it = iter(bounds)
     for s, e in zip(it, it):
@@ -108,15 +105,12 @@ class ClopenSet:
     __slots__ = ("leaves", "_hash")
 
     def __init__(self, words=()):
-        if isinstance(words, ClopenSet):
-            self.leaves = words.leaves
-        elif isinstance(words, str):
+        if isinstance(words, str):
             raise TypeError("ClopenSet takes an iterable of words, not the string %r" % (words,))
-        else:
-            ws = tuple(words)
-            for w in ws:
-                _check_word(w)
-            self.leaves = _sweep(ws, (), _UNION)
+        ws = tuple(words)
+        for w in ws:
+            _check_word(w)
+        self.leaves = _sweep(ws, (), _UNION)
         self._hash = None
 
     @classmethod
@@ -135,9 +129,6 @@ class ClopenSet:
 
     def minus(self, other):
         return ClopenSet._raw(_sweep(self.leaves, other.leaves, _MINUS))
-
-    def complement(self):
-        return ClopenSet._raw(_sweep(self.leaves, (), _COMPL))
 
     def is_subset(self, other):
         b = other.leaves
@@ -158,9 +149,6 @@ class ClopenSet:
     __or__ = union
     __and__ = intersect
     __sub__ = minus
-
-    def __invert__(self):
-        return self.complement()
 
     def __bool__(self):
         return bool(self.leaves)

@@ -29,7 +29,6 @@ __all__ = [
     "InvalidWeights",
     "MeasureFamily",
     "TreeMeasure",
-    "format_family",
     "format_measure",
     "frac_text",
     "goodness_obstruction",
@@ -397,11 +396,3 @@ def format_measure(m, i):
     for word, q in m.weights.items():
         out.append("weight %s %s" % (word or "e", frac_text(q)))
     return out
-
-
-def format_family(k):
-    """Family as parse_family text; parsing it back gives an equal family."""
-    out = []
-    for i, m in enumerate(k.generators):
-        out.extend(format_measure(m, i))
-    return "\n".join(out) + "\n"

@@ -52,24 +52,18 @@ class NotEquivalentColumn(ValueError):
 class KRPartition:
     """Columns of stacked clopen atoms partitioning the space."""
 
-    __slots__ = ("columns", "_base", "_top")
+    __slots__ = ("columns",)
 
     def __init__(self, columns):
         self.columns = tuple(tuple(col) for col in columns)
-        self._base = None
-        self._top = None
 
     @property
     def base(self):
-        if self._base is None:
-            self._base = union_all(col[0] for col in self.columns)
-        return self._base
+        return union_all(col[0] for col in self.columns)
 
     @property
     def top(self):
-        if self._top is None:
-            self._top = union_all(col[-1] for col in self.columns)
-        return self._top
+        return union_all(col[-1] for col in self.columns)
 
     @property
     def atoms(self):

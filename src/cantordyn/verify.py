@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from cantordyn.builder import validate_sequence
+from cantordyn.builder import _budget, validate_sequence
 from cantordyn.clopen import ClopenSet, union_all
 from cantordyn.measure import frac_text, validate_family, vec_text
 from cantordyn.tower import locate_atom
@@ -296,7 +296,9 @@ def verification_report(g):
 
     Structural problems suppress the deeper certificates, which assume
     well-formed stages, and a well-formed stage's cone holds every
-    generator, so only its vertex count and collapse are reported.
+    generator, so only its vertex count and collapse are reported.  The
+    schedule must have the shape build_saturated gives it: one pair per
+    stage after stage 0, and budget 2^-n at stage n.
     Raises InvalidWeights for weights outside (0,1); everything else is
     reported, not raised.
     """
@@ -311,7 +313,15 @@ def verification_report(g):
     )
     structural = validate_sequence(g)
     violations.extend(structural)
-    if not violations:
+    if len(g.pairs) != len(g.stages) - 1:
+        violations.append(
+            "schedule: %d pairs for %d stages, need one per stage after stage 0"
+            % (len(g.pairs), len(g.stages))
+        )
+    for n, b in enumerate(g.budgets):
+        if b != _budget(n):
+            violations.append("schedule: stage %d budget %s, need %s" % (n, frac_text(b), frac_text(_budget(n))))
+    if rep.ok and not structural:
         for n, t in enumerate(g.stages):
             spread = collapse_metric(g, n)
             lines.append(

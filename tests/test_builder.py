@@ -54,6 +54,12 @@ def test_enumerate_pairs_shortfall():
         enumerate_pairs(UNI, 12871)
 
 
+def test_enumerate_pairs_counts_at_and_below_zero():
+    assert enumerate_pairs(UNI, 0) == ()
+    with pytest.raises(ValueError, match="pair count must be at least 0, got -1"):
+        enumerate_pairs(UNI, -1)
+
+
 def test_build_two_stages():
     g = build_saturated(UNI, 2, max_depth=12)
     assert len(g.stages) == 3

@@ -213,15 +213,46 @@ def test_verify_catches_edited_last_stage_atom(tmp_path, capsys):
     assert text.splitlines()[-1].startswith("violated: stage 2 is not a tower partition")
 
 
+def drop_pairs(lines):
+    return ["pairs 0" if x.startswith("pairs ") else x for x in lines if not x.startswith("pair ")]
+
+
+def loosen_budgets(lines):
+    return [x.rsplit(" ", 1)[0] + " 1/1" if x.startswith("stage ") else x for x in lines]
+
+
+# every stage of the edited tower still holds every structural invariant
+@pytest.mark.parametrize(
+    "edit, violation",
+    [
+        (drop_pairs, "schedule: 0 pairs for 4 stages, need one per stage after stage 0"),
+        (loosen_budgets, "schedule: stage 1 budget 1/1, need 1/2"),
+    ],
+    ids=("pairs", "budgets"),
+)
+def test_verify_rejects_an_edited_schedule(tmp_path, capsys, edit, violation):
+    fam = write(tmp_path, "fam.txt", UNIFORM)
+    out = str(tmp_path / "out")
+    assert main(["build", "--family", fam, "--stages", "3", "--out", out]) == 0
+    tower = os.path.join(out, "tower.txt")
+    with open(tower) as fh:
+        lines = fh.read().splitlines()
+    with open(tower, "w") as fh:
+        fh.write("\n".join(edit(lines)) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--out", out]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == "violated: " + violation
+
+
 def test_verify_reports_a_stage_too_shallow_to_divide(tmp_path, capsys):
     # one column [0], [1] holds every invariant, but three first-return
     # classes need a column of height three or more
     out = tmp_path / "out"
     out.mkdir()
     (out / "tower.txt").write_text(
-        "cantordyn tower v1\ngenerators 1\nmeasure mu0\ndepth_bound 0\nend measure\npairs 0\n"
-        "stages 2\nstage 0 columns 1 budget 1/1\ncolumn 1\nX\n"
-        "stage 1 columns 1 budget 1/1\ncolumn 2\n0\n1\nend tower\n"
+        "cantordyn tower v1\ngenerators 1\nmeasure mu0\ndepth_bound 0\nend measure\npairs 1\n"
+        "pair X X\nstages 2\nstage 0 columns 1 budget 1/1\ncolumn 1\nX\n"
+        "stage 1 columns 1 budget 1/2\ncolumn 2\n0\n1\nend tower\n"
     )
     assert main(["verify", "--out", str(out)]) == 0
     assert capsys.readouterr().out.splitlines()[-2:] == [

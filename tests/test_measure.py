@@ -12,7 +12,6 @@ from cantordyn.measure import (
     InvalidWeights,
     MeasureFamily,
     TreeMeasure,
-    format_family,
     frac_text,
     goodness_obstruction,
     parse_family,
@@ -157,10 +156,6 @@ class ParseTest(unittest.TestCase):
         self.assertEqual(k.generators[1].weights, {"": Fraction(1, 3), "1": Fraction(1, 4)})
         self.assertEqual(k.generators[1].name, "skew")
 
-    def test_round_trip(self):
-        k = parse_family(FAMILY_TEXT)
-        self.assertEqual(parse_family(format_family(k)), k)
-
     def assert_error(self, text, line, fragment):
         with self.assertRaises(FamilyParseError) as cm:
             parse_family(text)
@@ -221,7 +216,7 @@ def test_measure_is_additive(weights, a, b):
     m = TreeMeasure(weights)
     assert m.eval(a | b) + m.eval(a & b) == m.eval(a) + m.eval(b)
     assert m.eval(FULL) == 1
-    assert m.eval(a.complement()) == 1 - m.eval(a)
+    assert m.eval(FULL - a) == 1 - m.eval(a)
 
 
 @given(weights_st, st.text(alphabet="01", max_size=5))
