@@ -8,15 +8,13 @@ across columns, then refines until base and top fit the stage budget.
 The limit of such a chain is meant to be a minimal homeomorphism whose
 invariant measures are exactly the simplex spanned by the family;
 validate_sequence checks the structural certificates of each stage.
-Minimality is not yet certified for multi-column builds: no stage is
-made to run through every column of the one before, and verify can
-reject such a tower as trapped.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
+from math import gcd, lcm
 
 from cantordyn.clopen import ClopenSet, enumerate_clopen
 from cantordyn.measure import (
@@ -28,6 +26,8 @@ from cantordyn.tower import (
     KRPartition,
     NotAPartition,
     NotEquivalentColumn,
+    _carve,
+    _split_column,
     balance_columns,
     from_columns,
     refine_small_base_top,
@@ -171,6 +171,8 @@ def build_saturated(k, n_stages, max_depth=12):
             cur = balance_columns(k, cur, u, v, max_depth)
             phase = "refine"
             cur = refine_small_base_top(k, cur, budgets[i + 1], max_depth)
+            phase = "merge"
+            cur = _merge(k, cur, max_depth)
         except (SearchFailure, NotEquivalent) as exc:
             raise BuildFailure(i + 1, phase, exc) from exc
         stages.append(cur)
@@ -180,6 +182,27 @@ def build_saturated(k, n_stages, max_depth=12):
         raise BuildFailure(n_stages, "validate", AssertionError(bad[0]))
     g.family_report = report
     return g
+
+
+def _merge(k, t, max_depth):
+    """The stage as one column: each column cut to base mass y, then stacked.
+
+    y is the gcd of the base masses.  A family of two or more generators
+    never gets here (build_saturated refuses it as not good), and a good
+    single measure attains y inside every base.  Every atom then has mass
+    y; sub-columns keep their atoms in order, so the stage refines the one
+    before; base and top shrink into the old ones; and the column visits
+    u and v mu(u)/y = mu(v)/y times, so the pair stays balanced.
+    """
+    if len(t.columns) == 1:
+        return t
+    masses = [k.vec(col[0])[0] for col in t.columns]
+    y = Fraction(gcd(*(x.numerator for x in masses)), lcm(*(x.denominator for x in masses)))
+    subs = []
+    for col, x in zip(t.columns, masses):
+        pieces = _carve(k, col[0], [(y,)] * (int(x / y) - 1), max_depth)
+        subs.extend(_split_column(k, col, 0, pieces, max_depth))
+    return KRPartition((tuple(a for col in subs for a in col),))
 
 
 def validate_sequence(g):

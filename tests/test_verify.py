@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cantordyn.builder import TowerSequence, build_saturated, validate_sequence
 from cantordyn.clopen import EMPTY, FULL, ClopenSet, union_all
 from cantordyn.measure import MeasureFamily, TreeMeasure
-from cantordyn import tower
+from cantordyn import tower, verify
 from cantordyn.tower import (
     KRPartition,
     NotAPartition,
@@ -248,16 +248,19 @@ def test_minimality_trap_is_closed_under_the_next_stage():
 
 def test_trapped_region_is_summarised():
     # the report names the region by size, masses and first leaves; the
-    # full set stays on the MinimalityReport
-    g = build_saturated(THIRD, 2, max_depth=16)
-    cert = minimality_check(g, 2).certificate
-    assert len(cert.leaves) == 16 and cert.leaves[:3] == ("00000", "00011", "00100")
+    # full set stays on the MinimalityReport.  Base [00] and top [01] fit
+    # the stage-1 budget, and no later stage witnesses a transition
+    # between the two columns
+    cols = ((C("000"), C("100"), C("110"), C("010")), (C("001"), C("101"), C("111"), C("011")))
+    g = seq(UNI, [KRPartition(cols)], [(EMPTY, EMPTY)], (F(1), F(1, 2)))
+    cert = minimality_check(g, 1).certificate
+    assert len(cert.leaves) == 4 and cert.leaves[:3] == ("000", "010", "100")
     report = verification_report(g)
     assert not report.ok
     first = report.violations[0]
     assert first == (
-        "stage 2: orbits can stay trapped in a region of 16 leaves "
-        "(00000,00011,00100,...), masses (1/3), diameter 1/1"
+        "stage 1: orbits can stay trapped in a region of 4 leaves "
+        "(000,010,100,...), masses (1/2), diameter 1/1"
     )
     assert "violation: " + first in report.lines
 
@@ -403,7 +406,7 @@ def test_cone_and_collapse_match_the_expanded_vertices(g, data):
         (lambda: build_saturated(UNI, 3), "4f69ba1c1213450c907b9ba5ff2318eb4222136df3ad875c9ea90c7a6b2ea13f"),
         (
             lambda: build_saturated(THIRD, 2, max_depth=16),
-            "89279cda4521f226e1998c7cd189369464a7c8f6d0d3a9b3bf360c79e6eb316c",
+            "f4d179632e32cbece5d1ff3b54f8caa13dfb387221ba7295384eaa962e02ea32",
         ),
     ],
     ids=["uniform_three_stages", "third_two_stages"],
@@ -570,6 +573,21 @@ def test_pairs_that_move_something_reach_the_witness_check():
         assert any(u != v for u, v in g.pairs)
         for u, v in g.pairs:
             assert witness_images(g, u, v) == v
+
+
+def test_verification_report_does_not_replay_witnesses(monkeypatch):
+    # pair 4 moves [1] onto [0]; its witness is listed, never applied
+    g = PAIRED[0]
+    want = verification_report(g).text()
+
+    def refuse(*args):
+        raise AssertionError("a witness was replayed")
+
+    monkeypatch.setattr(verify, "apply_witness", refuse)
+    monkeypatch.setattr(tower, "locate_atom", refuse)
+    report = verification_report(g)
+    assert report.ok and report.text() == want
+    assert "pair 4: witness with 4 pieces, exponents -7,-1,1,7" in want.splitlines()
 
 
 @settings(max_examples=100, deadline=None)
