@@ -102,7 +102,7 @@ def _sweep(a, b, keep):
 class ClopenSet:
     """A clopen subset of {0,1}^N in canonical antichain form."""
 
-    __slots__ = ("leaves", "_hash")
+    __slots__ = ("leaves",)
 
     def __init__(self, words=()):
         if isinstance(words, str):
@@ -111,14 +111,12 @@ class ClopenSet:
         for w in ws:
             _check_word(w)
         self.leaves = _sweep(ws, (), _UNION)
-        self._hash = None
 
     @classmethod
     def _raw(cls, leaves):
         # internal constructor for leaves already known to be canonical
         s = cls.__new__(cls)
         s.leaves = leaves
-        s._hash = None
         return s
 
     def union(self, other):
@@ -201,10 +199,7 @@ class ClopenSet:
         return isinstance(other, ClopenSet) and self.leaves == other.leaves
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(self.leaves)
-        return h
+        return hash(self.leaves)
 
     def __repr__(self):
         return "ClopenSet(%s)" % self.text()

@@ -184,7 +184,7 @@ class TreeMeasure:
 class MeasureFamily:
     """Finite ordered family of measures, the generators of a simplex."""
 
-    __slots__ = ("generators", "_top", "_carves")
+    __slots__ = ("generators", "_top")
 
     def __init__(self, generators):
         gens = tuple(generators)
@@ -193,8 +193,6 @@ class MeasureFamily:
         self.generators = gens
         # weight depth: below it every cylinder halves under every generator
         self._top = max(m._top for m in gens)
-        # tower._split_column's carves: (max_depth, piece vectors) -> shape -> carve
-        self._carves = {}
 
     def vec(self, a):
         """Value vector (mu_1(a), ..., mu_G(a))."""

@@ -21,7 +21,6 @@ from fractions import Fraction
 from cantordyn.clopen import FULL, ClopenSet, union_all
 from cantordyn.oracles import (
     DivisibilityFailure,
-    GoodnessFailure,
     NotEquivalent,
     approx_divide,
     select_copy,
@@ -203,8 +202,6 @@ def _split_column(k, column, level, pieces, max_depth=12):
     Every carved word lies in one leaf, and the carve sees an atom only
     through its shape (each leaf's length and weight-depth prefix): later
     atoms of a shape take the first one's words below their own leaves.
-    The first carves are kept on the family, by max_depth and piece
-    vectors, so a later call carves only the shapes it meets first.
     """
     pieces = [p for p in pieces if not p.is_empty]
     if not pieces:
@@ -219,7 +216,7 @@ def _split_column(k, column, level, pieces, max_depth=12):
     vecs = [k.vec(p) for p in pieces[:-1]]
     top = k._top
     # shape -> per piece, (leaf index, word) of the first carve
-    carved = k._carves.setdefault((max_depth, tuple(vecs)), {})
+    carved = {}
     subs = [[None] * len(column) for _ in pieces]
     for r, a in enumerate(column):
         leaves = a.leaves
@@ -264,10 +261,9 @@ def balance_columns(k, t, u, v, max_depth=12, _trace=None):
     First cuts columns until each atom lies inside or outside both sets,
     then repeatedly stacks columns of opposite count defect onto the
     worst offenders.  Each stacked sub-column absorbs exactly one piece
-    of the opposite sign, so the worst defect strictly decreases.  A
-    column's defect is counted once: its atoms never change.  The result
-    is not run through from_columns; build_saturated validates every
-    stage once, with validate_sequence.
+    of the opposite sign, so the worst defect strictly decreases.  The
+    result is not run through from_columns; build_saturated validates
+    every stage once, with validate_sequence.
     """
     if not k.sim(u, v):
         raise NotEquivalent("u and v differ in mass under some generator")
@@ -283,12 +279,9 @@ def balance_columns(k, t, u, v, max_depth=12, _trace=None):
         a = col[ri]
         pieces = [a & u & v, (a & u) - v, (a & v) - u, (a - u) - v]
         cols[ci : ci + 1] = _split_column(k, col, ri, pieces, max_depth)
-    defects = {}  # column -> its visits to u minus its visits to v
 
-    def defect(col):
-        if col not in defects:
-            defects[col] = _count_in(col, u) - _count_in(col, v)
-        return defects[col]
+    def defect(col):  # visits to u minus visits to v
+        return _count_in(col, u) - _count_in(col, v)
 
     while True:
         ns = [defect(col) for col in cols]
@@ -389,12 +382,16 @@ def _shares_in(sel, leaves, owner):
 def refine_small_base_top(k, t, eps, max_depth=12):
     """Refine the tower until base and top have diameter below eps.
 
-    The tower is rebuilt around a deep cylinder [u] inside the first
-    column's top: everything is rerouted so the new base is a small
-    piece below [u0] plus a leftover of mass below eps, and the new top
-    sits inside [u].  Returns t itself when both diameters are already
-    small enough.  Like balance_columns, it leaves validating the result
-    to validate_sequence.
+    The first column's top is cut around a deep cylinder [u], into [u0],
+    [u1] and the rest, and a wide base under [u0] is shrunk to one small
+    cylinder.  The base mass is divided into n near-equal copies, with
+    1/n below the smaller of the bases under [u0] and [u1], so each holds
+    a copy.  Every other column is stacked over the copy under [u0], and
+    each stack is routed through a piece of the copy under [u1].  The new
+    base lies in the pinned base, plus a leftover of mass below eps in a
+    column of its own, and the new top inside [u].  Returns t itself
+    when both diameters are already small enough.  Like balance_columns,
+    it leaves validating the result to validate_sequence.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -422,28 +419,9 @@ def refine_small_base_top(k, t, eps, max_depth=12):
         cols[0:1] = _split_column(k, cols[0], 0, [cw, b0 - cw], max_depth)
         i1 += 1
 
-    # give the two designated columns tops of equal vector
-    t0, t1 = cols[0][-1], cols[i1][-1]
-    if k.vec(t0) != k.vec(t1):
-        sigma0 = None
-        for d in range(t0.max_leaf_len + 1, max_depth + 1):
-            cand = ClopenSet([t0.leaves[0].ljust(d, "0")])
-            if all(x < y for x, y in zip(k.vec(cand), k.vec(t1))):
-                sigma0 = cand
-                break
-        if sigma0 is None:
-            raise GoodnessFailure("no common small top", max_depth)
-        cols[0:1] = _split_column(
-            k, cols[0], len(cols[0]) - 1, [sigma0, t0 - sigma0], max_depth
-        )
-        i1 += 1
-        sigma1 = select_copy(k, k.vec(sigma0), t1, max_depth)
-        cols[i1 : i1 + 1] = _split_column(
-            k, cols[i1], len(cols[i1]) - 1, [sigma1, t1 - sigma1], max_depth
-        )
-
-    # division order: 1/n strictly below the designated base mass
-    m = k.vec(cols[0][0])
+    # division order: 1/n strictly below the smaller designated base, so
+    # both bases hold a copy of the n-th part
+    m = tuple(map(min, k.vec(cols[0][0]), k.vec(cols[i1][0])))
     n = 4
     while any(Fraction(1, n) >= x for x in m):
         n *= 2

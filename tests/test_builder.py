@@ -18,7 +18,7 @@ from cantordyn.builder import (
 )
 from cantordyn.clopen import EMPTY, FULL, ClopenSet
 from cantordyn.measure import MeasureFamily, TreeMeasure, frac_text, parse_family
-from cantordyn.oracles import DivisibilityFailure
+from cantordyn.oracles import DivisibilityFailure, SearchFailure
 import cantordyn.builder
 from cantordyn import tower
 from cantordyn.tower import KRPartition, run_decomposition, trivial_partition
@@ -114,8 +114,16 @@ def test_serialized_build_bytes_pinned(text, stages, max_depth, digest):
 
 
 D2 = "measure d2\nweight 0 1/3\nweight 1 2/3\n"
+
+
+def tree_weights(weight, depth):
+    """Family lines giving one weight to every node of length below depth."""
+    nodes = ("e", "0", "1", "00", "01", "10", "11")[: 2**depth - 1]
+    return "".join("weight %s %s\n" % (w, weight) for w in nodes)
+
+
 # one generator, weight 1/3 at every node of depth at most 2
-DEEP_WEIGHTS = "".join("weight %s 1/3\n" % w for w in ("e", "0", "1", "00", "01", "10", "11"))
+DEEP_WEIGHTS = tree_weights("1/3", 3)
 
 
 @pytest.mark.parametrize(
@@ -208,37 +216,6 @@ def test_build_names_the_stage_an_oracle_failed_in():
     )
 
 
-def test_refine_matches_unequal_tops_before_dividing(monkeypatch):
-    # refining the balanced stage 1 first splits off the one-atom columns
-    # [000] and [001], here of masses 1/27 and 2/27; refine_small_base_top
-    # matches their tops with select_copy before it divides the base, and
-    # no other select_copy call comes before approx_divide
-    calls = []
-
-    def spy(name):
-        real = getattr(tower, name)
-
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-
-        return counted
-
-    for name in ("select_copy", "approx_divide"):
-        monkeypatch.setattr(tower, name, spy(name))
-    k = parse_family("measure deep\n" + DEEP_WEIGHTS)
-    pairs = enumerate_pairs(k, 1)
-    balanced = tower.balance_columns(k, trivial_partition(), *pairs[0], max_depth=12)
-    t = tower.refine_small_base_top(k, balanced, F(1, 2), max_depth=12)
-    assert validate_sequence(TowerSequence(k, (trivial_partition(), t), pairs, (F(1), F(1, 2)))) == ()
-    assert len(t.columns) == 18
-    assert calls[:2] == ["select_copy", "approx_divide"]
-    # the uniform measure gives [000] and [001] one mass
-    del calls[:]
-    build_saturated(UNI, 1)
-    assert calls[0] == "approx_divide"
-
-
 THIRD = "measure third\nweight e 1/3\n"
 
 
@@ -249,14 +226,37 @@ THIRD = "measure third\nweight e 1/3\n"
         (THIRD, 2, 16),
         (THIRD, 4, 16),
         (D2, 3, 16),
-        # base masses up to 8 times their gcd: the merge carves before it stacks
+        # base masses up to 4 times their gcd: the merge carves before it stacks
         ("measure deep\n" + DEEP_WEIGHTS, 2, 12),
+        # refine's second designated base is the smaller: the division fits it
+        ("measure deep\n" + tree_weights("2/3", 3), 2, 12),
         ("measure fifth\nweight e 1/5\n", 4, 17),
     ],
-    ids=["uniform3", "third2", "third4", "d2_3", "deep2", "fifth4"],
+    ids=["uniform3", "third2", "third4", "d2_3", "deep2", "deep2_two_thirds", "fifth4"],
 )
 def test_every_built_stage_is_one_column_and_verifies(text, stages, max_depth):
     g = build_saturated(parse_family(text), stages, max_depth)
+    assert all(len(t.columns) == 1 for t in g.stages)
+    assert verification_report(g).ok
+
+
+# roots 1/(2^j+1) and 2^j/(2^j+1) for j <= 3, and trees of depth 2 and 3
+AGREEMENT_FAMILIES = sorted(
+    {"measure m\nweight e %d/%d\n" % (p, 2**j + 1) for j in range(4) for p in (1, 2**j)}
+    | {"measure m\n" + tree_weights(w, d) for w in ("1/3", "2/3") for d in (2, 3)}
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(AGREEMENT_FAMILIES), st.integers(2, 3), st.integers(12, 16))
+def test_builder_ships_only_what_verify_accepts(text, stages, max_depth):
+    # a build either verifies, one column per stage, or is refused by an
+    # oracle that searched to max_depth; any other exception fails
+    try:
+        g = build_saturated(parse_family(text), stages, max_depth)
+    except BuildFailure as exc:
+        assert isinstance(exc.cause, SearchFailure) and exc.cause.max_depth == max_depth
+        return
     assert all(len(t.columns) == 1 for t in g.stages)
     assert verification_report(g).ok
 

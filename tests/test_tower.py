@@ -312,35 +312,17 @@ def test_split_column_carves_one_shape_once():
     assert [c[15] for c in got] == [C("0111110"), C("0111111")]
 
 
-def test_split_column_carves_once_per_family():
-    # weight depth 2: 0110 has the shape of 0101, 0000 that of 0001
-    text = "measure d2\nweight 0 1/3\nweight 1 2/3\n"
-    k = parse_family(text)
-    pieces = [C("01000"), C("01001")]
-    first = [C("0100"), C("0101"), C("0001")]
-    second = [C("0100"), C("0110"), C("0000"), C("1000")]
-    got, hosts = split_and_carves(k, first, 0, pieces, 12)
-    assert hosts == [C("0101"), C("0001")]
-    assert [tuple(c) for c in got] == reference_split(k, first, 0, pieces, 12)
-    # the second call carves only the shape it meets first
-    got, hosts = split_and_carves(k, second, 0, pieces, 12)
-    assert hosts == [C("1000")]
-    assert [tuple(c) for c in got] == reference_split(k, second, 0, pieces, 12)
-    # another depth or another family object carves afresh
-    assert split_and_carves(k, second, 0, pieces, 11)[1] == second[1:]
-    assert split_and_carves(parse_family(text), second, 0, pieces, 12)[1] == second[1:]
-
-
 def test_split_column_failing_carve_is_not_kept():
     k = parse_family("measure uniform\n\nmeasure quarter\nweight e 1/4\n")
     pieces = [C("000"), C("001")]
     got, hosts = split_and_carves(k, [C("00"), C("01"), C("10")], 0, pieces, 8)
     assert hosts == [C("01"), C("10")]
     assert str(got) == "no subset of 10 attains (1/8, 1/16) (searched to depth 8)"
-    # 11 has the shape of 10, whose carve failed, so it is carved and named
+    # 11 has the shape of 10, whose carve failed: the call carves 01 anew,
+    # then 11, and names 11
     column = [C("00"), C("01"), C("11")]
     got, hosts = split_and_carves(k, column, 0, pieces, 8)
-    assert hosts == [C("11")]
+    assert hosts == [C("01"), C("11")]
     assert str(got) == "no subset of 11 attains (1/8, 1/16) (searched to depth 8)"
     r, exc = reference_split(k, column, 0, pieces, 8)
     assert r == 2 and type(got) is type(exc) and str(got) == str(exc)
@@ -455,7 +437,20 @@ def test_refine_pins_a_wide_base(monkeypatch):
     assert calls[1] == (C("00000", "11000"), 0, [C("00000"), C("11000")])
     assert from_columns(UNI, got.columns) == got
     assert run_decomposition(got, t) is not None
-    assert got.base.diameter() == got.top.diameter() == F(1, 128)
+    assert got.base.diameter() == got.top.diameter() == F(1, 64)
+
+
+def test_refine_divides_below_the_smaller_designated_base():
+    # weight 2/3 at every node of length at most 2: the whole space's top
+    # is cut around [00] into [000], of mass 8/27, and [001], of mass 4/27;
+    # 1/n must fall below the second, so n = 8 and every column has 8 atoms
+    nodes = ("e", "0", "1", "00", "01", "10", "11")
+    k = parse_family("measure deep\n" + "".join("weight %s 2/3\n" % w for w in nodes))
+    got = refine_small_base_top(k, trivial_partition(), F(1, 2), max_depth=12)
+    assert got.heights == (8,) * 10
+    assert from_columns(k, got.columns) == got
+    assert run_decomposition(got, trivial_partition()) is not None
+    assert got.base.diameter() < F(1, 2) and got.top.diameter() < F(1, 2)
 
 
 def test_balance_two_singletons():
