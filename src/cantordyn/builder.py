@@ -4,7 +4,8 @@ A tower sequence is a refining chain of tower partitions over one
 measure family, together with the schedule of equivalent clopen pairs
 incorporated along the way and the per-stage diameter budgets.  Stage 0
 is the trivial partition; stage n first balances the n-th scheduled pair
-across columns, then refines until base and top fit the stage budget.
+across columns, then refines until base and top fit the stage budget,
+then merges the columns into one.
 The limit of such a chain is meant to be a minimal homeomorphism whose
 invariant measures are exactly the simplex spanned by the family;
 validate_sequence checks the structural certificates of each stage.
@@ -21,7 +22,7 @@ from cantordyn.measure import (
     _parse_rational, format_measure, frac_text, goodness_obstruction, obstruction_text,
     parse_family, validate_family,
 )
-from cantordyn.oracles import GoodnessFailure, NotEquivalent, SearchFailure
+from cantordyn.oracles import GoodnessFailure, SearchFailure
 from cantordyn.tower import (
     KRPartition,
     NotAPartition,
@@ -141,7 +142,7 @@ def enumerate_pairs(k, count):
 
 
 def build_saturated(k, n_stages, max_depth=12):
-    """Build the tower sequence: balance a pair, then shrink, per stage.
+    """Build the tower sequence: balance a pair, shrink, then merge, per stage.
 
     Stage n gets the diameter budget 2^-n.  Raises ValueError for a
     degenerate family, fewer than one stage or a negative max_depth, and
@@ -173,7 +174,7 @@ def build_saturated(k, n_stages, max_depth=12):
             cur = refine_small_base_top(k, cur, budgets[i + 1], max_depth)
             phase = "merge"
             cur = _merge(k, cur, max_depth)
-        except (SearchFailure, NotEquivalent) as exc:
+        except SearchFailure as exc:
             raise BuildFailure(i + 1, phase, exc) from exc
         stages.append(cur)
     g = TowerSequence(k, stages, pairs, budgets)

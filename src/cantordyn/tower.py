@@ -19,13 +19,7 @@ from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 
 from cantordyn.clopen import FULL, ClopenSet, union_all
-from cantordyn.oracles import (
-    DivisibilityFailure,
-    NotEquivalent,
-    approx_divide,
-    select_copy,
-    subset_in_box,
-)
+from cantordyn.oracles import NotEquivalent, select_copy
 
 __all__ = [
     "KRPartition",
@@ -337,7 +331,7 @@ def _stack_pool_onto(k, cols, dcol, pool, level, max_depth):
     columns; the atom is carved to match the pieces that copy leaves in
     each pool base, and every resulting sub-column of dcol gets the
     matching pool sub-column stacked on top.  Returns the new column
-    list, with the stacked columns in dcol's place and the pool leftovers
+    list, with the stacked columns in dcol's place and the pool remainders
     in theirs, and the stacked columns.
     """
     host = dcol[level]
@@ -382,16 +376,19 @@ def _shares_in(sel, leaves, owner):
 def refine_small_base_top(k, t, eps, max_depth=12):
     """Refine the tower until base and top have diameter below eps.
 
-    The first column's top is cut around a deep cylinder [u], into [u0],
-    [u1] and the rest, and a wide base under [u0] is shrunk to one small
-    cylinder.  The base mass is divided into n near-equal copies, with
-    1/n below the smaller of the bases under [u0] and [u1], so each holds
-    a copy.  Every other column is stacked over the copy under [u0], and
-    each stack is routed through a piece of the copy under [u1].  The new
-    base lies in the pinned base, plus a leftover of mass below eps in a
-    column of its own, and the new top inside [u].  Returns t itself
-    when both diameters are already small enough.  Like balance_columns,
-    it leaves validating the result to validate_sequence.
+    The family must be good, as build_saturated checks before any stage:
+    then every mass below that of a clopen set is attained exactly by a
+    clopen subset of it.  The first column's top is cut around a deep
+    cylinder [u], into [u0], [u1] and the rest, and a wide base under [u0]
+    is shrunk to one small cylinder.  The base mass is divided into n
+    exact copies of its n-th part, with 1/n below the smaller of the
+    bases under [u0] and [u1], so each holds a copy.  Every other column
+    is stacked over the copy under [u0], and each stack is routed through
+    a piece of the copy under [u1].  The new base lies in the pinned base,
+    with no column set aside for a remainder, and the new top inside
+    [u].  Returns t itself when both diameters are already small enough.
+    Like balance_columns, it leaves validating the result to
+    validate_sequence.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -426,43 +423,33 @@ def refine_small_base_top(k, t, eps, max_depth=12):
     while any(Fraction(1, n) >= x for x in m):
         n *= 2
     b_all = union_all(col[0] for col in cols)
-    bv = k.vec(b_all)
-    slack = min(n * x - y for x, y in zip(m, bv)) / (2 * (n - 1))
-    bprime = approx_divide(k, b_all, n, slack, max_depth)
-    pv = k.vec(bprime)
+    pv = tuple(x / n for x in k.vec(b_all))
 
-    # n disjoint copies of the near-n-th part, anchored in the two
-    # designated bases, the rest carved from the remaining base mass
+    # n disjoint exact copies of the n-th part, anchored in the two
+    # designated bases; each other copy takes what it can from the base
+    # outside them and the rest from the first.  The two hold exactly the
+    # copies still to make, so no take starves a later copy.
     c0 = select_copy(k, pv, cols[0][0], max_depth)
     c1 = select_copy(k, pv, cols[i1][0], max_depth)
     f = cols[0][0] - c0
     wset = (b_all - cols[0][0]) - c1
     cs = [c0, c1]
-    for j in range(2, n):
-        after = n - 1 - j
-        wv = k.vec(wset)
-        lo = tuple(max(Fraction(0), x - after * y) for x, y in zip(wv, pv))
-        hi = tuple(min(x, y) for x, y in zip(pv, wv))
-        wj = subset_in_box(k, wset, lo, hi, max_depth)
-        if wj is None:
-            raise DivisibilityFailure("carving copy %d of %d failed" % (j, n), max_depth)
+    for _ in range(2, n):
+        wj = select_copy(k, tuple(map(min, pv, k.vec(wset))), wset, max_depth)
         comp = select_copy(k, tuple(x - y for x, y in zip(pv, k.vec(wj))), f, max_depth)
         cs.append(wj | comp)
         wset = wset - wj
         f = f - comp
-    assert wset.is_empty
-    e = f  # leftover of mass at most `slack`, kept as its own column
+    assert wset.is_empty and f.is_empty
 
-    # recut every column so each new base sits in exactly one copy; the
-    # leftover column is set aside and goes last.
-    owner = {w: i for i, b in enumerate(cs + [e]) for w in b.leaves}
+    # recut every column so each new base sits in exactly one copy
+    owner = {w: i for i, b in enumerate(cs) for w in b.leaves}
     leaves = sorted(owner)
     recut = []
     for col in cols:
         bits = [x for _, x in _shares_in(col[0], leaves, owner)]
         recut.extend(_split_column(k, col, 0, bits, max_depth))
-    cols = [col for col in recut if col[0] != e]
-    tail = [col for col in recut if col[0] == e]
+    cols = recut
     col0 = next(col for col in cols if col[0] == c0)
     col1 = next(col for col in cols if col[0] == c1)
 
@@ -481,4 +468,4 @@ def refine_small_base_top(k, t, eps, max_depth=12):
     csubs = _split_column(k, col1, 0, pieces, max_depth)
     routed = {id(p): p + csub for p, csub in zip(principals, csubs)}
     cols = [routed.get(id(col), col) for col in cols if col is not col1]
-    return KRPartition(cols + tail)
+    return KRPartition(cols)

@@ -18,10 +18,10 @@ from cantordyn.builder import (
 )
 from cantordyn.clopen import EMPTY, FULL, ClopenSet
 from cantordyn.measure import MeasureFamily, TreeMeasure, frac_text, parse_family
-from cantordyn.oracles import DivisibilityFailure, SearchFailure
+from cantordyn.oracles import GoodnessFailure, SearchFailure
 import cantordyn.builder
-from cantordyn import tower
-from cantordyn.tower import KRPartition, run_decomposition, trivial_partition
+from cantordyn import oracles, tower
+from cantordyn.tower import KRPartition, refine_small_base_top, run_decomposition, trivial_partition
 from cantordyn.verify import verification_report
 
 F = Fraction
@@ -204,14 +204,14 @@ def test_build_refuses_a_one_generator_family_that_is_not_good():
 
 
 def test_build_names_the_stage_an_oracle_failed_in():
-    # depth 8 is too shallow for stage 4's division; the default 12 builds all six stages
+    # depth 8 is too shallow for stage 4's exact copies; the default 12 builds all six stages
     with pytest.raises(BuildFailure) as info:
         build_saturated(parse_family("measure uniform\ndepth_bound 3\n"), 6, max_depth=8)
     err = info.value
-    assert (err.stage, err.phase, type(err.cause)) == (4, "refine", DivisibilityFailure)
+    assert (err.stage, err.phase, type(err.cause)) == (4, "refine", GoodnessFailure)
     assert err.cause.max_depth == 8
     assert str(err) == (
-        "stage 4 refine failed: DivisibilityFailure: no n-th part of 0000 for n=128, eps=31/4064"
+        "stage 4 refine failed: GoodnessFailure: no subset of 000000 attains (1/2048)"
         " (searched to depth 8)"
     )
 
@@ -231,11 +231,22 @@ THIRD = "measure third\nweight e 1/3\n"
         # refine's second designated base is the smaller: the division fits it
         ("measure deep\n" + tree_weights("2/3", 3), 2, 12),
         ("measure fifth\nweight e 1/5\n", 4, 17),
+        ("measure uniform\ndepth_bound 3\n", 6, 12),
     ],
-    ids=["uniform3", "third2", "third4", "d2_3", "deep2", "deep2_two_thirds", "fifth4"],
+    ids=["uniform3", "third2", "third4", "d2_3", "deep2", "deep2_two_thirds", "fifth4", "uniform6"],
 )
-def test_every_built_stage_is_one_column_and_verifies(text, stages, max_depth):
+def test_every_built_stage_is_one_column_and_verifies(monkeypatch, text, stages, max_depth):
+    # the build asks only for exact copies: every oracle box is one point
+    boxes = []
+    real = oracles._in_box
+
+    def spy(k, host, hv, lo, hi, depth):
+        boxes.append((lo, hi))
+        return real(k, host, hv, lo, hi, depth)
+
+    monkeypatch.setattr(oracles, "_in_box", spy)
     g = build_saturated(parse_family(text), stages, max_depth)
+    assert boxes and all(lo == hi for lo, hi in boxes)
     assert all(len(t.columns) == 1 for t in g.stages)
     assert verification_report(g).ok
 
@@ -245,6 +256,17 @@ AGREEMENT_FAMILIES = sorted(
     {"measure m\nweight e %d/%d\n" % (p, 2**j + 1) for j in range(4) for p in (1, 2**j)}
     | {"measure m\n" + tree_weights(w, d) for w in ("1/3", "2/3") for d in (2, 3)}
 )
+
+
+@pytest.mark.parametrize("text", AGREEMENT_FAMILIES)
+def test_refine_makes_exact_copies_with_no_leftover_column(text):
+    # the new base is one n-th part of the whole space, n a power of two
+    # of at least 4; a leftover column would add its own base to it
+    k = parse_family(text)
+    got = refine_small_base_top(k, trivial_partition(), F(1, 2), 16)
+    n = 1 / k.vec(got.base)[0]
+    assert n.denominator == 1 and n >= 4 and n.numerator & (n.numerator - 1) == 0
+    assert run_decomposition(got, trivial_partition()) is not None
 
 
 @settings(max_examples=30, deadline=None)
@@ -281,6 +303,19 @@ def test_validate_reports_tampering():
 
     orphan = TowerSequence(g.family, g.stages[:2], g.pairs, g.budgets[:2])
     assert any("has no stage" in m for m in validate_sequence(orphan))
+
+    short = TowerSequence(g.family, g.stages, g.pairs, g.budgets[:2])
+    assert validate_sequence(short) == ("budget count 2 does not match stage count 3",)
+
+
+def test_build_refuses_a_sequence_validate_rejects(monkeypatch):
+    # the builder ships nothing validate_sequence rejects
+    monkeypatch.setattr(cantordyn.builder, "validate_sequence", lambda g: ("stage 2 is wrong",))
+    with pytest.raises(BuildFailure) as info:
+        build_saturated(UNI, 2)
+    err = info.value
+    assert (err.stage, err.phase, type(err.cause)) == (2, "validate", AssertionError)
+    assert str(err) == "stage 2 validate failed: AssertionError: stage 2 is wrong"
 
 
 def test_validate_checks_a_changed_repeat_in_full(monkeypatch):

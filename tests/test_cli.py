@@ -121,8 +121,8 @@ def test_build_names_the_stage_an_oracle_failed_in(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["build", "--family", fam, "--stages", "6", "--max-depth", "8", "--out", out]) == 2
     assert capsys.readouterr().err == (
-        "error: stage 4 refine failed: DivisibilityFailure: no n-th part of 0000 for n=128,"
-        " eps=31/4064 (searched to depth 8)\n"
+        "error: stage 4 refine failed: GoodnessFailure: no subset of 000000 attains (1/2048)"
+        " (searched to depth 8)\n"
     )
     assert not os.path.exists(os.path.join(out, "tower.txt"))
 

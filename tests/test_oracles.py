@@ -148,6 +148,8 @@ def test_n_copies_frozen():
     assert n_copies(UNI, ClopenSet(["0"]), FULL, 2) == (ClopenSet(["0"]), ClopenSet(["1"]))
     with pytest.raises(ValueError):
         n_copies(UNI, ClopenSet(["0"]), ClopenSet(["1"]), 2)
+    with pytest.raises(ValueError, match="^need n >= 1, got 0$"):
+        n_copies(UNI, ClopenSet(["0"]), FULL, 0)
 
 
 def test_n_copies_disjoint_cover():
@@ -170,6 +172,10 @@ def test_affine_approx_indicator_values():
     assert affine_approx(UNI, (a, b), (F(1), F(0)), F(0)) == a
     assert affine_approx(UNI, (a, b), (F(0), F(0)), F(1, 4)) is EMPTY
     assert affine_approx(UNI, (a, b), (F(1), F(1)), F(0)) == FULL
+    # with a fractional value elsewhere, a value-1 piece is taken whole, and
+    # value-0 and empty pieces are skipped
+    parts = (a, C("10"), C("11"), EMPTY)
+    assert affine_approx(UNI, parts, (F(1), F(0), F(1, 2), F(1, 2)), F(0)) == C("0", "110")
 
 
 def test_affine_approx_error_bound():
@@ -191,6 +197,10 @@ def test_affine_approx_validates():
         affine_approx(UNI, (FULL, FULL), (F(1, 2), F(1, 2)), F(0))
     with pytest.raises(ValueError):
         affine_approx(UNI, (FULL,), (F(3, 2),), F(0))
+    with pytest.raises(ValueError, match="^partition and values differ in length$"):
+        affine_approx(UNI, (FULL,), (F(1, 2), F(1, 2)), F(0))
+    with pytest.raises(ValueError, match="^eps must be nonnegative$"):
+        affine_approx(UNI, (FULL,), (F(1, 2),), F(-1, 8))
 
 
 def test_subset_in_box_agrees_with_brute_force():

@@ -188,6 +188,9 @@ def test_run_decomposition_and_refines():
     bad = from_columns(UNI, [(C("00"), C("10"), C("11"), C("01"))])
     assert run_decomposition(bad, t) is None
     assert run_decomposition(t, s) is None
+    # the second run starts at a base but overruns its column
+    short = from_columns(UNI, [(C("00"), C("10"), C("01")), (C("11"),)])
+    assert run_decomposition(short, t) is None
 
 
 def test_cut_column_at_level():
@@ -200,8 +203,12 @@ def test_cut_column_at_level():
     assert s.columns[0][1] | s.columns[1][1] == C("1")
     assert UNI.vec(s.columns[0][1]) == (F(1, 4),)
     assert run_decomposition(s, t) == ((0,), (0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^pieces overlap$"):
         tower._split_column(UNI, t.columns[0], 0, [C("00"), C("0")])
+    with pytest.raises(ValueError, match="^no nonempty pieces to split along$"):
+        tower._split_column(UNI, t.columns[0], 0, [EMPTY, EMPTY])
+    with pytest.raises(ValueError, match="^pieces do not cover the atom$"):
+        tower._split_column(UNI, t.columns[0], 0, [C("00"), C("010")])
 
 
 def reference_split(k, column, level, pieces, max_depth):

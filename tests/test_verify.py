@@ -440,6 +440,18 @@ def test_cone_refuses_a_stage_that_does_not_refine():
         invariant_cone(bad, 2)
 
 
+def test_verification_report_flags_a_degenerate_family():
+    # two equal generators: the family is reported, the deeper checks skipped
+    g = TowerSequence(MeasureFamily([TreeMeasure(), TreeMeasure()]), (trivial_partition(),), (), (F(1),))
+    report = verification_report(g)
+    assert not report.ok
+    assert report.violations == ("family: duplicate generators: 0 and 1",)
+    assert report.lines == (
+        "generators 2, stages 1, pairs 0",
+        "violation: family: duplicate generators: 0 and 1",
+    )
+
+
 def test_verification_report_flags_tampering():
     report = verification_report(swapped_levels())
     assert not report.ok
