@@ -15,7 +15,7 @@ small cylinders while refining the old tower.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right
 from fractions import Fraction
 
 from cantordyn.clopen import FULL, ClopenSet, union_all
@@ -287,80 +287,46 @@ def balance_columns(k, t, u, v, max_depth=12, _trace=None):
         for sign in (1, -1):
             while sign * imb in ns:
                 dcol = cols[ns.index(sign * imb)]
-                pool = _Pool([col for col, x in zip(cols, ns) if x and (x < 0) == (sign > 0)])
+                pool = [col for col, x in zip(cols, ns) if x and (x < 0) == (sign > 0)]
                 cols, _ = _stack_pool_onto(k, cols, dcol, pool, len(dcol) - 1, max_depth)
                 ns = [defect(col) for col in cols]
     return KRPartition(cols)
 
 
-class _Pool:
-    """Columns to stack from, held by identity under fixed, ordered keys.
-
-    Keeps the union of their bases and a sorted index of the bases'
-    leaves up to date as columns are used up, instead of rebuilding both
-    from every base for each stack.  A base remainder keeps the key of
-    the column it was cut from.
-    """
-
-    __slots__ = ("cols", "union", "owner", "leaves")
-
-    def __init__(self, cols):
-        self.cols = dict(enumerate(cols))
-        self.union = union_all(col[0] for col in cols)
-        self.owner = {w: i for i, col in self.cols.items() for w in col[0].leaves}
-        self.leaves = sorted(self.owner)
-
-    def take(self, sel, rests):
-        """Give up sel; rests maps the key of each column sel met to its remainder or None."""
-        self.union = self.union - sel
-        for i, rest in rests.items():
-            for w in self.cols.pop(i)[0].leaves:
-                del self.owner[w]
-                del self.leaves[bisect_left(self.leaves, w)]
-            if rest:
-                self.cols[i] = rest
-                for w in rest[0].leaves:
-                    self.owner[w] = i
-                    insort(self.leaves, w)
-
-
 def _stack_pool_onto(k, cols, dcol, pool, level, max_depth):
     """Cut column dcol at one level and stack a pool base piece on each part.
 
-    A copy of the level atom is selected across the bases of the pool
-    columns; the atom is carved to match the pieces that copy leaves in
-    each pool base, and every resulting sub-column of dcol gets the
-    matching pool sub-column stacked on top.  Returns the new column
-    list, with the stacked columns in dcol's place and the pool remainders
-    in theirs, and the stacked columns.
+    A copy of the level atom is selected across the union of the pool
+    columns' bases; the atom is carved to match the pieces that copy
+    leaves in each pool base, and every resulting sub-column of dcol gets
+    the matching pool sub-column stacked on top.  Returns cols with the
+    stacked columns in dcol's place and each pool column used replaced in
+    place by its remainder, or dropped when used up, and the stacked
+    columns.  Passing the pool as cols returns the pool left over.
     """
     host = dcol[level]
-    sel = select_copy(k, k.vec(host), pool.union, max_depth)
-    parts = _shares_in(sel, pool.leaves, pool.owner)
+    bases = [col[0] for col in pool]
+    sel = select_copy(k, k.vec(host), union_all(bases), max_depth)
+    parts = _shares_in(sel, bases)
     pieces = _carve(k, host, [k.vec(x) for _, x in parts[:-1]], max_depth)
     dsubs = _split_column(k, dcol, level, pieces, max_depth)
     stacked = []
-    rests = {}
     swap = {id(dcol): stacked}
     for (i, x), dsub in zip(parts, dsubs):
-        qcol = pool.cols[i]
-        if x == qcol[0]:
-            head, rests[i] = qcol, None
-        else:
-            head, rests[i] = _split_column(k, qcol, 0, [x, qcol[0] - x], max_depth)
-        swap[id(qcol)] = [rests[i]] if rests[i] else []
+        qcol = pool[i]
+        head, *swap[id(qcol)] = _split_column(k, qcol, 0, [x, qcol[0] - x], max_depth)
         stacked.append(dsub + head)
-    pool.take(sel, rests)
     return [c for col in cols for c in swap.get(id(col), (col,))], stacked
 
 
-def _shares_in(sel, leaves, owner):
-    """(i, sel & base i) for every base i sel meets, for disjoint bases holding sel.
+def _shares_in(sel, bases):
+    """(i, sel & bases[i]) for every base sel meets, for disjoint bases holding sel.
 
-    leaves are the bases' leaves, sorted, and owner maps each to its
-    base's key.  A leaf of sel lies in one base leaf or is the union of
-    those it prefixes.
+    A leaf of sel lies in one base leaf or is the union of those it
+    prefixes, so one walk over the bases' sorted leaves finds them.
     """
+    owner = {w: i for i, b in enumerate(bases) for w in b.leaves}
+    leaves = sorted(owner)
     words = {}
     for x in sel.leaves:
         j = bisect_right(leaves, x)
@@ -380,13 +346,14 @@ def refine_small_base_top(k, t, eps, max_depth=12):
     then every mass below that of a clopen set is attained exactly by a
     clopen subset of it.  The first column's top is cut around a deep
     cylinder [u], into [u0], [u1] and the rest, and a wide base under [u0]
-    is shrunk to one small cylinder.  The base mass is divided into n
-    exact copies of its n-th part, with 1/n below the smaller of the
-    bases under [u0] and [u1], so each holds a copy.  Every other column
-    is stacked over the copy under [u0], and each stack is routed through
-    a piece of the copy under [u1].  The new base lies in the pinned base,
-    with no column set aside for a remainder, and the new top inside
-    [u].  Returns t itself when both diameters are already small enough.
+    is shrunk to one small cylinder.  With 1/n below the smaller of the
+    bases under [u0] and [u1], each holds an exact copy of the base's
+    n-th part, and the two columns are split along them.  The rest of
+    the base, n - 2 parts' worth, is the pool: n - 2 rounds of stacks
+    over the copy under [u0] use it up, one part per round, and each
+    stack is then routed through a piece of the copy under [u1].  The
+    new base lies in the pinned base and the new top inside [u].
+    Returns t itself when both diameters are already small enough.
     Like balance_columns, it leaves validating the result to
     validate_sequence.
     """
@@ -425,47 +392,25 @@ def refine_small_base_top(k, t, eps, max_depth=12):
     b_all = union_all(col[0] for col in cols)
     pv = tuple(x / n for x in k.vec(b_all))
 
-    # n disjoint exact copies of the n-th part, anchored in the two
-    # designated bases; each other copy takes what it can from the base
-    # outside them and the rest from the first.  The two hold exactly the
-    # copies still to make, so no take starves a later copy.
+    # exact copies of the n-th part in the two designated bases; the rest
+    # of the base, n - 2 parts' worth, is the pool the stacks use up
     c0 = select_copy(k, pv, cols[0][0], max_depth)
     c1 = select_copy(k, pv, cols[i1][0], max_depth)
-    f = cols[0][0] - c0
-    wset = (b_all - cols[0][0]) - c1
-    cs = [c0, c1]
-    for _ in range(2, n):
-        wj = select_copy(k, tuple(map(min, pv, k.vec(wset))), wset, max_depth)
-        comp = select_copy(k, tuple(x - y for x, y in zip(pv, k.vec(wj))), f, max_depth)
-        cs.append(wj | comp)
-        wset = wset - wj
-        f = f - comp
-    assert wset.is_empty and f.is_empty
+    col0, *rest0 = _split_column(k, cols[0], 0, [c0, cols[0][0] - c0], max_depth)
+    col1, *rest1 = _split_column(k, cols[i1], 0, [c1, cols[i1][0] - c1], max_depth)
+    pool = rest0 + cols[1:i1] + rest1 + cols[i1 + 1 :]
 
-    # recut every column so each new base sits in exactly one copy
-    owner = {w: i for i, b in enumerate(cs) for w in b.leaves}
-    leaves = sorted(owner)
-    recut = []
-    for col in cols:
-        bits = [x for _, x in _shares_in(col[0], leaves, owner)]
-        recut.extend(_split_column(k, col, 0, bits, max_depth))
-    cols = recut
-    col0 = next(col for col in cols if col[0] == c0)
-    col1 = next(col for col in cols if col[0] == c1)
-
-    # absorb all remaining columns into stacks over the c0 copy
-    pool = _Pool([col for col in cols if col is not col0 and col is not col1])
+    # absorb the pool into stacks over the c0 copy, one part per round
     principals = [col0]
     for _ in range(n - 2):
         new_principals = []
         for pcol in principals:
-            cols, stacked = _stack_pool_onto(k, cols, pcol, pool, 0, max_depth)
+            pool, stacked = _stack_pool_onto(k, pool, pcol, pool, 0, max_depth)
             new_principals.extend(stacked)
         principals = new_principals
+    assert not pool
 
     # route every stack through its matched piece of the c1 copy
-    pieces = _carve(k, col1[0], [k.vec(p[0]) for p in principals[:-1]], max_depth)
+    pieces = _carve(k, c1, [k.vec(p[0]) for p in principals[:-1]], max_depth)
     csubs = _split_column(k, col1, 0, pieces, max_depth)
-    routed = {id(p): p + csub for p, csub in zip(principals, csubs)}
-    cols = [routed.get(id(col), col) for col in cols if col is not col1]
-    return KRPartition(cols)
+    return KRPartition([p + csub for p, csub in zip(principals, csubs)])

@@ -106,6 +106,13 @@ def test_build_two_stages():
             16,
             "4533a9e0e510b64220c5688e223a2c552be38628923e111b3c3e15caccfa390e",
         ),
+        # the benchmark's uniform6 tower, whose digest its output check gates on
+        (
+            "measure uniform\ndepth_bound 3\n",
+            6,
+            12,
+            "ba0e9145dba00cdc1c9ccb61c80d3b05afd6964a82fcdb790928c8bc63ed4300",
+        ),
     ],
 )
 def test_serialized_build_bytes_pinned(text, stages, max_depth, digest):

@@ -346,16 +346,10 @@ def test_split_column_tells_shapes_apart():
     assert [tuple(c) for c in got] == reference_split(k, column, 0, pieces, 12)
 
 
-def shares(sel, bases):
-    """tower._shares_in over the given bases, keyed by position."""
-    owner = {w: i for i, b in enumerate(bases) for w in b.leaves}
-    return tower._shares_in(sel, sorted(owner), owner)
-
-
 def test_shares_cut_a_leaf_that_spans_bases():
     # [0] of sel covers the leaf 00 of one base and the leaf 01 of another
     bases = [C("00", "11"), C("01")]
-    assert shares(C("0", "110"), bases) == [(0, C("00", "110")), (1, C("01"))]
+    assert tower._shares_in(C("0", "110"), bases) == [(0, C("00", "110")), (1, C("01"))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -378,8 +372,56 @@ def test_shares_match_intersections(data):
             chosen.extend(data.draw(st.lists(st.sampled_from(subs), unique=True)))
     sel = C(*chosen)
     want = [(i, sel & b) for i, b in enumerate(bases) if not (sel & b).is_empty]
-    got = shares(sel, bases)
+    got = tower._shares_in(sel, bases)
     assert [(i, x.leaves) for i, x in got] == [(i, x.leaves) for i, x in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_stack_pool_onto_leaves_the_pool_in_place(data):
+    # a uniform tower: leaves to depth 5 grouped into atoms, and atoms of
+    # one mass stacked into columns
+    leaves = [""]
+    for _ in range(data.draw(st.integers(1, 12))):
+        i = data.draw(st.integers(0, len(leaves) - 1))
+        if len(leaves[i]) < 5:
+            w = leaves.pop(i)
+            leaves[i:i] = [w + "0", w + "1"]
+    labels = [data.draw(st.integers(0, len(leaves) - 1)) for _ in leaves]
+    atoms = [C(*(w for w, j in zip(leaves, labels) if j == i)) for i in sorted(set(labels))]
+    atoms = sorted(data.draw(st.permutations(atoms)), key=UNI.vec)
+    cols = [[atoms[0]]]
+    for a in atoms[1:]:
+        if UNI.vec(a) != UNI.vec(cols[-1][0]) or data.draw(st.booleans()):
+            cols.append([])
+        cols[-1].append(a)
+    t = from_columns(UNI, cols)
+    assume(len(t.columns) > 1)
+    dcol = data.draw(st.sampled_from(t.columns))
+    level = data.draw(st.integers(0, len(dcol) - 1))
+    pool = data.draw(st.lists(st.sampled_from([c for c in t.columns if c is not dcol]), min_size=1, unique=True))
+    assume(UNI.vec(dcol[level]) <= UNI.vec(union_all(q[0] for q in pool)))
+
+    left, stacked = tower._stack_pool_onto(UNI, pool, dcol, pool, level, 12)
+    # each stacked column is a sub-column of dcol under a piece of the copy
+    sel = union_all(c[len(dcol)] for c in stacked)
+    assert UNI.vec(sel) == UNI.vec(dcol[level])
+    assert union_all(q[0] for q in left) == union_all(q[0] for q in pool) - sel
+    # each remainder sits where its column sat; used-up columns are dropped
+    kept = [q for q in pool if not q[0].is_subset(sel)]
+    assert len(left) == len(kept)
+    for q, r in zip(kept, left):
+        assert r[0] == q[0] - sel
+        assert len(r) == len(q) and all(a.is_subset(b) for a, b in zip(r, q))
+    # with the whole tower as cols, the stack and the remainders replace
+    # their columns in place, and the result refines the tower
+    rests = {id(q): [] for q in pool}
+    rests.update((id(q), [r]) for q, r in zip(kept, left))
+    rests[id(dcol)] = stacked
+    got, again = tower._stack_pool_onto(UNI, list(t.columns), dcol, pool, level, 12)
+    assert again == stacked
+    assert got == [c for col in t.columns for c in rests.get(id(col), [col])]
+    assert run_decomposition(from_columns(UNI, got), t) is not None
 
 
 def test_refine_identity_when_small():
@@ -454,7 +496,7 @@ def test_refine_divides_below_the_smaller_designated_base():
     nodes = ("e", "0", "1", "00", "01", "10", "11")
     k = parse_family("measure deep\n" + "".join("weight %s 2/3\n" % w for w in nodes))
     got = refine_small_base_top(k, trivial_partition(), F(1, 2), max_depth=12)
-    assert got.heights == (8,) * 10
+    assert got.heights == (8,) * 3
     assert from_columns(k, got.columns) == got
     assert run_decomposition(got, trivial_partition()) is not None
     assert got.base.diameter() < F(1, 2) and got.top.diameter() < F(1, 2)
