@@ -323,6 +323,7 @@ class _Cursor:
     def __init__(self, text):
         self.lines = text.splitlines()
         self.pos = 0
+        self.sets = {}  # token -> ClopenSet: equal atom texts load as one object
 
     def take(self):
         if self.pos >= len(self.lines):
@@ -355,10 +356,12 @@ class _Cursor:
         return _parse_rational(tok, self.pos, self.lines[self.pos - 1].rindex(tok) + 1)
 
     def clopen(self, tok):
-        try:
-            return ClopenSet.from_text(tok)
-        except ValueError as exc:
-            raise self.error(exc) from None
+        if tok not in self.sets:
+            try:
+                self.sets[tok] = ClopenSet.from_text(tok)
+            except ValueError as exc:
+                raise self.error(exc) from None
+        return self.sets[tok]
 
 
 def load_sequence(text):

@@ -110,7 +110,12 @@ class ClopenSet:
         ws = tuple(words)
         for w in ws:
             _check_word(w)
-        self.leaves = _sweep(ws, (), _UNION)
+        # words already canonical are kept; sorted, a word's extensions and
+        # its sibling follow it directly, so checking neighbours decides that
+        if all(x < y and not y.startswith(x) and x[:-1] != y[:-1] for x, y in zip(ws, ws[1:])):
+            self.leaves = ws
+        else:
+            self.leaves = _sweep(ws, (), _UNION)
 
     @classmethod
     def _raw(cls, leaves):

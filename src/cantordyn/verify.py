@@ -15,11 +15,12 @@ partition the space, so the height-weighted column masses sum to 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 from cantordyn.builder import _budget, validate_sequence
-from cantordyn.clopen import ClopenSet, union_all
+from cantordyn.clopen import union_all
 from cantordyn.measure import frac_text, validate_family, vec_text
 from cantordyn.tower import locate_atom
 
@@ -104,17 +105,25 @@ def collapse_metric(g, n):
     atoms that meet w, and its inner value the share inside w.  The
     metric is the largest outer minus the smallest inner value, maximised
     over cylinders; it reaches 0 exactly when the cone pins every depth-3
-    mass to one value.  Raises ValueError like invariant_cone.
+    mass to one value.  Each atom's leaves are read once: it meets the
+    cylinders that a leaf's first three letters prefix, and lies inside w
+    when w is the only one.  Raises ValueError like invariant_cone.
     """
     g.runs(n, 0)
-    cols = g.stages[n].columns
-    worst = Fraction(0)
-    for bits in product("01", repeat=3):
-        w = ClopenSet(["".join(bits)])
-        outer = max(Fraction(sum(not a.is_disjoint(w) for a in col), len(col)) for col in cols)
-        inner = min(Fraction(sum(a.is_subset(w) for a in col), len(col)) for col in cols)
-        worst = max(worst, outer - inner)
-    return worst
+    cyls = ["".join(bits) for bits in product("01", repeat=3)]
+    below = {w[:j]: [x for x in cyls if x.startswith(w[:j])] for w in cyls for j in range(4)}
+    outer, inner = dict.fromkeys(cyls, Fraction(0)), dict.fromkeys(cyls, Fraction(1))
+    for col in g.stages[n].columns:
+        meet, inside = Counter(), Counter()  # per cylinder, the atoms meeting it and inside it
+        for a in col:
+            hit = {w for x in a.leaves for w in below[x[:3]]}
+            meet.update(hit)
+            if len(hit) <= 1:
+                inside.update(hit or cyls)  # the empty atom lies inside every cylinder
+        for w in cyls:
+            outer[w] = max(outer[w], Fraction(meet[w], len(col)))
+            inner[w] = min(inner[w], Fraction(inside[w], len(col)))
+    return max([Fraction(0)] + [outer[w] - inner[w] for w in cyls])
 
 
 class MinimalityReport:
@@ -251,13 +260,12 @@ def first_return_divide(g, a, n, eps):
     if eps < 0:
         raise ValueError("negative tolerance")
     t = g.stages[-1]
-    inside = [x for x in t.atoms if x.is_subset(a)]
-    if union_all(inside) != a:
+    levs = [[r for r, x in enumerate(col) if x.is_subset(a)] for col in t.columns]
+    if union_all(col[r] for col, lev in zip(t.columns, levs) for r in lev) != a:
         raise ValueError("the set is not a union of last-stage atoms")
     classes = [[] for _ in range(n)]
     rem = []
-    for col in t.columns:
-        lev = [r for r, x in enumerate(col) if x.is_subset(a)]
+    for col, lev in zip(t.columns, levs):
         full = (len(lev) // n) * n
         for j, r in enumerate(lev):
             (classes[j % n] if j < full else rem).append(col[r])
@@ -298,7 +306,8 @@ def verification_report(g):
     schedule must have the shape build_saturated gives it: one pair per
     stage after stage 0, and budget 2^-n at stage n.  Witnesses are
     listed, not replayed: validate_sequence implies each carries u onto v.
-    Raises InvalidWeights for weights outside (0,1); everything else is
+    A stage equal to its predecessor reuses its collapse.  Raises
+    InvalidWeights for weights outside (0,1); everything else is
     reported, not raised.
     """
     violations = []
@@ -322,7 +331,7 @@ def verification_report(g):
             violations.append("schedule: stage %d budget %s, need %s" % (n, frac_text(b), frac_text(_budget(n))))
     if rep.ok and not structural:
         for n, t in enumerate(g.stages):
-            spread = collapse_metric(g, n)
+            spread = collapse_metric(g, n) if n == 0 or t != g.stages[n - 1] else spread
             lines.append(
                 "stage %d: %d columns, %d atoms, cone vertices %d, collapse %s"
                 % (n, len(t.columns), len(t.atoms), len(t.columns), frac_text(spread))

@@ -583,6 +583,31 @@ def test_serialize_round_trip_hand_built(measures):
     assert serialize_sequence(back) == text
 
 
+def test_load_shares_equal_atoms_across_stages():
+    g = build_saturated(parse_family("measure uniform\ndepth_bound 3\n"), 6, 12)
+    back = load_sequence(serialize_sequence(g))
+    assert back == g
+    # stages 5 and 6 repeat stage 4, and 2 and 3 repeat stage 1
+    for n, m in ((5, 4), (6, 4), (2, 1), (3, 1)):
+        assert all(a is b for a, b in zip(back.stages[n].atoms, back.stages[m].atoms))
+    assert back.stages[5].columns[0][0] is back.stages[4].columns[0][0]
+
+
+def test_load_names_the_line_of_a_bad_atom_in_a_repeated_stage():
+    # stages 2 and 3 of the uniform 3-stage tower repeat stage 1
+    lines = serialize_sequence(build_saturated(UNI, 3)).splitlines()
+    at = [i for i, line in enumerate(lines) if line == "0010"]
+    assert len(at) == 3
+    for bad in ([at[2]], [at[1], at[2]], at):
+        broken = list(lines)
+        for i in bad:
+            broken[i] = "00a0"
+        with pytest.raises(ValueError) as info:
+            load_sequence("\n".join(broken) + "\n")
+        # the first bad line is named, whether or not its text repeats
+        assert str(info.value) == "line %d: cylinder words use the alphabet {0,1}, got '00a0'" % (bad[0] + 1)
+
+
 def test_load_defers_semantic_checks():
     g = build_saturated(UNI, 1)
     lines = serialize_sequence(g).splitlines()

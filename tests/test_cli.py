@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -176,6 +177,23 @@ def test_verify_written_tower(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "verified: all invariants hold" in text
     assert "first-return probe" in text
+
+
+@pytest.mark.parametrize(
+    "text, stages, max_depth, digest",
+    [
+        (UNIFORM, "6", "12", "466407c8abf53a41f94b8d6dd426fbb1a8d90e31fcab5524139c1a8cc068ad7b"),
+        ("measure third\nweight e 1/3\n", "4", "16", "6777b7d94132df1ee8dbd5404afced134d7e4e9f60a194d960f04d4071bb0eaa"),
+    ],
+    ids=["uniform6", "third4"],
+)
+def test_verify_stdout_bytes_pinned(tmp_path, capsys, text, stages, max_depth, digest):
+    fam = write(tmp_path, "fam.txt", text)
+    out = str(tmp_path / "out")
+    assert main(["build", "--family", fam, "--stages", stages, "--max-depth", max_depth, "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--out", out]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_verify_catches_edited_atom(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cantordyn import clopen
 from cantordyn.clopen import (
     EMPTY,
     FULL,
@@ -341,3 +342,64 @@ def test_deep_ops_match_recursive_reference(wa, wb):
     assert a.is_subset(a | b)
     assert (a - b).is_subset(a)
     assert not (a - b).is_subset(b) or (a - b).is_empty
+
+
+@st.composite
+def near_canonical_words(draw):
+    """A canonical word list with duplicates, "", nested words, siblings,
+    swapped neighbours or free words mixed in, or left as it is."""
+    ws = list(draw(sets_st).leaves)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["dup", "empty", "nest", "sibling", "swap", "word"]))
+        if kind == "empty":
+            ws.insert(draw(st.integers(0, len(ws))), "")
+        elif kind == "word":
+            ws.insert(draw(st.integers(0, len(ws))), draw(st.text(alphabet="01", max_size=DEPTH)))
+        elif ws:
+            i = draw(st.integers(0, len(ws) - 1))
+            w = ws[i]
+            if kind == "dup":
+                ws.insert(i, w)
+            elif kind == "nest":
+                ws.insert(i + 1, w + draw(st.text(alphabet="01", min_size=1, max_size=2)))
+            elif kind == "sibling" and w:
+                ws.insert(i + draw(st.integers(0, 1)), w[:-1] + "10"[int(w[-1])])
+            elif kind == "swap" and i + 1 < len(ws):
+                ws[i], ws[i + 1] = ws[i + 1], ws[i]
+    return ws
+
+
+@settings(max_examples=400)
+@given(st.one_of(near_canonical_words(), words_st))
+def test_constructor_keeps_only_canonical_input_unswept(words):
+    want = clopen._sweep(tuple(words), (), clopen._UNION)
+    assert ClopenSet(words).leaves == want
+    assert ClopenSet(reversed(words)).leaves == want
+    assert_canonical(ClopenSet(words).leaves)
+
+
+def test_canonical_input_never_reaches_the_sweep(monkeypatch):
+    canonical = [s.leaves for s in enumerate_clopen(3)] + [("0", "10", "110"), ("00101", "1")]
+
+    def refuse(*args):
+        raise AssertionError("swept canonical words")
+
+    monkeypatch.setattr(clopen, "_sweep", refuse)
+    for leaves in canonical:
+        assert ClopenSet(leaves).leaves == leaves
+        assert ClopenSet(list(leaves)).leaves == leaves
+    for words in (["1", "0"], ["0", "0"], ["0", "01"], ["", "1"], ["10", "11"]):
+        with pytest.raises(AssertionError, match="swept"):
+            ClopenSet(words)
+
+
+def test_word_errors_keep_their_messages_on_sorted_input():
+    # the shortcut runs after every word is checked, and from_text before it
+    with pytest.raises(ValueError, match=r"^cylinder words use the alphabet \{0,1\}, got '102'$"):
+        ClopenSet(["0", "102"])
+    with pytest.raises(ValueError, match=r"^cylinder words use the alphabet \{0,1\}, got b'1'$"):
+        ClopenSet(["0", b"1"])
+    with pytest.raises(ValueError, match=r"^bad clopen text: '0,,1'$"):
+        ClopenSet.from_text("0,,1")
+    with pytest.raises(ValueError, match=r"^bad clopen text: '0,'$"):
+        ClopenSet.from_text("0,")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cantordyn.builder import TowerSequence, build_saturated, validate_sequence
 from cantordyn.clopen import EMPTY, FULL, ClopenSet, union_all
-from cantordyn.measure import MeasureFamily, TreeMeasure
+from cantordyn.measure import MeasureFamily, TreeMeasure, frac_text
 from cantordyn import tower, verify
 from cantordyn.tower import (
     KRPartition,
@@ -398,6 +398,87 @@ def test_cone_and_collapse_match_the_expanded_vertices(g, data):
         for masses in column_simplex(t) + (flat, nudged, tuple(2 * x for x in flat)):
             assert cone.contains(masses) == reference_contains(t, masses)
     assert len(g.stages[-1].columns) >= 2
+
+
+@st.composite
+def multi_leaf_sequences(draw):
+    """One stage over the trivial one whose atoms are runs of depth-d words:
+    consecutive words merge into shorter leaves, shuffled ones stay apart."""
+    d = draw(st.integers(2, 5))
+    words = ["".join(b) for b in product("01", repeat=d)]
+    if draw(st.booleans()):
+        words = draw(st.permutations(words))
+    atoms = draw(st.permutations([ClopenSet(run) for run in _cut(draw, words)]))
+    cols = _cut(draw, atoms) if len(atoms) > 1 and draw(st.booleans()) else [tuple(atoms)]
+    return seq(UNI, [KRPartition(cols)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(multi_leaf_sequences())
+def test_collapse_of_atoms_with_several_leaves_matches_the_expanded_vertices(g):
+    for n, t in enumerate(g.stages):
+        assert collapse_metric(g, n) == reference_collapse(t)
+
+
+def test_collapse_reads_leaves_shorter_than_the_cylinders():
+    # [0] straddles four depth-3 cylinders, and [10] two
+    g = seq(UNI, [KRPartition([(C("0"), C("10", "110")), (C("111"),)])])
+    assert sorted(len(x) for a in g.stages[1].atoms for x in a.leaves) == [1, 2, 3, 3]
+    assert collapse_metric(g, 1) == reference_collapse(g.stages[1]) == F(1)
+
+
+def stage_lines(report):
+    return [line for line in report.lines if "collapse" in line]
+
+
+@settings(max_examples=60, deadline=None)
+@given(multi_column_sequences(), st.data())
+def test_a_repeated_stage_reports_the_collapse_of_its_own(g, data):
+    stages = list(g.stages)
+    n = data.draw(st.integers(1, len(stages) - 1))
+    copy = KRPartition(tuple(C(*a.leaves) for a in col) for col in stages[n].columns)
+    stages[n + 1 : n + 1] = [stages[n], copy]  # the same object, and an equal one
+    h = seq(UNI, stages[1:])
+    assert validate_sequence(h) == ()
+    want = [
+        "stage %d: %d columns, %d atoms, cone vertices %d, collapse %s"
+        % (m, len(t.columns), len(t.atoms), len(t.columns), frac_text(collapse_metric(h, m)))
+        for m, t in enumerate(h.stages)
+    ]
+    assert stage_lines(verification_report(h)) == want
+
+
+def test_verification_report_computes_each_repeated_collapse_once(monkeypatch):
+    g = build_saturated(UNI, 3)
+    assert g.stages[1] == g.stages[2] == g.stages[3] != g.stages[0]
+    want = verification_report(g).text()
+    calls = []
+    original = verify.collapse_metric
+
+    def counted(g, n):
+        calls.append(n)
+        return original(g, n)
+
+    monkeypatch.setattr(verify, "collapse_metric", counted)
+    assert verification_report(g).text() == want
+    assert calls == [0, 1]
+
+
+def test_first_return_divide_tests_each_atom_once(monkeypatch):
+    fam = MeasureFamily([TreeMeasure({"": F(1, 3)})])
+    cols = [(C("00"), C("01"), C("100")), (C("101"), C("110"), C("111"))]
+    g = seq(fam, [KRPartition(cols)])
+    tested = []
+    original = ClopenSet.is_subset
+
+    def counted(self, other):
+        tested.append(self)
+        return original(self, other)
+
+    monkeypatch.setattr(ClopenSet, "is_subset", counted)
+    classes, rem = first_return_divide(g, C("0", "11"), 2, F(1))
+    assert sorted(tested, key=lambda a: a.leaves) == sorted(g.stages[-1].atoms, key=lambda a: a.leaves)
+    assert classes == (C("00", "110"), C("01", "111")) and rem == EMPTY
 
 
 @pytest.mark.parametrize(
