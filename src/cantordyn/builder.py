@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
 
-from cantordyn.clopen import ClopenSet, enumerate_clopen
+from cantordyn.clopen import ClopenSet, _clopen_order, _mask_set
 from cantordyn.measure import (
     _parse_rational, format_measure, frac_text, goodness_obstruction, obstruction_text,
     parse_family, validate_family,
@@ -126,19 +126,39 @@ def enumerate_pairs(k, count):
 
     Pairs (a, b) of depth at most _PAIR_DEPTH with equal value vectors,
     ordered by the enumeration index of a, then of b.  The diagonal is
-    included.
+    included.  The work is on masks over the 2^_PAIR_DEPTH cylinders of
+    depth _PAIR_DEPTH, taken in enumerate_clopen's order.  Generator m
+    gives cylinder [w] the integer m._num(w[:m._top]) over m._den of that
+    depth; a mask's vector packs those sums into one integer, a slot per
+    generator wide enough for its denominator, and mask x is the sum for
+    x & (x - 1) plus its lowest cylinder.  Masks are grouped by vector in
+    enumeration order, the pairs are read off the groups, and only the
+    sets of the pairs returned are built.
     """
     if count < 0:
         raise ValueError("pair count must be at least 0, got %d" % count)
-    universe = list(enumerate_clopen(_PAIR_DEPTH))
-    vecs = [k.vec(a) for a in universe]
-    found = ((a, b) for a, va in zip(universe, vecs) for b, vb in zip(universe, vecs) if va == vb)
-    pairs = tuple(islice(found, count))
-    if len(pairs) < count:
+    n = 1 << _PAIR_DEPTH
+    cyl = [0] * n  # cyl[i]: the packed vector of the cylinder at bit i
+    shift = 0
+    for m in k.generators:
+        for i in range(n):
+            cyl[i] += m._num(bin(2 * n - 1 - i)[3:][: m._top]) << shift
+        shift += m._den(_PAIR_DEPTH).bit_length()
+    vec = [0] * (1 << n)
+    for x in range(1, 1 << n):
+        vec[x] = vec[x & (x - 1)] + cyl[(x & -x).bit_length() - 1]
+    order = _clopen_order(_PAIR_DEPTH)
+    groups = {}
+    for x in order:
+        groups.setdefault(vec[x], []).append(x)
+    found = ((a, b) for a in order for b in groups[vec[a]])
+    masks = tuple(islice(found, count))
+    if len(masks) < count:
         raise ValueError(
-            "only %d equivalent pairs within depth %d, need %d" % (len(pairs), _PAIR_DEPTH, count)
+            "only %d equivalent pairs within depth %d, need %d" % (len(masks), _PAIR_DEPTH, count)
         )
-    return pairs
+    sets = {x: _mask_set(x, _PAIR_DEPTH) for x in set().union(*masks)}
+    return tuple((sets[a], sets[b]) for a, b in masks)
 
 
 def build_saturated(k, n_stages, max_depth=12):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import product
+from functools import cache
 from os.path import commonprefix
 
 __all__ = [
@@ -222,6 +222,35 @@ def union_all(sets):
     return ClopenSet._raw(_sweep(tuple(words), (), _UNION))
 
 
+@cache
+def _clopen_order(depth):
+    """The canonical enumeration of clopen sets of depth <= `depth`, as masks.
+
+    A set is the mask over the 2^depth depth-`depth` words in which word i
+    (read in binary) is bit 2^depth - 1 - i, so the first word is the most
+    significant bit.  Sets are ordered first by the depth d their canonical
+    form needs, then by the indicator bit-vector over the depth-d words; a
+    vector widens to the mask by repeating each bit 2^(depth - d) times,
+    which keeps that order.  A depth-d vector needs depth d exactly when
+    some sibling pair of its bits differs.  Computed on first use.
+    """
+    order = [0, (1 << (1 << depth)) - 1]  # the empty set, then the full space
+    for d in range(1, depth + 1):
+        n, r = 1 << d, 1 << (depth - d)
+        siblings = int("01" * (n // 2), 2)
+        block = (1 << r) - 1
+        for v in range(1 << n):
+            if (v ^ v >> 1) & siblings:
+                order.append(v if r == 1 else sum(block << i * r for i in range(n) if v >> i & 1))
+    return tuple(order)
+
+
+def _mask_set(mask, depth):
+    """The clopen set of a depth-`depth` mask, in the bit order of _clopen_order."""
+    n = 1 << depth
+    return ClopenSet(bin(2 * n - 1 - b)[3:] for b in range(n - 1, -1, -1) if mask >> b & 1)
+
+
 def enumerate_clopen(depth_cap):
     """Canonical enumeration of clopen sets of canonical depth <= depth_cap.
 
@@ -229,11 +258,5 @@ def enumerate_clopen(depth_cap):
     the indicator bit-vector over the depth-d words taken in lexicographic
     order.  The empty set and the full space come first.
     """
-    yield EMPTY
-    yield FULL
-    for d in range(1, depth_cap + 1):
-        words = ["".join(t) for t in product("01", repeat=d)]
-        for bits in product((0, 1), repeat=len(words)):
-            s = ClopenSet(w for w, b in zip(words, bits) if b)
-            if s.max_leaf_len == d:
-                yield s
+    for mask in _clopen_order(depth_cap):
+        yield _mask_set(mask, depth_cap)

@@ -152,7 +152,8 @@ def subset_in_box(k, host, lo, hi, max_depth=12):
     depth d generator i's masses are integers over one denominator D_i,
     so the box becomes ceil(lo_i D_i) .. floor(hi_i D_i), exactly.  A box
     point or a solution at depth d is one at every deeper depth, so a box
-    with no point at max_depth is refused before any search.  Below
+    with no point at max_depth is refused before any search; that box is
+    computed only when the one at the host's own depth is empty.  Below
     the family's weight depth every depth-d cylinder under a word has the
     same vector, so only host leaves shorter than e = min(d, weight depth)
     are refined, to depth e: each word w is then a block of 2^(d-|w|)
@@ -188,7 +189,10 @@ def _in_box(k, host, hv, lo, hi, max_depth):
         return zip(*pts)
 
     base = host.max_leaf_len
-    if host.is_empty or base > max_depth or box(max_depth) is None:
+    if host.is_empty or base > max_depth:
+        return None
+    ib = box(base)
+    if ib is None and box(max_depth) is None:
         return None
     top = k._top
     for d in range(base, max_depth + 1):
@@ -203,7 +207,8 @@ def _in_box(k, host, hv, lo, hi, max_depth):
                 (v, list(bs))
                 for v, bs in groupby(blocks, lambda b: tuple(m._num(b[: m._top]) for m in gens))
             ]
-        ib = box(d)
+        if d > base:
+            ib = box(d)
         if ib is None:
             continue
         sized = [(v, sum(1 << (d - len(b)) for b in bs)) for v, bs in runs]

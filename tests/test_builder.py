@@ -1,6 +1,7 @@
 import hashlib
 import re
 from fractions import Fraction
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +60,80 @@ def test_enumerate_pairs_counts_at_and_below_zero():
     assert enumerate_pairs(UNI, 0) == ()
     with pytest.raises(ValueError, match="pair count must be at least 0, got -1"):
         enumerate_pairs(UNI, -1)
+
+
+def reference_schedule(k):
+    """Every pair of enumerate_pairs as first written: normalise and evaluate every depth-3 set."""
+    universe = [EMPTY, FULL]
+    for d in range(1, 4):
+        words = ["".join(t) for t in product("01", repeat=d)]
+        for bits in product((0, 1), repeat=len(words)):
+            s = ClopenSet(w for w, b in zip(words, bits) if b)
+            if s.max_leaf_len == d:
+                universe.append(s)
+    vecs = [k.vec(a) for a in universe]
+    return ((a, b) for a, va in zip(universe, vecs) for b, vb in zip(universe, vecs) if va == vb)
+
+
+def reference_pairs(schedule, count):
+    pairs = tuple(islice(schedule, count))
+    if len(pairs) < count:
+        raise ValueError("only %d equivalent pairs within depth %d, need %d" % (len(pairs), 3, count))
+    return pairs
+
+
+def pairs_outcome(pairs, source, count):
+    try:
+        return pairs(source, count)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+# weights on words of length up to 4, so cylinder masses split down to depth 5,
+# drawn mostly from a few values so that unequal sets often share a vector
+schedule_measure_st = st.builds(
+    TreeMeasure,
+    st.dictionaries(
+        st.text(alphabet="01", max_size=4),
+        st.one_of(
+            st.sampled_from([F(1, 3), F(2, 3), F(1, 4), F(3, 4), F(1, 2)]),
+            st.fractions(min_value=F(1, 20), max_value=F(19, 20), max_denominator=20),
+        ),
+        max_size=4,
+    ),
+    st.integers(0, 4),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(schedule_measure_st, min_size=1, max_size=2).map(MeasureFamily), st.integers(0, 300))
+def test_enumerate_pairs_matches_the_first_definition(k, count):
+    schedule = tuple(reference_schedule(k))
+    # the drawn count, the whole schedule, and the shortfall one pair past it
+    for c in (count, len(schedule), len(schedule) + 1):
+        assert pairs_outcome(enumerate_pairs, k, c) == pairs_outcome(reference_pairs, schedule, c)
+
+
+def test_enumerate_pairs_builds_only_the_sets_it_returns(monkeypatch):
+    # masks stand for the other depth-3 sets: 6 pairs need at most 12 sets
+    built = []
+    init, raw = ClopenSet.__init__, ClopenSet._raw.__func__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counting_raw(cls, leaves):
+        built.append(leaves)
+        return raw(cls, leaves)
+
+    monkeypatch.setattr(ClopenSet, "__init__", counting_init)
+    monkeypatch.setattr(ClopenSet, "_raw", classmethod(counting_raw))
+    for k in (UNI, parse_family("measure third\nweight e 1/3\n"), parse_family(D2)):
+        built.clear()
+        pairs = enumerate_pairs(k, 6)
+        assert len(pairs) == 6 and 0 < len(built) <= 12
+        assert pairs == reference_pairs(reference_schedule(k), 6)
 
 
 def test_build_two_stages():

@@ -683,6 +683,24 @@ def test_verification_report_does_not_replay_witnesses(monkeypatch):
     assert "pair 4: witness with 4 pieces, exponents -7,-1,1,7" in want.splitlines()
 
 
+def test_verification_report_lists_witnesses_without_building_pieces(monkeypatch):
+    # each witness line reads its piece count and exponents off the level
+    # matching, and they agree with the pieces saturation_witness builds
+    for g in PAIRED:
+        want = [
+            "pair %d: witness with %d pieces, exponents %s" % (i, len(w), ",".join(map(str, w.exponents)))
+            for i, w in enumerate((saturation_witness(g, u, v) for u, v in g.pairs), start=1)
+        ]
+
+        def refuse(*args):
+            raise AssertionError("a witness piece was built")
+
+        monkeypatch.setattr(verify, "union_all", refuse)
+        report = verification_report(g)
+        monkeypatch.undo()
+        assert [line for line in report.lines if line.startswith("pair ")] == want
+
+
 @settings(max_examples=100, deadline=None)
 @given(perturbed_sequences(VALID + PAIRED))
 def test_a_structurally_valid_sequence_has_witnesses_that_carry_u_onto_v(g):
