@@ -3,9 +3,9 @@
 A tower sequence is a refining chain of tower partitions over one
 measure family, together with the schedule of equivalent clopen pairs
 incorporated along the way and the per-stage diameter budgets.  Stage 0
-is the trivial partition; stage n first balances the n-th scheduled pair
-across columns, then refines until base and top fit the stage budget,
-then merges the columns into one.
+is the trivial partition; stage n first refines until base and top fit
+the stage budget, then merges the columns into one that splits the n-th
+scheduled pair and visits both sets equally often.
 The limit of such a chain is meant to be a minimal homeomorphism whose
 invariant measures are exactly the simplex spanned by the family;
 validate_sequence checks the structural certificates of each stage.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
 
 from cantordyn.clopen import ClopenSet, _clopen_order, _mask_set
 from cantordyn.measure import (
@@ -27,9 +26,7 @@ from cantordyn.tower import (
     KRPartition,
     NotAPartition,
     NotEquivalentColumn,
-    _carve,
-    _split_column,
-    balance_columns,
+    _merge,
     from_columns,
     refine_small_base_top,
     run_decomposition,
@@ -162,7 +159,7 @@ def enumerate_pairs(k, count):
 
 
 def build_saturated(k, n_stages, max_depth=12):
-    """Build the tower sequence: balance a pair, shrink, then merge, per stage.
+    """Build the tower sequence: shrink, then merge along a pair, per stage.
 
     Stage n gets the diameter budget 2^-n.  Raises ValueError for a
     degenerate family, fewer than one stage or a negative max_depth, and
@@ -185,15 +182,11 @@ def build_saturated(k, n_stages, max_depth=12):
     budgets = [_budget(n) for n in range(n_stages + 1)]
     stages = [trivial_partition()]
     for i in range(n_stages):
-        u, v = pairs[i]
-        cur = stages[-1]
-        phase = "balance"
+        phase = "refine"
         try:
-            cur = balance_columns(k, cur, u, v, max_depth)
-            phase = "refine"
-            cur = refine_small_base_top(k, cur, budgets[i + 1], max_depth)
+            cur = refine_small_base_top(k, stages[-1], budgets[i + 1], max_depth)
             phase = "merge"
-            cur = _merge(k, cur, max_depth)
+            cur = _merge(k, cur, *pairs[i], max_depth)
         except SearchFailure as exc:
             raise BuildFailure(i + 1, phase, exc) from exc
         stages.append(cur)
@@ -203,27 +196,6 @@ def build_saturated(k, n_stages, max_depth=12):
         raise BuildFailure(n_stages, "validate", AssertionError(bad[0]))
     g.family_report = report
     return g
-
-
-def _merge(k, t, max_depth):
-    """The stage as one column: each column cut to base mass y, then stacked.
-
-    y is the gcd of the base masses.  A family of two or more generators
-    never gets here (build_saturated refuses it as not good), and a good
-    single measure attains y inside every base.  Every atom then has mass
-    y; sub-columns keep their atoms in order, so the stage refines the one
-    before; base and top shrink into the old ones; and the column visits
-    u and v mu(u)/y = mu(v)/y times, so the pair stays balanced.
-    """
-    if len(t.columns) == 1:
-        return t
-    masses = [k.vec(col[0])[0] for col in t.columns]
-    y = Fraction(gcd(*(x.numerator for x in masses)), lcm(*(x.denominator for x in masses)))
-    subs = []
-    for col, x in zip(t.columns, masses):
-        pieces = _carve(k, col[0], [(y,)] * (int(x / y) - 1), max_depth)
-        subs.extend(_split_column(k, col, 0, pieces, max_depth))
-    return KRPartition((tuple(a for col in subs for a in col),))
 
 
 def validate_sequence(g):

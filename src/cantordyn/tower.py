@@ -7,16 +7,18 @@ partition the space.  The partition encodes a partial homeomorphism:
 each atom maps to the one above it, and the union of the column tops
 maps onto the union of the bases in a way later stages pin down.
 
-The two workhorses are balance_columns, which makes the per-column visit
-counts of two equivalent clopen sets agree, and refine_small_base_top,
-which rebuilds the tower so that base and top fit inside prescribed
-small cylinders while refining the old tower.
+A build stage is two moves: refine_small_base_top refines the tower so
+that base and top fit inside small cylinders, and _merge stacks it into
+one column that visits the stage's pair equally often.  balance_columns,
+which does the latter by stacking columns of opposite defect, is
+library-only.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from math import gcd, lcm
 
 from cantordyn.clopen import FULL, ClopenSet, union_all
 from cantordyn.oracles import NotEquivalent, select_copy
@@ -245,23 +247,9 @@ def _pure(a, u):
     return a.is_subset(u) or a.is_disjoint(u)
 
 
-def _count_in(col, u):
-    return sum(1 for a in col if a.is_subset(u))
-
-
-def balance_columns(k, t, u, v, max_depth=12, _trace=None):
-    """Rebuild the tower so every column meets u and v equally often.
-
-    First cuts columns until each atom lies inside or outside both sets,
-    then repeatedly stacks columns of opposite count defect onto the
-    worst offenders.  Each stacked sub-column absorbs exactly one piece
-    of the opposite sign, so the worst defect strictly decreases.  The
-    result is not run through from_columns; build_saturated validates
-    every stage once, with validate_sequence.
-    """
-    if not k.sim(u, v):
-        raise NotEquivalent("u and v differ in mass under some generator")
-    cols = [tuple(col) for col in t.columns]
+def _cut(k, columns, u, v, max_depth):
+    """The columns split until every atom lies inside or outside both u and v."""
+    cols = [tuple(col) for col in columns]
     ci = 0
     while ci < len(cols):
         # columns before ci are pure, and so are pieces of pure atoms
@@ -273,9 +261,46 @@ def balance_columns(k, t, u, v, max_depth=12, _trace=None):
         a = col[ri]
         pieces = [a & u & v, (a & u) - v, (a & v) - u, (a - u) - v]
         cols[ci : ci + 1] = _split_column(k, col, ri, pieces, max_depth)
+    return cols
+
+
+def _merge(k, t, u, v, max_depth):
+    """The stage as one column that splits u and v and visits them equally.
+
+    The columns are cut until every atom lies inside or outside both
+    sets, then each is cut to base mass y, the gcd of the base masses,
+    and the sub-columns are stacked in column order.  A family of two or
+    more generators never gets here (build_saturated refuses it as not
+    good), and a good single measure attains y inside every base.  Every
+    atom then has mass y and lies inside or outside u and v, so the
+    column visits u mu(u)/y = mu(v)/y times and v as often.  Sub-columns
+    keep their atoms in order, so the result refines t.
+    """
+    cols = _cut(k, t.columns, u, v, max_depth)
+    masses = [k.vec(col[0])[0] for col in cols]
+    y = Fraction(gcd(*(x.numerator for x in masses)), lcm(*(x.denominator for x in masses)))
+    subs = []
+    for col, x in zip(cols, masses):
+        pieces = _carve(k, col[0], [(y,)] * (int(x / y) - 1), max_depth)
+        subs.extend(_split_column(k, col, 0, pieces, max_depth))
+    return KRPartition((tuple(a for col in subs for a in col),))
+
+
+def balance_columns(k, t, u, v, max_depth=12, _trace=None):
+    """Rebuild the tower so every column meets u and v equally often.
+
+    First cuts columns until each atom lies inside or outside both sets,
+    then repeatedly stacks columns of opposite count defect onto the
+    worst offenders.  Each stacked sub-column absorbs exactly one piece
+    of the opposite sign, so the worst defect strictly decreases.  The
+    result is not run through from_columns.
+    """
+    if not k.sim(u, v):
+        raise NotEquivalent("u and v differ in mass under some generator")
+    cols = _cut(k, t.columns, u, v, max_depth)
 
     def defect(col):  # visits to u minus visits to v
-        return _count_in(col, u) - _count_in(col, v)
+        return sum(a.is_subset(u) - a.is_subset(v) for a in col)
 
     while True:
         ns = [defect(col) for col in cols]
@@ -353,9 +378,9 @@ def refine_small_base_top(k, t, eps, max_depth=12):
     over the copy under [u0] use it up, one part per round, and each
     stack is then routed through a piece of the copy under [u1].  The
     new base lies in the pinned base and the new top inside [u].
-    Returns t itself when both diameters are already small enough.
-    Like balance_columns, it leaves validating the result to
-    validate_sequence.
+    Returns t itself when both diameters are already small enough.  The
+    result is not run through from_columns; build_saturated validates
+    every stage once, with validate_sequence.
     """
     eps = Fraction(eps)
     if eps <= 0:

@@ -190,7 +190,13 @@ def test_build_two_stages():
         ),
     ],
 )
-def test_serialized_build_bytes_pinned(text, stages, max_depth, digest):
+def test_serialized_build_bytes_pinned(monkeypatch, text, stages, max_depth, digest):
+    # every stage is refine, then merge: the build never balances by stacking
+    def no_balance(*args, **kwargs):
+        raise AssertionError("the build called balance_columns")
+
+    monkeypatch.setattr(tower, "balance_columns", no_balance)
+    monkeypatch.setattr(cantordyn.builder, "balance_columns", no_balance, raising=False)
     g = build_saturated(parse_family(text), stages, max_depth)
     assert hashlib.sha256(serialize_sequence(g).encode()).hexdigest() == digest
 

@@ -540,3 +540,35 @@ def test_balance_not_equivalent():
     t = trivial_partition()
     with pytest.raises(NotEquivalent):
         balance_columns(UNI, t, C("0"), C("00"))
+
+
+@pytest.mark.parametrize(
+    "cols,u,v,want",
+    [
+        # already cut along the pair: the columns stacked in order
+        ([("00", "10"), ("01", "11")], ["0"], ["1"], ["00", "10", "01", "11"]),
+        # the gcd of the base masses is 1/4: [0] is cut in two
+        ([("0",), ("10", "11")], [], [], ["00", "01", "10", "11"]),
+        ([("0",), ("1",)], ["0"], ["1"], ["0", "1"]),
+        # the cut: the whole space straddles both sets
+        ([("",)], ["0"], ["1"], ["0", "1"]),
+        # u and v overlap: the atom is cut into all four pieces
+        ([("",)], ["0"], ["00", "10"], ["00", "01", "10", "11"]),
+        # the base straddles u: the column is cut along it, level by level
+        ([("0", "1")], ["00"], ["10"], ["00", "10", "01", "11"]),
+    ],
+    ids=["pure", "gcd", "singletons", "cut", "cut_four", "cut_column"],
+)
+def test_merge_cuts_along_the_pair_and_balances(cols, u, v, want):
+    t = from_columns(UNI, [tuple(C(w) for w in col) for col in cols])
+    u, v = C(*u), C(*v)
+    out = tower._merge(UNI, t, u, v, 12)
+    assert len(out.columns) == 1
+    assert [a.leaves for a in out.columns[0]] == [(w,) for w in want]
+    assert from_columns(UNI, out.columns) == out
+    assert run_decomposition(out, t) is not None
+    for a in out.atoms:
+        for w in (u, v):
+            assert a.is_subset(w) or a.is_disjoint(w)
+    col = out.columns[0]
+    assert sum(a.is_subset(u) for a in col) == sum(a.is_subset(v) for a in col)
