@@ -71,9 +71,10 @@ class TowerSequence:
 
     `family_report` is the validate_family report build_saturated
     computed for the family, or None for a sequence built another way.
+    Runs and pair membership are computed once each, on first use.
     """
 
-    __slots__ = ("family", "stages", "pairs", "budgets", "family_report", "_steps")
+    __slots__ = ("family", "stages", "pairs", "budgets", "family_report", "_steps", "_members")
 
     def __init__(self, family, stages, pairs, budgets):
         self.family = family
@@ -82,6 +83,7 @@ class TowerSequence:
         self.budgets = tuple(Fraction(b) for b in budgets)
         self.family_report = None
         self._steps = {}  # j -> run_decomposition of stage j+1 over stage j
+        self._members = {}  # i -> _pair_members(i)
 
     def runs(self, n, m):
         """Each stage-n column's runs through the stage-m columns, m <= n.
@@ -89,9 +91,13 @@ class TowerSequence:
         Telescoped from each stage's runs through its predecessor, which
         are computed once, on first use rather than on construction, so
         that a damaged sequence still loads and validate_sequence reports
-        it.  runs(n, n) is the identity.  Raises ValueError for the first
-        step down from n that does not refine.
+        it.  runs(n, n) is the identity.  Raises ValueError unless
+        0 <= m <= n <= the last stage, and for the first step down from n
+        that does not refine.
         """
+        last = len(self.stages) - 1
+        if not 0 <= m <= n <= last:
+            raise ValueError("no runs of stage %d through stage %d: stages run from 0 to %d" % (n, m, last))
         cur = tuple((c,) for c in range(len(self.stages[n].columns)))
         for j in range(n - 1, m - 1, -1):
             if j not in self._steps:
@@ -101,6 +107,31 @@ class TowerSequence:
                 raise ValueError("stage %d does not refine stage %d" % (j + 1, j))
             cur = tuple(tuple(x for c in run for x in step[c]) for run in cur)
         return cur
+
+    def _pair_members(self, i):
+        """Stage i's atoms tested once against the i-th pair (u, v), 1 <= i.
+
+        Per column, the levels inside u and those inside v; then whether
+        every atom lies inside or outside u, and likewise v.
+        """
+        if i not in self._members:
+            u, v = self.pairs[i - 1]
+            levels = []
+            split_u = split_v = True
+            for col in self.stages[i].columns:
+                ulev, vlev = [], []
+                for r, a in enumerate(col):
+                    if a.is_subset(u):
+                        ulev.append(r)
+                    elif split_u:
+                        split_u = a.is_disjoint(u)
+                    if a.is_subset(v):
+                        vlev.append(r)
+                    elif split_v:
+                        split_v = a.is_disjoint(v)
+                levels.append((ulev, vlev))
+            self._members[i] = levels, split_u, split_v
+        return self._members[i]
 
     def __eq__(self, other):
         return (
@@ -209,6 +240,7 @@ def validate_sequence(g):
     climb map extend the earlier one.  A stage equal to its predecessor,
     when that one is a tower partition, is one too: its partition check
     is not run again, and it refines its predecessor column by column.
+    The pair check reads the membership pass that the witnesses read.
     """
     k = g.family
     bad = []
@@ -240,23 +272,13 @@ def validate_sequence(g):
             continue
         if i in broken:
             continue
-        t = g.stages[i]
-        split_u = split_v = True  # every atom lies inside or outside the set
-        unequal = None  # the first column that visits u and v unequally
-        for ci, col in enumerate(t.columns):
-            defect = 0  # visits to u minus visits to v
-            for a in col:
-                in_u, in_v = a.is_subset(u), a.is_subset(v)
-                split_u = split_u and (in_u or a.is_disjoint(u))
-                split_v = split_v and (in_v or a.is_disjoint(v))
-                defect += in_u - in_v
-            if defect and unequal is None:
-                unequal = ci
+        levels, split_u, split_v = g._pair_members(i)
         for split, w in ((split_u, u), (split_v, v)):
             if not split:
                 bad.append("stage %d does not split %s into atoms" % (i, w.text()))
-        if unequal is not None:
-            bad.append("stage %d column %d visits %s and %s unequally" % (i, unequal, u.text(), v.text()))
+        unequal = [ci for ci, (ul, vl) in enumerate(levels) if len(ul) != len(vl)]
+        if unequal:
+            bad.append("stage %d column %d visits %s and %s unequally" % (i, unequal[0], u.text(), v.text()))
     for n in range(len(g.stages) - 1):
         if n in broken or n + 1 in broken:
             continue

@@ -19,7 +19,8 @@ taken their parent), runs are not adjacent, and a sibling-free antichain is
 the set of maximal cylinders in its union.  On canonical b, x lies inside b
 exactly when the last leaf of b sorting at or before x is a prefix of x,
 and [x] meets b exactly when that leaf is a prefix of x or the next leaf
-of b starts with x.
+of b starts with x.  So an intersection whose left operand lies inside the
+right one returns that operand, already canonical, without a sweep.
 
 The metric is d(x, y) = 2^(-k) where k is the length of the longest common
 prefix, so a nonempty set has diameter 2^(-k) with k the depth of its
@@ -128,6 +129,8 @@ class ClopenSet:
         return ClopenSet._raw(_sweep(self.leaves, other.leaves, _UNION))
 
     def intersect(self, other):
+        if self.is_subset(other):
+            return self
         return ClopenSet._raw(_sweep(self.leaves, other.leaves, _INTER))
 
     def minus(self, other):

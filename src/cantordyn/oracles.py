@@ -289,19 +289,23 @@ def approx_divide(k, a, n, eps=Fraction(0), max_depth=12):
 
 
 def n_copies(k, b, a, n, max_depth=12):
-    """n pairwise disjoint subsets of a matching vec(b); the first is b."""
+    """n pairwise disjoint subsets of a matching vec(b): b, then n - 1 carved from a - b."""
     if n < 1:
         raise ValueError("need n >= 1, got %r" % (n,))
     if not b.is_subset(a):
         raise ValueError("b must be a subset of a")
-    tv = k.vec(b)
-    copies = [b]
-    rem = a - b
-    for _ in range(n - 1):
-        c = select_copy(k, tv, rem, max_depth)
-        copies.append(c)
-        rem = rem - c
-    return tuple(copies)
+    return (b, *_carve(k, a - b, [k.vec(b)] * (n - 1), max_depth)[:-1])
+
+
+def _carve(k, host, vecs, max_depth):
+    """Pieces of host matching vecs, picked off in order, then the remainder."""
+    pieces = []
+    for vec in vecs:
+        piece = select_copy(k, vec, host, max_depth)
+        pieces.append(piece)
+        host = host - piece
+    pieces.append(host)
+    return pieces
 
 
 def affine_approx(k, partition, values, eps, max_depth=12):

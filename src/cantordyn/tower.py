@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from cantordyn.clopen import FULL, ClopenSet, union_all
-from cantordyn.oracles import NotEquivalent, select_copy
+from cantordyn.oracles import NotEquivalent, _carve, select_copy
 
 __all__ = [
     "KRPartition",
@@ -232,17 +232,6 @@ def _split_column(k, column, level, pieces, max_depth=12):
     return [tuple(c) for c in subs]
 
 
-def _carve(k, host, vecs, max_depth):
-    """Pieces of host matching vecs, picked off in order, then the remainder."""
-    pieces = []
-    for vec in vecs:
-        piece = select_copy(k, vec, host, max_depth)
-        pieces.append(piece)
-        host = host - piece
-    pieces.append(host)
-    return pieces
-
-
 def _pure(a, u):
     return a.is_subset(u) or a.is_disjoint(u)
 
@@ -322,17 +311,19 @@ def _stack_pool_onto(k, cols, dcol, pool, level, max_depth):
     """Cut column dcol at one level and stack a pool base piece on each part.
 
     A copy of the level atom is selected across the union of the pool
-    columns' bases; the atom is carved to match the pieces that copy
-    leaves in each pool base, and every resulting sub-column of dcol gets
-    the matching pool sub-column stacked on top.  Returns cols with the
-    stacked columns in dcol's place and each pool column used replaced in
-    place by its remainder, or dropped when used up, and the stacked
-    columns.  Passing the pool as cols returns the pool left over.
+    columns' bases.  Its share of each base it meets is its intersection
+    with that base, most often the whole copy, which & returns unswept.
+    The atom is carved to match the shares, and every resulting
+    sub-column of dcol gets the matching pool sub-column stacked on top.
+    Returns cols with the stacked columns in dcol's place and each pool
+    column used replaced in place by its remainder, or dropped when used
+    up, and the stacked columns.  Passing the pool as cols returns the
+    pool left over.
     """
     host = dcol[level]
     bases = [col[0] for col in pool]
     sel = select_copy(k, k.vec(host), union_all(bases), max_depth)
-    parts = _shares_in(sel, bases)
+    parts = [(i, sel & b) for i, b in enumerate(bases) if not sel.is_disjoint(b)]
     pieces = _carve(k, host, [k.vec(x) for _, x in parts[:-1]], max_depth)
     dsubs = _split_column(k, dcol, level, pieces, max_depth)
     stacked = []
@@ -342,26 +333,6 @@ def _stack_pool_onto(k, cols, dcol, pool, level, max_depth):
         head, *swap[id(qcol)] = _split_column(k, qcol, 0, [x, qcol[0] - x], max_depth)
         stacked.append(dsub + head)
     return [c for col in cols for c in swap.get(id(col), (col,))], stacked
-
-
-def _shares_in(sel, bases):
-    """(i, sel & bases[i]) for every base sel meets, for disjoint bases holding sel.
-
-    A leaf of sel lies in one base leaf or is the union of those it
-    prefixes, so one walk over the bases' sorted leaves finds them.
-    """
-    owner = {w: i for i, b in enumerate(bases) for w in b.leaves}
-    leaves = sorted(owner)
-    words = {}
-    for x in sel.leaves:
-        j = bisect_right(leaves, x)
-        if j and x.startswith(leaves[j - 1]):
-            words.setdefault(owner[leaves[j - 1]], []).append(x)
-            continue
-        while j < len(leaves) and leaves[j].startswith(x):
-            words.setdefault(owner[leaves[j]], []).append(leaves[j])
-            j += 1
-    return [(i, ClopenSet._raw(tuple(words[i]))) for i in sorted(words)]
 
 
 def refine_small_base_top(k, t, eps, max_depth=12):

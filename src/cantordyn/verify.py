@@ -206,22 +206,20 @@ class FullGroupWitness:
 def _level_matching(g, u, v):
     """The pairing stage of (u, v) and its atoms grouped by exponent.
 
-    Within every column the u-levels are matched to the v-levels in
-    increasing order and the remaining levels to each other likewise,
-    so each atom moves by a fixed signed number of levels, its exponent.
+    A pair listed past the last stage was never incorporated.  Within
+    every column the u-levels are matched to the v-levels in increasing
+    order and the remaining levels to each other likewise, so each atom
+    moves by a fixed signed number of levels, its exponent.  The levels
+    come from the membership pass that validate_sequence's pair check reads.
     """
-    for i, (pu, pv) in enumerate(g.pairs):
-        if pu == u and pv == v:
-            stage = i + 1
-            break
-    else:
+    try:
+        stage = g.pairs[: len(g.stages) - 1].index((u, v)) + 1
+    except ValueError:
         raise PairNotScheduled(
             "pair %s -> %s was never incorporated" % (u.text(), v.text())
-        )
+        ) from None
     grouped = {}
-    for col in g.stages[stage].columns:
-        ulev = [r for r, a in enumerate(col) if a.is_subset(u)]
-        vlev = [r for r, a in enumerate(col) if a.is_subset(v)]
+    for col, (ulev, vlev) in zip(g.stages[stage].columns, g._pair_members(stage)[0]):
         if len(ulev) != len(vlev):
             raise ValueError("a column visits u and v unequally often")
         rest_u = sorted(set(range(len(col))) - set(ulev))

@@ -169,6 +169,11 @@ def test_is_disjoint_matches_intersection(data):
         assert x.is_disjoint(y) == (to_mask(x) & to_mask(y) == 0)
 
 
+def test_intersection_cuts_a_leaf_that_spans_the_other_operand():
+    # the leaf 0 covers the leaves 00 and 01; only 00 lies in the right operand
+    assert C("0", "110") & C("00", "11") == C("00", "110")
+
+
 @given(sets_st, sets_st)
 def test_equal_masks_equal_sets(a, b):
     if to_mask(a) == to_mask(b):
@@ -342,6 +347,11 @@ def test_deep_ops_match_recursive_reference(wa, wb):
     assert a.is_subset(a | b)
     assert (a - b).is_subset(a)
     assert not (a - b).is_subset(b) or (a - b).is_empty
+    # a left operand inside the right one comes back itself, unswept
+    for x, y in ((a, a | b), (a & b, b), (a & b, a)):
+        rx, ry = x.leaves, y.leaves
+        assert (x & y).leaves == ref_inter(rx, ry) == rx
+        assert x & y is x
 
 
 @st.composite

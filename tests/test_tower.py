@@ -346,36 +346,6 @@ def test_split_column_tells_shapes_apart():
     assert [tuple(c) for c in got] == reference_split(k, column, 0, pieces, 12)
 
 
-def test_shares_cut_a_leaf_that_spans_bases():
-    # [0] of sel covers the leaf 00 of one base and the leaf 01 of another
-    bases = [C("00", "11"), C("01")]
-    assert tower._shares_in(C("0", "110"), bases) == [(0, C("00", "110")), (1, C("01"))]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_shares_match_intersections(data):
-    depth = data.draw(st.integers(0, 4))
-    words = [format(i, "0%db" % depth) if depth else "" for i in range(1 << depth)]
-    owner = [data.draw(st.integers(-1, 3)) for _ in words]
-    bases = [C(*(w for w, o in zip(words, owner) if o == i)) for i in range(4)]
-    bases = [b for b in bases if b]
-    assume(bases)
-    # sel lies in the union of the bases; whole words merge across bases
-    chosen = []
-    for w, o in zip(words, owner):
-        mode = data.draw(st.sampled_from(["all", "none", "some"]))
-        if o >= 0 and mode == "all":
-            chosen.append(w)
-        elif o >= 0 and mode == "some":
-            subs = [w + x for x in ("00", "01", "10", "11")]
-            chosen.extend(data.draw(st.lists(st.sampled_from(subs), unique=True)))
-    sel = C(*chosen)
-    want = [(i, sel & b) for i, b in enumerate(bases) if not (sel & b).is_empty]
-    got = tower._shares_in(sel, bases)
-    assert [(i, x.leaves) for i, x in got] == [(i, x.leaves) for i, x in want]
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_stack_pool_onto_leaves_the_pool_in_place(data):

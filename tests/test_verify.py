@@ -278,6 +278,49 @@ def test_witness_for_identity_pair():
         saturation_witness(g, C("1"), C("0"))
 
 
+def test_witnesses_reuse_the_pair_checks_membership(monkeypatch):
+    g = build_saturated(UNI, 3)
+    want = [saturation_witness(g, u, v) for u, v in g.pairs]
+    assert validate_sequence(g) == ()
+
+    def refuse(*args):
+        raise AssertionError("an atom was tested against the pair again")
+
+    monkeypatch.setattr(ClopenSet, "is_subset", refuse)
+    monkeypatch.setattr(ClopenSet, "is_disjoint", refuse)
+    for (u, v), w in zip(g.pairs, want):
+        got = saturation_witness(g, u, v)
+        assert (got.stage, got.pieces, got.exponents) == (w.stage, w.pieces, w.exponents)
+
+
+def test_witness_for_a_pair_past_the_last_stage():
+    g = build_saturated(UNI, 3)
+    short = TowerSequence(UNI, g.stages[:2], g.pairs, g.budgets[:2])
+    assert saturation_witness(short, *g.pairs[0]).stage == 1
+    for u, v in g.pairs[1:]:
+        with pytest.raises(PairNotScheduled):
+            saturation_witness(short, u, v)
+
+
+def test_stage_indices_out_of_range_are_refused():
+    g = build_saturated(UNI, 3)
+    # negative indices would otherwise answer for a stage counted from the end
+    for check in (
+        lambda: invariant_cone(g, -1),
+        lambda: collapse_metric(g, -2),
+        lambda: minimality_check(g, -2),
+        lambda: minimality_check(g, -1),
+        lambda: g.runs(2, 3),
+        lambda: g.runs(4, 0),
+    ):
+        with pytest.raises(ValueError, match="stages run from 0 to 3"):
+            check()
+    # stage 0 is one atom, so a run through it climbs one level per step
+    assert g.runs(3, 0) == ((0,) * len(g.stages[3].atoms),) and g.runs(0, 0) == ((0,),)
+    assert invariant_cone(g, 3).heights == g.stages[3].heights
+    assert minimality_check(g, 3).ok
+
+
 def swapped_halves():
     """One column of quarters, paired to carry [0] onto [1]."""
     s = KRPartition(((C("00"), C("01"), C("10"), C("11")),))
