@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 
-from cantordyn.clopen import ClopenSet, _clopen_order, _mask_set
+from cantordyn.clopen import ClopenSet, _clopen_order, _mask, _mask_set
 from cantordyn.measure import (
     _parse_rational, format_measure, frac_text, goodness_obstruction, obstruction_text,
     parse_family, validate_family,
@@ -71,10 +71,10 @@ class TowerSequence:
 
     `family_report` is the validate_family report build_saturated
     computed for the family, or None for a sequence built another way.
-    Runs and pair membership are computed once each, on first use.
+    Runs, atom masks and pair membership are computed once each, on first use.
     """
 
-    __slots__ = ("family", "stages", "pairs", "budgets", "family_report", "_steps", "_members")
+    __slots__ = ("family", "stages", "pairs", "budgets", "family_report", "_steps", "_masks", "_members")
 
     def __init__(self, family, stages, pairs, budgets):
         self.family = family
@@ -83,6 +83,7 @@ class TowerSequence:
         self.budgets = tuple(Fraction(b) for b in budgets)
         self.family_report = None
         self._steps = {}  # j -> run_decomposition of stage j+1 over stage j
+        self._masks = {}  # n -> _atom_masks(n)
         self._members = {}  # i -> _pair_members(i)
 
     def runs(self, n, m):
@@ -108,29 +109,34 @@ class TowerSequence:
             cur = tuple(tuple(x for c in run for x in step[c]) for run in cur)
         return cur
 
+    def _atom_masks(self, n):
+        """Per column, each stage-n atom's clopen._mask at depth _PAIR_DEPTH;
+        a stage equal to its predecessor shares its masks."""
+        if n not in self._masks:
+            t = self.stages[n]
+            if n and t == self.stages[n - 1]:
+                self._masks[n] = self._atom_masks(n - 1)
+            else:
+                self._masks[n] = tuple(tuple(_mask(a, _PAIR_DEPTH) for a in col) for col in t.columns)
+        return self._masks[n]
+
     def _pair_members(self, i):
         """Stage i's atoms tested once against the i-th pair (u, v), 1 <= i.
 
         Per column, the levels inside u and those inside v; then whether
-        every atom lies inside or outside u, and likewise v.
+        every atom lies inside or outside u, and likewise v, read off the
+        atom masks: exact for depth <= _PAIR_DEPTH, ValueError deeper.
         """
         if i not in self._members:
-            u, v = self.pairs[i - 1]
-            levels = []
-            split_u = split_v = True
-            for col in self.stages[i].columns:
-                ulev, vlev = [], []
-                for r, a in enumerate(col):
-                    if a.is_subset(u):
-                        ulev.append(r)
-                    elif split_u:
-                        split_u = a.is_disjoint(u)
-                    if a.is_subset(v):
-                        vlev.append(r)
-                    elif split_v:
-                        split_v = a.is_disjoint(v)
-                levels.append((ulev, vlev))
-            self._members[i] = levels, split_u, split_v
+            deep = [w.text() for w in self.pairs[i - 1] if w.max_leaf_len > _PAIR_DEPTH]
+            if deep:
+                msg = "pair %d: %s is deeper than %d, the schedule's depth"
+                raise ValueError(msg % (i, deep[0], _PAIR_DEPTH))
+            cols = self._atom_masks(i)
+            xs = [_mask(w, _PAIR_DEPTH) for w in self.pairs[i - 1]]  # u's mask, then v's
+            levels = [tuple([r for r, m in enumerate(ms) if m | x == x] for x in xs) for ms in cols]
+            split = (all(m | x == x or not m & x for ms in cols for m in ms) for x in xs)
+            self._members[i] = (levels, *split)
         return self._members[i]
 
     def __eq__(self, other):
@@ -240,7 +246,8 @@ def validate_sequence(g):
     climb map extend the earlier one.  A stage equal to its predecessor,
     when that one is a tower partition, is one too: its partition check
     is not run again, and it refines its predecessor column by column.
-    The pair check reads the membership pass that the witnesses read.
+    The pair check reads the membership pass that the witnesses read;
+    a pair deeper than that pass decides is reported instead.
     """
     k = g.family
     bad = []
@@ -272,7 +279,11 @@ def validate_sequence(g):
             continue
         if i in broken:
             continue
-        levels, split_u, split_v = g._pair_members(i)
+        try:
+            levels, split_u, split_v = g._pair_members(i)
+        except ValueError as exc:
+            bad.append(str(exc))
+            continue
         for split, w in ((split_u, u), (split_v, v)):
             if not split:
                 bad.append("stage %d does not split %s into atoms" % (i, w.text()))

@@ -8,19 +8,22 @@ lexicographically.  The empty antichain denotes the empty set and the
 antichain ("",) denotes the whole space.  With this normal form, equality
 of point sets is literal equality of leaf tuples.
 
-The Boolean operations work on integers.  At a depth D no smaller than any
-leaf, [w] is the interval [m 2^(D-|w|), (m+1) 2^(D-|w|)) of depth-D words
-read as binary numbers (m is w read in binary), in the lexicographic order
-of the leaves.  One sweep over the sorted endpoints of both operands keeps
-the maximal runs where the result holds, and each run is cut greedily into
-the largest aligned blocks [j 2^k, (j+1) 2^k), i.e. cylinders.  The cut is
-canonical: blocks of one run are never siblings (the greedy step would have
-taken their parent), runs are not adjacent, and a sibling-free antichain is
-the set of maximal cylinders in its union.  On canonical b, x lies inside b
-exactly when the last leaf of b sorting at or before x is a prefix of x,
-and [x] meets b exactly when that leaf is a prefix of x or the next leaf
-of b starts with x.  So an intersection whose left operand lies inside the
-right one returns that operand, already canonical, without a sweep.
+A union sorts its words onto a stack, where a word inside the one kept
+before it is dropped and sibling pairs fold into their parent (sorted,
+every word between w and an extension of w extends w).  Intersection and
+difference work on integers: at a depth D no smaller than any leaf, [w]
+is the interval [m 2^(D-|w|), (m+1) 2^(D-|w|)) of depth-D words read in
+binary (m is w read in binary).  One sweep over the sorted endpoints of
+both operands keeps the maximal runs where the result holds, and cuts
+each run greedily into the largest aligned blocks [j 2^k, (j+1) 2^k),
+i.e. cylinders: never siblings (the greedy step would take their parent),
+and runs are not adjacent.  A sibling-free antichain is the set of maximal
+cylinders in its union, so both results are canonical.  On canonical b,
+x lies inside b exactly when the last leaf of b sorting at or before x is
+a prefix of x, and [x] meets b exactly when that leaf is a prefix of x or
+the next leaf of b starts with x.  So an intersection whose left operand
+lies inside the right one returns that operand, already canonical,
+without a sweep.
 
 The metric is d(x, y) = 2^(-k) where k is the length of the longest common
 prefix, so a nonempty set has diameter 2^(-k) with k the depth of its
@@ -31,7 +34,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
+from operator import or_
 from os.path import commonprefix
 
 __all__ = [
@@ -51,14 +55,25 @@ class DepthTooSmall(ValueError):
 _FULL_LEAVES = ("",)
 
 # keep[(x in a) + 2 * (x in b)]: is x in the result of the operation?
-_UNION = (False, True, True, True)
 _INTER = (False, False, False, True)
 _MINUS = (False, True, False, False)
 
 
 def _check_word(word):
-    if not isinstance(word, str) or any(c not in "01" for c in word):
+    if not isinstance(word, str) or word.strip("01"):
         raise ValueError("cylinder words use the alphabet {0,1}, got %r" % (word,))
+
+
+def _normalize(words):
+    """Canonical leaves of the union of the cylinders of `words`, any order."""
+    kept = []
+    for w in sorted(words):
+        if not kept or not w.startswith(kept[-1]):
+            kept.append(w)
+            while len(kept) > 1 and kept[-1][:-1] == kept[-2][:-1]:  # nonempty, distinct: siblings
+                kept.pop()
+                kept[-1] = kept[-1][:-1]
+    return tuple(kept)
 
 
 def _sweep(a, b, keep):
@@ -113,10 +128,8 @@ class ClopenSet:
             _check_word(w)
         # words already canonical are kept; sorted, a word's extensions and
         # its sibling follow it directly, so checking neighbours decides that
-        if all(x < y and not y.startswith(x) and x[:-1] != y[:-1] for x, y in zip(ws, ws[1:])):
-            self.leaves = ws
-        else:
-            self.leaves = _sweep(ws, (), _UNION)
+        canonical = all(x < y and not y.startswith(x) and x[:-1] != y[:-1] for x, y in zip(ws, ws[1:]))
+        self.leaves = ws if canonical else _normalize(ws)
 
     @classmethod
     def _raw(cls, leaves):
@@ -126,7 +139,7 @@ class ClopenSet:
         return s
 
     def union(self, other):
-        return ClopenSet._raw(_sweep(self.leaves, other.leaves, _UNION))
+        return ClopenSet._raw(_normalize(self.leaves + other.leaves))
 
     def intersect(self, other):
         if self.is_subset(other):
@@ -219,10 +232,7 @@ FULL = ClopenSet._raw(_FULL_LEAVES)
 
 def union_all(sets):
     """Union of many clopen sets in one normalization pass."""
-    words = []
-    for s in sets:
-        words.extend(s.leaves)
-    return ClopenSet._raw(_sweep(tuple(words), (), _UNION))
+    return ClopenSet._raw(_normalize([w for s in sets for w in s.leaves]))
 
 
 @cache
@@ -252,6 +262,23 @@ def _mask_set(mask, depth):
     """The clopen set of a depth-`depth` mask, in the bit order of _clopen_order."""
     n = 1 << depth
     return ClopenSet(bin(2 * n - 1 - b)[3:] for b in range(n - 1, -1, -1) if mask >> b & 1)
+
+
+@cache
+def _word_masks(depth):
+    """Each word of length <= `depth` -> the mask of the depth-`depth` cylinders it meets."""
+    words = [bin((2 << depth) - 1 - b)[3:] for b in range(1 << depth)]  # bit b's word, as in _mask_set
+    prefixes = {w[:j] for w in words for j in range(depth + 1)}
+    return {p: sum(1 << b for b, w in enumerate(words) if w.startswith(p)) for p in prefixes}
+
+
+def _mask(s, depth):
+    """The mask, in _mask_set's bit order, of the depth-`depth` cylinders s meets.
+
+    Exact on u of depth <= `depth`: a lies inside u when m(a) | m(u) == m(u),
+    and misses it when m(a) & m(u) == 0."""
+    table = _word_masks(depth)
+    return reduce(or_, [table[x[:depth]] for x in s.leaves], 0)
 
 
 def enumerate_clopen(depth_cap):

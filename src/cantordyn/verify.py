@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
 
-from cantordyn.builder import _budget, validate_sequence
+from cantordyn.builder import _PAIR_DEPTH, _budget, enumerate_pairs, validate_sequence
 from cantordyn.clopen import union_all
 from cantordyn.measure import frac_text, validate_family, vec_text
 from cantordyn.tower import locate_atom
@@ -105,25 +104,22 @@ def collapse_metric(g, n):
     atoms that meet w, and its inner value the share inside w.  The
     metric is the largest outer minus the smallest inner value, maximised
     over cylinders; it reaches 0 exactly when the cone pins every depth-3
-    mass to one value.  Each atom's leaves are read once: it meets the
-    cylinders that a leaf's first three letters prefix, and lies inside w
-    when w is the only one.  Raises ValueError like invariant_cone.
+    mass to one value.  It reads the stage's atom masks (depth
+    _PAIR_DEPTH, 3): an atom meets the cylinders of its mask's bits, and
+    lies inside w when w's bit is its only one or it has none.  Raises
+    ValueError like invariant_cone.
     """
     g.runs(n, 0)
-    cyls = ["".join(bits) for bits in product("01", repeat=3)]
-    below = {w[:j]: [x for x in cyls if x.startswith(w[:j])] for w in cyls for j in range(4)}
-    outer, inner = dict.fromkeys(cyls, Fraction(0)), dict.fromkeys(cyls, Fraction(1))
-    for col in g.stages[n].columns:
-        meet, inside = Counter(), Counter()  # per cylinder, the atoms meeting it and inside it
-        for a in col:
-            hit = {w for x in a.leaves for w in below[x[:3]]}
-            meet.update(hit)
-            if len(hit) <= 1:
-                inside.update(hit or cyls)  # the empty atom lies inside every cylinder
-        for w in cyls:
-            outer[w] = max(outer[w], Fraction(meet[w], len(col)))
-            inner[w] = min(inner[w], Fraction(inside[w], len(col)))
-    return max([Fraction(0)] + [outer[w] - inner[w] for w in cyls])
+    bits = range(1 << _PAIR_DEPTH)
+    outer, inner = [Fraction(0)] * len(bits), [Fraction(1)] * len(bits)
+    for ms in g._atom_masks(n):
+        counts = Counter(ms).items()
+        for b in bits:
+            meet = sum(c for m, c in counts if m >> b & 1)
+            inside = sum(c for m, c in counts if m in (0, 1 << b))  # 0: the empty atom, inside all
+            outer[b] = max(outer[b], Fraction(meet, len(ms)))
+            inner[b] = min(inner[b], Fraction(inside, len(ms)))
+    return max([Fraction(0)] + [o - i for o, i in zip(outer, inner)])
 
 
 class MinimalityReport:
@@ -156,9 +152,11 @@ def minimality_check(g, n):
     Otherwise the certificate is the union of the columns reached from
     the first column that does not reach them all: a clopen region that
     no transition leaves.  When only the spread fails, it is the whole
-    space.  Raises ValueError on a stage whose runs the check reads but
-    which does not refine its predecessor.
+    space.  Raises ValueError like invariant_cone for n outside the
+    stages, and on a stage whose runs the check reads but which does not
+    refine its predecessor.
     """
+    g.runs(n, n)  # only the range check
     t = g.stages[n]
     ncols = len(t.columns)
     edges = [set() for _ in range(ncols)]
@@ -309,8 +307,9 @@ def verification_report(g):
     Structural problems suppress the deeper certificates, which assume
     well-formed stages, and a well-formed stage's cone holds every
     generator, so only its vertex count and collapse are reported.  The
-    schedule must have the shape build_saturated gives it: one pair per
-    stage after stage 0, and budget 2^-n at stage n.  Witnesses are
+    schedule must be the one build_saturated gives: one pair per stage
+    after stage 0, the pairs in enumerate_pairs order, and budget 2^-n at
+    stage n.  Witnesses are
     listed from the level matching, neither replayed nor cut into pieces:
     validate_sequence implies each carries u onto v.
     A stage equal to its predecessor reuses its collapse.  Raises
@@ -333,6 +332,15 @@ def verification_report(g):
             "schedule: %d pairs for %d stages, need one per stage after stage 0"
             % (len(g.pairs), len(g.stages))
         )
+    try:
+        want = enumerate_pairs(g.family, len(g.pairs))
+    except ValueError as exc:  # more pairs listed than the enumeration has
+        violations.append("schedule: %s" % exc)
+    else:
+        wrong = [(i, p, q) for i, (p, q) in enumerate(zip(g.pairs, want), start=1) if p != q][:1]
+        for i, p, q in wrong:
+            texts = (i,) + tuple(w.text() for w in p + q)
+            violations.append("schedule: pair %d is %s %s, the enumeration gives %s %s" % texts)
     for n, b in enumerate(g.budgets):
         if b != _budget(n):
             violations.append("schedule: stage %d budget %s, need %s" % (n, frac_text(b), frac_text(_budget(n))))

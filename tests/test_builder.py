@@ -501,6 +501,30 @@ def test_validate_reports_straddled_sets_before_unequal_visits():
     )
 
 
+def test_validate_reports_a_pair_deeper_than_the_schedule(monkeypatch):
+    # the atom masks decide membership only down to the schedule's depth, so
+    # a deeper pair is reported instead of checked
+    g = build_saturated(UNI, 2)
+    deep = TowerSequence(UNI, g.stages, (g.pairs[0], (C("0000"), C("0001"))), g.budgets)
+
+    real = cantordyn.builder._mask
+
+    def shallow_only(s, depth):
+        assert all(s is not w for w in deep.pairs[1]), "a deeper pair reached the membership check"
+        return real(s, depth)
+
+    monkeypatch.setattr(cantordyn.builder, "_mask", shallow_only)
+    assert validate_sequence(deep) == ("pair 2: 0000 is deeper than 3, the schedule's depth",)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="^pair 2: 0000 is deeper than 3, the schedule's depth$"):
+        deep._pair_members(2)
+    report = verification_report(deep)
+    assert report.violations == (
+        "pair 2: 0000 is deeper than 3, the schedule's depth",
+        "schedule: pair 2 is 0000 0001, the enumeration gives X X",
+    )
+
+
 def test_serialize_round_trip():
     g = build_saturated(UNI, 2)
     text = serialize_sequence(g)

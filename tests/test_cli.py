@@ -239,14 +239,20 @@ def loosen_budgets(lines):
     return [x.rsplit(" ", 1)[0] + " 1/1" if x.startswith("stage ") else x for x in lines]
 
 
+def swap_a_pair(lines):
+    # [1] is equivalent to itself, and every stage splits it
+    return ["pair 1 1" if x == "pair X X" else x for x in lines]
+
+
 # every stage of the edited tower still holds every structural invariant
 @pytest.mark.parametrize(
     "edit, violation",
     [
         (drop_pairs, "schedule: 0 pairs for 4 stages, need one per stage after stage 0"),
         (loosen_budgets, "schedule: stage 1 budget 1/1, need 1/2"),
+        (swap_a_pair, "schedule: pair 2 is 1 1, the enumeration gives X X"),
     ],
-    ids=("pairs", "budgets"),
+    ids=("pairs", "budgets", "pair"),
 )
 def test_verify_rejects_an_edited_schedule(tmp_path, capsys, edit, violation):
     fam = write(tmp_path, "fam.txt", UNIFORM)
@@ -264,12 +270,13 @@ def test_verify_rejects_an_edited_schedule(tmp_path, capsys, edit, violation):
 
 def test_verify_reports_a_stage_too_shallow_to_divide(tmp_path, capsys):
     # one column [0], [1] holds every invariant, but three first-return
-    # classes need a column of height three or more
+    # classes need a column of height three or more; its one pair is the
+    # enumeration's first
     out = tmp_path / "out"
     out.mkdir()
     (out / "tower.txt").write_text(
         "cantordyn tower v1\ngenerators 1\nmeasure mu0\ndepth_bound 0\nend measure\npairs 1\n"
-        "pair X X\nstages 2\nstage 0 columns 1 budget 1/1\ncolumn 1\nX\n"
+        "pair ∅ ∅\nstages 2\nstage 0 columns 1 budget 1/1\ncolumn 1\nX\n"
         "stage 1 columns 1 budget 1/2\ncolumn 2\n0\n1\nend tower\n"
     )
     assert main(["verify", "--out", str(out)]) == 0

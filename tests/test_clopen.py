@@ -379,22 +379,37 @@ def near_canonical_words(draw):
     return ws
 
 
+# the sweep's keep table for a union: the reference the merging normaliser
+# is compared against
+UNION = (False, True, True, True)
+
+
 @settings(max_examples=400)
 @given(st.one_of(near_canonical_words(), words_st))
 def test_constructor_keeps_only_canonical_input_unswept(words):
-    want = clopen._sweep(tuple(words), (), clopen._UNION)
+    want = clopen._sweep(tuple(words), (), UNION)
     assert ClopenSet(words).leaves == want
     assert ClopenSet(reversed(words)).leaves == want
     assert_canonical(ClopenSet(words).leaves)
 
 
+@settings(max_examples=300)
+@given(st.one_of(near_canonical_words(), words_st), st.one_of(near_canonical_words(), words_st))
+def test_unions_merge_to_the_sweeps_leaves(a, b):
+    sa, sb = ClopenSet(a), ClopenSet(b)
+    assert (sa | sb).leaves == clopen._sweep(sa.leaves, sb.leaves, UNION)
+    assert union_all([sa, sb, sa]).leaves == clopen._sweep(tuple(a + b), (), UNION)
+    assert clopen._normalize(a + b + a) == clopen._sweep(tuple(a), tuple(b), UNION)
+
+
 def test_canonical_input_never_reaches_the_sweep(monkeypatch):
+    # nor the merging normaliser that replaced the sweep for unions
     canonical = [s.leaves for s in enumerate_clopen(3)] + [("0", "10", "110"), ("00101", "1")]
 
     def refuse(*args):
         raise AssertionError("swept canonical words")
 
-    monkeypatch.setattr(clopen, "_sweep", refuse)
+    monkeypatch.setattr(clopen, "_normalize", refuse)
     for leaves in canonical:
         assert ClopenSet(leaves).leaves == leaves
         assert ClopenSet(list(leaves)).leaves == leaves

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantordyn.builder import TowerSequence, build_saturated, validate_sequence
-from cantordyn.clopen import EMPTY, FULL, ClopenSet, union_all
+from cantordyn.clopen import EMPTY, FULL, ClopenSet, _mask_set, union_all
 from cantordyn.measure import MeasureFamily, TreeMeasure, frac_text
 from cantordyn import tower, verify
 from cantordyn.tower import (
@@ -310,6 +310,7 @@ def test_stage_indices_out_of_range_are_refused():
         lambda: collapse_metric(g, -2),
         lambda: minimality_check(g, -2),
         lambda: minimality_check(g, -1),
+        lambda: minimality_check(g, len(g.stages)),
         lambda: g.runs(2, 3),
         lambda: g.runs(4, 0),
     ):
@@ -752,3 +753,23 @@ def test_a_structurally_valid_sequence_has_witnesses_that_carry_u_onto_v(g):
         return
     for u, v in g.pairs:
         assert witness_images(g, u, v) == v
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_sequences(VALID + PAIRED), st.data())
+def test_pair_membership_from_masks_matches_the_set_tests(g, data):
+    # random pairs of depth <= 3 over damaged stages, whose leaf moves can
+    # leave an empty atom, inside every set and disjoint from every set
+    depth3 = st.integers(0, 255).map(lambda m: _mask_set(m, 3))
+    pairs = tuple((data.draw(depth3), data.draw(depth3)) for _ in g.stages[1:])
+    h = TowerSequence(g.family, g.stages, pairs, g.budgets)
+    for i, (u, v) in enumerate(pairs, start=1):
+        cols = h.stages[i].columns
+        levels = [tuple([r for r, a in enumerate(col) if a.is_subset(w)] for w in (u, v)) for col in cols]
+        split = [all(a.is_subset(w) or a.is_disjoint(w) for col in cols for a in col) for w in (u, v)]
+        assert h._pair_members(i) == (levels, *split)
+
+
+def test_pair_membership_counts_an_empty_atom_inside_and_outside():
+    g = seq(UNI, [KRPartition(((C("0"), EMPTY, C("1")),))], pairs=((C("01"), C("1")),))
+    assert g._pair_members(1) == ([([1], [1, 2])], False, True)
