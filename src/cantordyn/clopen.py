@@ -10,20 +10,18 @@ of point sets is literal equality of leaf tuples.
 
 A union sorts its words onto a stack, where a word inside the one kept
 before it is dropped and sibling pairs fold into their parent (sorted,
-every word between w and an extension of w extends w).  Intersection and
-difference work on integers: at a depth D no smaller than any leaf, [w]
-is the interval [m 2^(D-|w|), (m+1) 2^(D-|w|)) of depth-D words read in
-binary (m is w read in binary).  One sweep over the sorted endpoints of
-both operands keeps the maximal runs where the result holds, and cuts
-each run greedily into the largest aligned blocks [j 2^k, (j+1) 2^k),
-i.e. cylinders: never siblings (the greedy step would take their parent),
-and runs are not adjacent.  A sibling-free antichain is the set of maximal
-cylinders in its union, so both results are canonical.  On canonical b,
-x lies inside b exactly when the last leaf of b sorting at or before x is
-a prefix of x, and [x] meets b exactly when that leaf is a prefix of x or
-the next leaf of b starts with x.  So an intersection whose left operand
-lies inside the right one returns that operand, already canonical,
-without a sweep.
+every word between w and an extension of w extends w).  The other
+operations look up each leaf x of the left operand in the sorted leaves
+of the right one, b.  With i the number of leaves of b sorting at or
+before x, [x] lies inside b exactly when b[i-1] is a prefix of x, and
+otherwise the leaves of b inside [x] are those from i up to the first
+one sorting after x + "2" ("2" sorts after both letters).  So a ⊆ b when
+every leaf lies inside b, and a, b are disjoint when no leaf does or
+holds a leaf of b.  In the intersection x stays whole or is cut down to
+the leaves of b inside it; in the difference it is dropped, or halved
+until a half holds no leaf of b (kept) or is one (dropped).  Kept leaves
+and pieces come out sorted, and no two are siblings, as neither operand
+has a sibling pair: both results are canonical with no normalising pass.
 
 The metric is d(x, y) = 2^(-k) where k is the length of the longest common
 prefix, so a nonempty set has diameter 2^(-k) with k the depth of its
@@ -54,10 +52,6 @@ class DepthTooSmall(ValueError):
 
 _FULL_LEAVES = ("",)
 
-# keep[(x in a) + 2 * (x in b)]: is x in the result of the operation?
-_INTER = (False, False, False, True)
-_MINUS = (False, True, False, False)
-
 
 def _check_word(word):
     if not isinstance(word, str) or word.strip("01"):
@@ -76,43 +70,38 @@ def _normalize(words):
     return tuple(kept)
 
 
-def _sweep(a, b, keep):
-    """Canonical leaves of the points x with keep[(x in a) + 2 * (x in b)].
+def _meet(a, b):
+    """Canonical leaves of the intersection of canonical leaf tuples a and b."""
+    out = []
+    for x in a:
+        i = bisect_right(b, x)
+        if i and x.startswith(b[i - 1]):
+            out.append(x)
+        else:
+            out.extend(b[i : bisect_right(b, x + "2", i)])
+    return tuple(out)
 
-    The cylinders of the word tuples `a` and `b` may overlap, in any order.
-    keep[0] is False: no point outside both operands is kept.
-    """
-    depth = max(map(len, a + b), default=0)
-    events = []  # position << 2 | entering << 1 | operand
-    for tag, words in ((0, a), (1, b)):
-        for w in words:
-            k = depth - len(w)
-            s = int("1" + w, 2) << k  # a leading 1 that bin() then drops
-            events.append(s << 2 | 2 | tag)
-            events.append((s + (1 << k)) << 2 | tag)
-    events.sort()
-    count = [0, 0]
-    inside = False
-    bounds = []
-    for ev in events:
-        count[ev & 1] += 1 if ev & 2 else -1
-        now = keep[(count[0] > 0) + 2 * (count[1] > 0)]
-        if now is not inside:
-            inside = now
-            pos = ev >> 2
-            if bounds and bounds[-1] == pos:
-                bounds.pop()  # changed twice at one point: no boundary
-            else:
-                bounds.append(pos)
-    leaves = []
-    it = iter(bounds)
-    for s, e in zip(it, it):
-        while s < e:
-            # the largest block aligned at s that fits in [s, e)
-            k = min((s & -s).bit_length(), (e - s).bit_length()) - 1
-            leaves.append(bin(s >> k)[3:])
-            s += 1 << k
-    return tuple(leaves)
+
+def _minus(a, b):
+    """Canonical leaves of a minus b, for canonical leaf tuples a and b."""
+    out = []
+    for x in a:
+        i = bisect_right(b, x)
+        if i and x.startswith(b[i - 1]):
+            continue
+        # (w, lo, hi): the piece [w] with the holes b[lo:hi], all inside it;
+        # a loop, not recursion, as a hole n letters deep takes n halvings;
+        # the 0 half goes on top, so pieces come out sorted
+        stack = [(x, i, bisect_right(b, x + "2", i))]
+        while stack:
+            w, lo, hi = stack.pop()
+            if lo == hi:
+                out.append(w)
+            elif b[lo] != w:
+                mid = bisect_right(b, w + "02", lo, hi)
+                stack.append((w + "1", mid, hi))
+                stack.append((w + "0", lo, mid))
+    return tuple(out)
 
 
 class ClopenSet:
@@ -142,12 +131,10 @@ class ClopenSet:
         return ClopenSet._raw(_normalize(self.leaves + other.leaves))
 
     def intersect(self, other):
-        if self.is_subset(other):
-            return self
-        return ClopenSet._raw(_sweep(self.leaves, other.leaves, _INTER))
+        return ClopenSet._raw(_meet(self.leaves, other.leaves))
 
     def minus(self, other):
-        return ClopenSet._raw(_sweep(self.leaves, other.leaves, _MINUS))
+        return ClopenSet._raw(_minus(self.leaves, other.leaves))
 
     def is_subset(self, other):
         b = other.leaves

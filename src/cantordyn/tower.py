@@ -159,10 +159,11 @@ def run_decomposition(s, t):
 
     Returns, per s-column, the sequence of t-column indices it traverses
     bottom to top, or None if s does not refine t as a tower: every run
-    must start at a t-base, match t's atoms level by level, and the runs
-    must exhaust the column exactly.  Both must be tower partitions, as
-    from_columns checks: then a partition equal to t runs through it
-    column by column, ((0,), (1,), ...), and that is returned unsearched.
+    must start at a t-base (an empty atom starts none), match t's atoms
+    level by level, and the runs must exhaust the column exactly.  Both
+    must be tower partitions, as from_columns checks: then a partition
+    equal to t runs through it column by column, ((0,), (1,), ...), and
+    that is returned unsearched.
     """
     if s == t:
         return tuple((ci,) for ci in range(len(t.columns)))
@@ -173,7 +174,7 @@ def run_decomposition(s, t):
         r = 0
         height = len(col)
         while r < height:
-            hit = _locate(idx, col[r].leaves[0])
+            hit = _locate(idx, col[r].leaves[0]) if col[r] else None
             if hit is None or hit[1] != 0:
                 return None
             ci = hit[0]
@@ -312,7 +313,7 @@ def _stack_pool_onto(k, cols, dcol, pool, level, max_depth):
 
     A copy of the level atom is selected across the union of the pool
     columns' bases.  Its share of each base it meets is its intersection
-    with that base, most often the whole copy, which & returns unswept.
+    with that base, most often the whole copy.
     The atom is carved to match the shares, and every resulting
     sub-column of dcol gets the matching pool sub-column stacked on top.
     Returns cols with the stacked columns in dcol's place and each pool

@@ -60,6 +60,13 @@ def test_complement_frozen():
     assert (FULL - ClopenSet(["00"])).leaves == ("01", "1")
     assert FULL - FULL == EMPTY
     assert FULL - EMPTY == FULL
+    # holes cut out of a leaf by halving it, in one half or in both
+    assert (C("0") - C("0110")).leaves == ("00", "010", "0111")
+    assert (C("0") - C("001", "0110")).leaves == ("000", "010", "0111")
+    # a hole equal to a leaf drops it whole
+    assert (C("0", "10") - C("0", "11")).leaves == ("10",)
+    # a hole 3,000 letters deep takes 3,000 halvings
+    assert (FULL - C("0" * 3000)).leaves == tuple("0" * k + "1" for k in range(2999, -1, -1))
 
 
 def test_diameter_frozen():
@@ -221,8 +228,8 @@ def test_bare_string_rejected():
     assert ClopenSet(["01"]).leaves == ("01",)
 
 
-# Reference algebra for the deep-leaf test: a recursion on the first
-# letter of the words, independent of the interval sweep under test.
+# Reference algebra for the kernel tests: a recursion on the first
+# letter of the words, independent of the sorted-leaf kernel under test.
 
 
 def ref_norm(words):
@@ -347,11 +354,10 @@ def test_deep_ops_match_recursive_reference(wa, wb):
     assert a.is_subset(a | b)
     assert (a - b).is_subset(a)
     assert not (a - b).is_subset(b) or (a - b).is_empty
-    # a left operand inside the right one comes back itself, unswept
+    # a left operand inside the right one comes back whole
     for x, y in ((a, a | b), (a & b, b), (a & b, a)):
         rx, ry = x.leaves, y.leaves
         assert (x & y).leaves == ref_inter(rx, ry) == rx
-        assert x & y is x
 
 
 @st.composite
@@ -379,15 +385,10 @@ def near_canonical_words(draw):
     return ws
 
 
-# the sweep's keep table for a union: the reference the merging normaliser
-# is compared against
-UNION = (False, True, True, True)
-
-
 @settings(max_examples=400)
 @given(st.one_of(near_canonical_words(), words_st))
 def test_constructor_keeps_only_canonical_input_unswept(words):
-    want = clopen._sweep(tuple(words), (), UNION)
+    want = ref_norm(words)
     assert ClopenSet(words).leaves == want
     assert ClopenSet(reversed(words)).leaves == want
     assert_canonical(ClopenSet(words).leaves)
@@ -395,26 +396,25 @@ def test_constructor_keeps_only_canonical_input_unswept(words):
 
 @settings(max_examples=300)
 @given(st.one_of(near_canonical_words(), words_st), st.one_of(near_canonical_words(), words_st))
-def test_unions_merge_to_the_sweeps_leaves(a, b):
+def test_unions_merge_to_the_recursive_reference(a, b):
     sa, sb = ClopenSet(a), ClopenSet(b)
-    assert (sa | sb).leaves == clopen._sweep(sa.leaves, sb.leaves, UNION)
-    assert union_all([sa, sb, sa]).leaves == clopen._sweep(tuple(a + b), (), UNION)
-    assert clopen._normalize(a + b + a) == clopen._sweep(tuple(a), tuple(b), UNION)
+    assert (sa | sb).leaves == ref_union(ref_norm(a), ref_norm(b))
+    assert union_all([sa, sb, sa]).leaves == ref_norm(a + b)
+    assert clopen._normalize(a + b + a) == ref_norm(a + b)
 
 
-def test_canonical_input_never_reaches_the_sweep(monkeypatch):
-    # nor the merging normaliser that replaced the sweep for unions
+def test_canonical_input_never_reaches_the_normaliser(monkeypatch):
     canonical = [s.leaves for s in enumerate_clopen(3)] + [("0", "10", "110"), ("00101", "1")]
 
     def refuse(*args):
-        raise AssertionError("swept canonical words")
+        raise AssertionError("normalised canonical words")
 
     monkeypatch.setattr(clopen, "_normalize", refuse)
     for leaves in canonical:
         assert ClopenSet(leaves).leaves == leaves
         assert ClopenSet(list(leaves)).leaves == leaves
     for words in (["1", "0"], ["0", "0"], ["0", "01"], ["", "1"], ["10", "11"]):
-        with pytest.raises(AssertionError, match="swept"):
+        with pytest.raises(AssertionError, match="normalised"):
             ClopenSet(words)
 
 

@@ -396,10 +396,11 @@ def reference_collapse(t):
         for v in column_simplex(t):
             o = i = F(0)
             for a, mass in zip(t.atoms, v):
+                # meeting w is a nonempty a & w, so the empty atom lies
+                # inside w without meeting it
                 if a.is_subset(w):
                     i += mass
-                    o += mass
-                elif not (a & w).is_empty:
+                if not (a & w).is_empty:
                     o += mass
             outer.append(o)
             inner.append(i)
@@ -469,6 +470,18 @@ def test_collapse_reads_leaves_shorter_than_the_cylinders():
     g = seq(UNI, [KRPartition([(C("0"), C("10", "110")), (C("111"),)])])
     assert sorted(len(x) for a in g.stages[1].atoms for x in a.leaves) == [1, 2, 3, 3]
     assert collapse_metric(g, 1) == reference_collapse(g.stages[1]) == F(1)
+    # an empty atom, which from_columns would refuse, lies inside every
+    # cylinder and meets none: [0] and [1] then spread no mass
+    g = TowerSequence(UNI, [KRPartition([(C("0"), EMPTY, C("1"))])], (), (F(1),))
+    assert collapse_metric(g, 0) == reference_collapse(g.stages[0]) == 0
+
+
+def test_a_stage_with_an_empty_atom_does_not_refine():
+    g = seq(UNI, [KRPartition([(C("0"), EMPTY, C("1"))])])
+    assert run_decomposition(g.stages[1], g.stages[0]) is None
+    for check in (lambda: g.runs(1, 0), lambda: invariant_cone(g, 1), lambda: collapse_metric(g, 1)):
+        with pytest.raises(ValueError, match="^stage 1 does not refine stage 0$"):
+            check()
 
 
 def stage_lines(report):
