@@ -31,7 +31,6 @@ from cantordyn.oracles import (
     affine_approx,
     approx_divide,
     goodness_select,
-    n_copies,
     select_copy,
     subset_in_box,
 )

@@ -37,7 +37,6 @@ __all__ = [
     "affine_approx",
     "approx_divide",
     "goodness_select",
-    "n_copies",
     "select_copy",
     "subset_in_box",
 ]
@@ -288,15 +287,6 @@ def approx_divide(k, a, n, eps=Fraction(0), max_depth=12):
     return s
 
 
-def n_copies(k, b, a, n, max_depth=12):
-    """n pairwise disjoint subsets of a matching vec(b): b, then n - 1 carved from a - b."""
-    if n < 1:
-        raise ValueError("need n >= 1, got %r" % (n,))
-    if not b.is_subset(a):
-        raise ValueError("b must be a subset of a")
-    return (b, *_carve(k, a - b, [k.vec(b)] * (n - 1), max_depth)[:-1])
-
-
 def _carve(k, host, vecs, max_depth):
     """Pieces of host matching vecs, picked off in order, then the remainder."""
     pieces = []
@@ -345,5 +335,6 @@ def affine_approx(k, partition, values, eps, max_depth=12):
             pieces.append(p)
             continue
         b = approx_divide(k, p, m, delta, max_depth)
-        pieces.extend(n_copies(k, b, p, n, max_depth))
+        # b and n - 1 disjoint copies of it carved from the rest of p
+        pieces.extend((b, *_carve(k, p - b, [k.vec(b)] * (n - 1), max_depth)[:-1]))
     return union_all(pieces)

@@ -84,11 +84,11 @@ def test_criterion_1_single_measure_build_fast_and_exact(sixstage):
     print("criterion 1 PASS: 6-stage build in %.2f s, every stage exact" % elapsed)
 
 
-def test_six_stage_tower_bytes_pinned(sixstage):
+def test_six_stage_tower_bytes_pinned(sixstage, pins):
     # the unnamed measure is written as mu0 with depth_bound 0
     g, _ = sixstage
     digest = hashlib.sha256(serialize_sequence(g).encode()).hexdigest()
-    assert digest == "252df3c1d5195ffe4ee9a466d365aec48992c7479517497044f2af1eb99bc52a"
+    assert digest == pins["mu0-6/tower.txt"]
 
 
 def test_criterion_2_cone_collapse(sixstage):

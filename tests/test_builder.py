@@ -150,47 +150,26 @@ def test_build_two_stages():
     assert validate_sequence(g) == ()
 
 
+D2 = "measure d2\nweight 0 1/3\nweight 1 2/3\n"
+
+
 @pytest.mark.parametrize(
-    "text,stages,max_depth,digest",
+    "text,stages,max_depth,key",
     [
-        (
-            "measure uniform\ndepth_bound 3\n",
-            3,
-            12,
-            "5e301cbd5421aa2c6d8cee64def1935c5406c8200b4503a5f2eedcc4dbd446ee",
-        ),
+        ("measure uniform\ndepth_bound 3\n", 3, 12, "uniform-3/tower.txt"),
         # the merge stacks the refinement's three columns into one
-        (
-            "measure third\nweight e 1/3\n",
-            2,
-            16,
-            "7721ca2bd54f8f1e76c2a83b025b4f931b28e68286a0719a8febf6da16de2573",
-        ),
+        ("measure third\nweight e 1/3\n", 2, 16, "third-2/tower.txt"),
         # the benchmark's third4 tower: one column of 48 atoms, non-dyadic masses
-        (
-            "measure third\nweight e 1/3\n",
-            4,
-            16,
-            "c60e0ccf8d0b6b9df9784b8d1727ae1f6de6cfb5161b5cc2507fdbfd61f4495e",
-        ),
+        ("measure third\nweight e 1/3\n", 4, 16, "third-4/tower.txt"),
         # weight depth 2: atoms of one leaf-length pattern differ in mass by
         # their first two letters, so a column split must tell them apart
-        (
-            "measure d2\nweight 0 1/3\nweight 1 2/3\n",
-            3,
-            16,
-            "4533a9e0e510b64220c5688e223a2c552be38628923e111b3c3e15caccfa390e",
-        ),
+        (D2, 3, 16, "d2-3/tower.txt"),
         # the benchmark's uniform6 tower, whose digest its output check gates on
-        (
-            "measure uniform\ndepth_bound 3\n",
-            6,
-            12,
-            "ba0e9145dba00cdc1c9ccb61c80d3b05afd6964a82fcdb790928c8bc63ed4300",
-        ),
+        ("measure uniform\ndepth_bound 3\n", 6, 12, "uniform-6/tower.txt"),
     ],
+    ids=["uniform3", "third2", "third4", "d2_3", "uniform6"],
 )
-def test_serialized_build_bytes_pinned(monkeypatch, text, stages, max_depth, digest):
+def test_serialized_build_bytes_pinned(monkeypatch, pins, text, stages, max_depth, key):
     # every stage is refine, then merge: the build never balances by stacking
     def no_balance(*args, **kwargs):
         raise AssertionError("the build called balance_columns")
@@ -198,10 +177,7 @@ def test_serialized_build_bytes_pinned(monkeypatch, text, stages, max_depth, dig
     monkeypatch.setattr(tower, "balance_columns", no_balance)
     monkeypatch.setattr(cantordyn.builder, "balance_columns", no_balance, raising=False)
     g = build_saturated(parse_family(text), stages, max_depth)
-    assert hashlib.sha256(serialize_sequence(g).encode()).hexdigest() == digest
-
-
-D2 = "measure d2\nweight 0 1/3\nweight 1 2/3\n"
+    assert hashlib.sha256(serialize_sequence(g).encode()).hexdigest() == pins[key]
 
 
 def tree_weights(weight, depth):
@@ -215,17 +191,17 @@ DEEP_WEIGHTS = tree_weights("1/3", 3)
 
 
 @pytest.mark.parametrize(
-    "text,stages,max_depth,digest",
+    "text,stages,max_depth,key",
     [
-        ("measure uniform\ndepth_bound 3\n", 6, 12, "9892e3d4c67f9fe91dfc5a9bdc4cd8aba4ba0960c148dac7047b0a58497bdae9"),
-        ("measure third\nweight e 1/3\n", 2, 16, "54875b1b28399a539a18cb55f3310ffee2a0e36f3e6759001453c9ccded32742"),
-        (D2, 3, 16, "a509f9f012f8533446a59775fe1060a7bfa93275eb01aa922e8c308c5bd24c10"),
+        ("measure uniform\ndepth_bound 3\n", 6, 12, "uniform-6/bratteli.dot"),
+        ("measure third\nweight e 1/3\n", 2, 16, "third-2/bratteli.dot"),
+        (D2, 3, 16, "d2-3/bratteli.dot"),
     ],
     ids=["uniform6", "third2", "d2_3"],
 )
-def test_bratteli_dot_bytes_pinned(text, stages, max_depth, digest):
+def test_bratteli_dot_bytes_pinned(pins, text, stages, max_depth, key):
     g = build_saturated(parse_family(text), stages, max_depth)
-    assert hashlib.sha256(bratteli_dot(g).encode()).hexdigest() == digest
+    assert hashlib.sha256(bratteli_dot(g).encode()).hexdigest() == pins[key]
 
 
 def test_bratteli_dot_draws_columns_and_their_runs():
@@ -521,7 +497,7 @@ def test_validate_reports_a_pair_deeper_than_the_schedule(monkeypatch):
     report = verification_report(deep)
     assert report.violations == (
         "pair 2: 0000 is deeper than 3, the schedule's depth",
-        "schedule: pair 2 is 0000 0001, the enumeration gives X X",
+        "schedule: pair 2 is 0000 0001, the enumeration gives %s %s" % tuple(w.text() for w in g.pairs[1]),
     )
 
 
@@ -547,14 +523,27 @@ def test_serialize_round_trip_two_generators():
     assert load_sequence(text) == g
 
 
+# a valid hand-written sequence whose stages 2 and 3 repeat stage 1: one
+# column of the eight depth-3 cylinders in odometer order.  Its text has
+# 44 lines: the pairs on 7-9, "stages 4" on 10, stage 1's header on 14,
+# its "column 8" on 15 and its atoms on 16-23
+ODOMETER = KRPartition((tuple(C(w) for w in "000 100 010 110 001 101 011 111".split()),))
+ODOMETER_SEQ = TowerSequence(
+    UNI,
+    (trivial_partition(), ODOMETER, ODOMETER, ODOMETER),
+    ((C("0"), C("1")), (C("00"), C("11")), (C("000"), C("111"))),
+    (F(1), F(1, 2), F(1, 4), F(1, 8)),
+)
+ODOMETER_TEXT = serialize_sequence(ODOMETER_SEQ)
+
+
 def test_load_rejects_malformed_text():
-    g = build_saturated(UNI, 1)
-    text = serialize_sequence(g)
-    with pytest.raises(ValueError, match="truncated tower file after line 27"):
+    text = ODOMETER_TEXT
+    with pytest.raises(ValueError, match="truncated tower file after line 41"):
         load_sequence("\n".join(text.splitlines()[:-3]))
     with pytest.raises(ValueError, match="not a tower file"):
         load_sequence("something else\n" + text)
-    with pytest.raises(ValueError, match="line 12, col 26: zero denominator"):
+    with pytest.raises(ValueError, match="line 14, col 26: zero denominator"):
         load_sequence(text.replace("budget 1/2", "budget 1/0"))
     with pytest.raises(ValueError, match="line 5, col 10: expected num/den"):
         load_sequence(text.replace("end measure", "weight e half\nend measure"))
@@ -562,17 +551,17 @@ def test_load_rejects_malformed_text():
     for old, new, message in [
         ("generators 1", "generators x", "line 2: expected 'generators <int>', got 'generators x'"),
         ("generators 1", "generators 0", "line 2: no generators"),
-        ("pairs 1", "pairs -1", "line 6: negative pairs count"),
-        ("pairs 1", "pair 1", "line 6: expected 'pairs <int>', got 'pair 1'"),
-        ("pair ∅ ∅", "pair ∅", "line 7: expected 'pair <clopen> <clopen>'"),
-        ("pair ∅ ∅", "pair ∅ 0,", "line 7: bad clopen text"),
-        ("stages 2", "stages 0", "line 8: no stages"),
-        ("stage 1 ", "stage 7 ", "line 12: stage 7 out of order"),
-        ("stage 1 columns 1", "stage 1 rows 1", "line 12: expected 'stage <n> columns <c> budget <q>'"),
-        ("stage 1 columns 1", "stage 1 columns 0", "line 12: stage 1 has no columns"),
-        ("column 16", "column 0", "line 13: expected 'column <height>'"),
-        ("\n0010\n", "\n0020\n", "line 29: cylinder words use the alphabet"),
-        ("end tower", "end", "line 30: missing 'end tower' marker"),
+        ("pairs 3", "pairs -1", "line 6: negative pairs count"),
+        ("pairs 3", "pair 1", "line 6: expected 'pairs <int>', got 'pair 1'"),
+        ("pair 0 1", "pair 0", "line 7: expected 'pair <clopen> <clopen>'"),
+        ("pair 0 1", "pair 0 0,", "line 7: bad clopen text"),
+        ("stages 4", "stages 0", "line 10: no stages"),
+        ("stage 1 ", "stage 7 ", "line 14: stage 7 out of order"),
+        ("stage 1 columns 1", "stage 1 rows 1", "line 14: expected 'stage <n> columns <c> budget <q>'"),
+        ("stage 1 columns 1", "stage 1 columns 0", "line 14: stage 1 has no columns"),
+        ("column 8", "column 0", "line 15: expected 'column <height>'"),
+        ("\n010\n", "\n020\n", "line 18: cylinder words use the alphabet"),
+        ("end tower", "end", "line 44: missing 'end tower' marker"),
     ]:
         assert old in text
         with pytest.raises(ValueError) as info:
@@ -584,17 +573,17 @@ def test_load_rejects_malformed_text():
     "old,new,message",
     [
         ("generators 1", "generators --1", "line 2: expected 'generators <int>', got 'generators --1'"),
-        ("pairs 1", "pairs --5", "line 6: expected 'pairs <int>', got 'pairs --5'"),
-        ("stages 2", "stages --1", "line 8: expected 'stages <int>', got 'stages --1'"),
-        ("column 16", "column ²", "line 13: expected 'column <height>'"),
-        ("stage 1 columns 1", "stage ¹ columns 1", "line 12: expected 'stage <n> columns <c> budget <q>'"),
+        ("pairs 3", "pairs --5", "line 6: expected 'pairs <int>', got 'pairs --5'"),
+        ("stages 4", "stages --1", "line 10: expected 'stages <int>', got 'stages --1'"),
+        ("column 8", "column ²", "line 15: expected 'column <height>'"),
+        ("stage 1 columns 1", "stage ¹ columns 1", "line 14: expected 'stage <n> columns <c> budget <q>'"),
     ],
     ids=["generators", "pairs", "stages", "column", "stage"],
 )
 def test_load_reads_integer_fields_as_ascii_digits(old, new, message):
     # a doubled sign and a superscript digit are no integers, and each is
     # refused with its line
-    text = serialize_sequence(build_saturated(UNI, 1))
+    text = ODOMETER_TEXT
     assert old in text
     with pytest.raises(ValueError) as info:
         load_sequence(text.replace(old, new, 1))
@@ -619,7 +608,7 @@ def test_load_reads_integer_fields_as_ascii_digits(old, new, message):
             "line 5, col 11: duplicate measure name 'mu0'",
         ),
         ("end measure", "measure b\nend measure", "line 6: generators 1 but 2 measures"),
-        ("generators 1", "generators 2", "truncated tower file after line 30"),
+        ("generators 1", "generators 2", "truncated tower file after line 44"),
         ("depth_bound 0", "depth_bound ²", "line 4, col 1: depth_bound takes one nonnegative integer"),
     ],
     ids=[
@@ -630,7 +619,7 @@ def test_load_reads_integer_fields_as_ascii_digits(old, new, message):
 def test_load_reads_generator_blocks_by_family_rules(old, new, message):
     # the generator blocks are family-file text; errors carry the tower
     # file's line and column
-    text = serialize_sequence(build_saturated(UNI, 1))
+    text = ODOMETER_TEXT
     assert old in text
     with pytest.raises(ValueError) as info:
         load_sequence(text.replace(old, new, 1))
@@ -699,9 +688,9 @@ def test_load_shares_equal_atoms_across_stages():
 
 
 def test_load_names_the_line_of_a_bad_atom_in_a_repeated_stage():
-    # stages 2 and 3 of the uniform 3-stage tower repeat stage 1
-    lines = serialize_sequence(build_saturated(UNI, 3)).splitlines()
-    at = [i for i, line in enumerate(lines) if line == "0010"]
+    # stages 2 and 3 repeat stage 1
+    lines = ODOMETER_TEXT.splitlines()
+    at = [i for i, line in enumerate(lines) if line == "010"]
     assert len(at) == 3
     for bad in ([at[2]], [at[1], at[2]], at):
         broken = list(lines)
@@ -714,10 +703,10 @@ def test_load_names_the_line_of_a_bad_atom_in_a_repeated_stage():
 
 
 def test_load_defers_semantic_checks():
-    g = build_saturated(UNI, 1)
-    lines = serialize_sequence(g).splitlines()
-    lines[lines.index("0011")] = "0000"
+    assert validate_sequence(ODOMETER_SEQ) == ()
+    lines = ODOMETER_TEXT.splitlines()
+    lines[lines.index("100")] = "000"
     # the damaged file still loads; validation catches it afterwards
     broken = load_sequence("\n".join(lines) + "\n")
-    assert broken != g
+    assert broken != ODOMETER_SEQ
     assert any("not a tower partition" in m for m in validate_sequence(broken))

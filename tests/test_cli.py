@@ -10,11 +10,14 @@ import cantordyn.builder
 import cantordyn.cli
 import cantordyn.measure
 import cantordyn.tower
+from cantordyn.builder import enumerate_pairs
 from cantordyn.cli import main
+from cantordyn.measure import parse_family
 
 UNIFORM = "measure uniform\ndepth_bound 3\n"
 NONGOOD = "measure uniform\n\nmeasure quarter\nweight e 1/4\n"
 BADWEIGHT = "measure broken\nweight e 3/2\n"
+THIRD = "measure third\nweight e 1/3\n"
 
 
 def write(tmp_path, name, text):
@@ -146,7 +149,7 @@ def test_build_validates_the_family_once(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "text, stages, distinct",
-    [(UNIFORM, "3", 2), ("measure third\nweight e 1/3\n", "2", 2), (UNIFORM, "6", 3)],
+    [(UNIFORM, "3", 2), (THIRD, "2", 2), (UNIFORM, "6", 3)],
     ids=["uniform_three_stages", "third_two_stages", "uniform_six_stages"],
 )
 def test_build_validates_each_stage_once(tmp_path, capsys, monkeypatch, text, stages, distinct):
@@ -180,20 +183,34 @@ def test_verify_written_tower(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text, stages, max_depth, digest",
+    "text, stages, max_depth, name",
     [
-        (UNIFORM, "6", "12", "466407c8abf53a41f94b8d6dd426fbb1a8d90e31fcab5524139c1a8cc068ad7b"),
-        ("measure third\nweight e 1/3\n", "4", "16", "6777b7d94132df1ee8dbd5404afced134d7e4e9f60a194d960f04d4071bb0eaa"),
+        (UNIFORM, "6", "12", "uniform-6"),
+        (THIRD, "4", "16", "third-4"),
+        (UNIFORM, "3", "12", "uniform-3"),
+        # the largest pinned build
+        (THIRD, "8", "16", "third-8"),
     ],
-    ids=["uniform6", "third4"],
+    ids=["uniform6", "third4", "uniform3", "third8"],
 )
-def test_verify_stdout_bytes_pinned(tmp_path, capsys, text, stages, max_depth, digest):
+def test_verify_stdout_bytes_pinned(tmp_path, capsys, pins, text, stages, max_depth, name):
+    # the table's keys under name/ are files of build --out name, and
+    # verify.txt, verify's stdout on it
     fam = write(tmp_path, "fam.txt", text)
-    out = str(tmp_path / "out")
-    assert main(["build", "--family", fam, "--stages", stages, "--max-depth", max_depth, "--out", out]) == 0
+    out = tmp_path / name
+    assert main(["build", "--family", fam, "--stages", stages, "--max-depth", max_depth, "--out", str(out)]) == 0
     capsys.readouterr()
-    assert main(["verify", "--out", out]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    assert main(["verify", "--out", str(out)]) == 0
+    (out / "verify.txt").write_bytes(capsys.readouterr().out.encode())
+    want = {key: digest for key, digest in pins.items() if key.startswith(name + "/")}
+    assert name + "/verify.txt" in want
+    assert {key: hashlib.sha256((tmp_path / key).read_bytes()).hexdigest() for key in want} == want
+
+
+def atom_line(lines, stage, level):
+    """Index of the line of column 0's atom at level in stage's block."""
+    header = next(i for i, x in enumerate(lines) if x.startswith("stage %d columns " % stage))
+    return header + 2 + level
 
 
 def test_verify_catches_edited_atom(tmp_path, capsys):
@@ -203,7 +220,8 @@ def test_verify_catches_edited_atom(tmp_path, capsys):
     tower = os.path.join(out, "tower.txt")
     with open(tower) as fh:
         lines = fh.read().splitlines()
-    lines[lines.index("0011")] = "0000"
+    # stage 1's base atom twice, and its second atom nowhere
+    lines[atom_line(lines, 1, 1)] = lines[atom_line(lines, 1, 0)]
     with open(tower, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     capsys.readouterr()
@@ -219,9 +237,7 @@ def test_verify_catches_edited_last_stage_atom(tmp_path, capsys):
     tower = os.path.join(out, "tower.txt")
     with open(tower) as fh:
         lines = fh.read().splitlines()
-    last = len(lines) - 1 - lines[::-1].index("0011")
-    assert last > lines.index("stage 2 columns 1 budget 1/4")
-    lines[last] = "0000"
+    lines[atom_line(lines, 2, 1)] = lines[atom_line(lines, 2, 0)]
     with open(tower, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     capsys.readouterr()
@@ -231,38 +247,41 @@ def test_verify_catches_edited_last_stage_atom(tmp_path, capsys):
     assert text.splitlines()[-1].startswith("violated: stage 2 is not a tower partition")
 
 
+# each edit returns the edited lines and the violation verify reports on them
+
+
 def drop_pairs(lines):
-    return ["pairs 0" if x.startswith("pairs ") else x for x in lines if not x.startswith("pair ")]
+    edited = ["pairs 0" if x.startswith("pairs ") else x for x in lines if not x.startswith("pair ")]
+    return edited, "schedule: 0 pairs for 4 stages, need one per stage after stage 0"
 
 
 def loosen_budgets(lines):
-    return [x.rsplit(" ", 1)[0] + " 1/1" if x.startswith("stage ") else x for x in lines]
+    edited = [x.rsplit(" ", 1)[0] + " 1/1" if x.startswith("stage ") else x for x in lines]
+    return edited, "schedule: stage 1 budget 1/1, need 1/2"
 
 
-def swap_a_pair(lines):
-    # [1] is equivalent to itself, and every stage splits it
-    return ["pair 1 1" if x == "pair X X" else x for x in lines]
+def copy_a_pair(lines):
+    # pair 1's line over pair 2's: stage 1 already splits pair 1, and every
+    # later column visits its two sets equally often
+    at = [i for i, x in enumerate(lines) if x.startswith("pair ")]
+    first, second = (lines[i][len("pair ") :] for i in at[:2])
+    assert first != second
+    edited = list(lines)
+    edited[at[1]] = lines[at[0]]
+    return edited, "schedule: pair 2 is %s, the enumeration gives %s" % (first, second)
 
 
 # every stage of the edited tower still holds every structural invariant
-@pytest.mark.parametrize(
-    "edit, violation",
-    [
-        (drop_pairs, "schedule: 0 pairs for 4 stages, need one per stage after stage 0"),
-        (loosen_budgets, "schedule: stage 1 budget 1/1, need 1/2"),
-        (swap_a_pair, "schedule: pair 2 is 1 1, the enumeration gives X X"),
-    ],
-    ids=("pairs", "budgets", "pair"),
-)
-def test_verify_rejects_an_edited_schedule(tmp_path, capsys, edit, violation):
+@pytest.mark.parametrize("edit", [drop_pairs, loosen_budgets, copy_a_pair], ids=("pairs", "budgets", "pair"))
+def test_verify_rejects_an_edited_schedule(tmp_path, capsys, edit):
     fam = write(tmp_path, "fam.txt", UNIFORM)
     out = str(tmp_path / "out")
     assert main(["build", "--family", fam, "--stages", "3", "--out", out]) == 0
     tower = os.path.join(out, "tower.txt")
     with open(tower) as fh:
-        lines = fh.read().splitlines()
+        edited, violation = edit(fh.read().splitlines())
     with open(tower, "w") as fh:
-        fh.write("\n".join(edit(lines)) + "\n")
+        fh.write("\n".join(edited) + "\n")
     capsys.readouterr()
     assert main(["verify", "--out", out]) == 3
     assert capsys.readouterr().out.splitlines()[-1] == "violated: " + violation
@@ -274,10 +293,11 @@ def test_verify_reports_a_stage_too_shallow_to_divide(tmp_path, capsys):
     # enumeration's first
     out = tmp_path / "out"
     out.mkdir()
+    (u, v), = enumerate_pairs(parse_family("measure mu0\n"), 1)
     (out / "tower.txt").write_text(
         "cantordyn tower v1\ngenerators 1\nmeasure mu0\ndepth_bound 0\nend measure\npairs 1\n"
-        "pair ∅ ∅\nstages 2\nstage 0 columns 1 budget 1/1\ncolumn 1\nX\n"
-        "stage 1 columns 1 budget 1/2\ncolumn 2\n0\n1\nend tower\n"
+        "pair %s %s\nstages 2\nstage 0 columns 1 budget 1/1\ncolumn 1\nX\n"
+        "stage 1 columns 1 budget 1/2\ncolumn 2\n0\n1\nend tower\n" % (u.text(), v.text())
     )
     assert main(["verify", "--out", str(out)]) == 0
     assert capsys.readouterr().out.splitlines()[-2:] == [
@@ -339,7 +359,7 @@ def test_export_dot_needs_tower(tmp_path, capsys):
 
 def test_export_dot_rewrites_the_diagram_build_wrote(tmp_path, capsys):
     # a non-dyadic build: export-dot draws the same diagram from tower.txt
-    fam = write(tmp_path, "fam.txt", "measure third\nweight e 1/3\n")
+    fam = write(tmp_path, "fam.txt", THIRD)
     out = str(tmp_path / "out")
     assert main(["build", "--family", fam, "--stages", "2", "--max-depth", "16", "--out", out]) == 0
     dot = os.path.join(out, "bratteli.dot")
@@ -363,8 +383,10 @@ def test_export_dot_refuses_a_stage_that_is_not_a_partition(tmp_path, capsys):
     tower = os.path.join(out, "tower.txt")
     with open(tower) as fh:
         lines = fh.read().splitlines()
-    # stage 1, level 2: mass 1/8 in a column of atoms of mass 1/16
-    lines[lines.index("0011")] = "001"
+    # stage 1, level 2: the atom's parent cylinder, twice the mass of the base
+    at = atom_line(lines, 1, 2)
+    assert "," not in lines[at]
+    lines[at] = lines[at][:-1]
     with open(tower, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     for name in os.listdir(out):

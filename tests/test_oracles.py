@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cantordyn import oracles
-from cantordyn.clopen import EMPTY, FULL, ClopenSet, union_all
+from cantordyn.clopen import EMPTY, FULL, ClopenSet
 from cantordyn.measure import MeasureFamily, TreeMeasure
 from cantordyn.oracles import (
     DivisibilityFailure,
@@ -17,7 +17,6 @@ from cantordyn.oracles import (
     affine_approx,
     approx_divide,
     goodness_select,
-    n_copies,
     select_copy,
     subset_in_box,
 )
@@ -138,26 +137,6 @@ def test_approx_divide_arg_errors():
         approx_divide(UNI, FULL, 0)
     with pytest.raises(ValueError):
         approx_divide(UNI, FULL, 2, F(-1, 8))
-
-
-def test_n_copies_frozen():
-    assert n_copies(UNI, ClopenSet(["10"]), ClopenSet(["1"]), 2) == (
-        ClopenSet(["10"]),
-        ClopenSet(["11"]),
-    )
-    assert n_copies(UNI, ClopenSet(["0"]), FULL, 2) == (ClopenSet(["0"]), ClopenSet(["1"]))
-    with pytest.raises(ValueError):
-        n_copies(UNI, ClopenSet(["0"]), ClopenSet(["1"]), 2)
-    with pytest.raises(ValueError, match="^need n >= 1, got 0$"):
-        n_copies(UNI, ClopenSet(["0"]), FULL, 0)
-
-
-def test_n_copies_disjoint_cover():
-    b = approx_divide(UNI, FULL, 4, F(0))
-    copies = n_copies(UNI, b, FULL, 4)
-    assert union_all(copies) == FULL
-    assert sum(UNI.vec(c)[0] for c in copies) == 1
-    assert all(UNI.vec(c) == UNI.vec(b) for c in copies)
 
 
 def test_affine_approx_frozen():
@@ -454,10 +433,9 @@ def test_a_box_with_no_point_at_the_cap_is_refused_without_a_search(monkeypatch)
         lambda: select_copy(UNI, (F(1, 8),), C("0"), max_depth=-3),
         lambda: approx_divide(UNI, C("0"), 4, max_depth=-3),
         lambda: goodness_select(UNI, C("000"), C("0"), max_depth=-3),
-        lambda: n_copies(UNI, C("000"), C("0"), 2, max_depth=-3),
         lambda: affine_approx(UNI, (FULL,), (F(1, 2),), F(0), max_depth=-3),
     ],
-    ids=["subset_in_box", "select_copy", "approx_divide", "goodness_select", "n_copies", "affine_approx"],
+    ids=["subset_in_box", "select_copy", "approx_divide", "goodness_select", "affine_approx"],
 )
 def test_a_negative_max_depth_is_refused_before_any_search(call):
     with pytest.raises(ValueError, match="^max_depth must be at least 0, got -3$"):

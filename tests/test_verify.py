@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantordyn.builder import TowerSequence, build_saturated, validate_sequence
+from cantordyn.builder import TowerSequence, build_saturated, enumerate_pairs, validate_sequence
 from cantordyn.clopen import EMPTY, FULL, ClopenSet, _mask_set, union_all
 from cantordyn.measure import MeasureFamily, TreeMeasure, frac_text
 from cantordyn import tower, verify
@@ -250,9 +251,9 @@ def test_trapped_region_is_summarised():
     # the report names the region by size, masses and first leaves; the
     # full set stays on the MinimalityReport.  Base [00] and top [01] fit
     # the stage-1 budget, and no later stage witnesses a transition
-    # between the two columns
+    # between the two columns; its one pair is the enumeration's first
     cols = ((C("000"), C("100"), C("110"), C("010")), (C("001"), C("101"), C("111"), C("011")))
-    g = seq(UNI, [KRPartition(cols)], [(EMPTY, EMPTY)], (F(1), F(1, 2)))
+    g = seq(UNI, [KRPartition(cols)], enumerate_pairs(UNI, 1), (F(1), F(1, 2)))
     cert = minimality_check(g, 1).certificate
     assert len(cert.leaves) == 4 and cert.leaves[:3] == ("000", "010", "100")
     report = verification_report(g)
@@ -266,14 +267,16 @@ def test_trapped_region_is_summarised():
 
 
 def test_witness_for_identity_pair():
-    g = build_saturated(UNI, 2)
+    # (∅,∅) paired at stage 1 and (X,X) at stage 2, one column of quarters
+    quarters = KRPartition(((C("00"), C("01"), C("10"), C("11")),))
+    g = seq(UNI, [quarters, quarters], pairs=((EMPTY, EMPTY), (FULL, FULL)))
     w = saturation_witness(g, EMPTY, EMPTY)
     assert w.stage == 1
     assert w.pieces == (FULL,)
     assert w.exponents == (0,)
     w2 = saturation_witness(g, FULL, FULL)
     assert w2.stage == 2
-    assert apply_witness(g, w2, "0000") == C("0000")
+    assert apply_witness(g, w2, "0100") == C("01")
     with pytest.raises(PairNotScheduled):
         saturation_witness(g, C("1"), C("0"))
 
@@ -539,19 +542,16 @@ def test_first_return_divide_tests_each_atom_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "make, digest",
+    "make, key",
     [
-        (lambda: build_saturated(UNI, 3), "4f69ba1c1213450c907b9ba5ff2318eb4222136df3ad875c9ea90c7a6b2ea13f"),
-        (
-            lambda: build_saturated(THIRD, 2, max_depth=16),
-            "f4d179632e32cbece5d1ff3b54f8caa13dfb387221ba7295384eaa962e02ea32",
-        ),
+        (lambda: build_saturated(UNI, 3), "report-uniform-3"),
+        (lambda: build_saturated(THIRD, 2, max_depth=16), "report-third-2"),
     ],
     ids=["uniform_three_stages", "third_two_stages"],
 )
-def test_verification_report_bytes_pinned(make, digest):
+def test_verification_report_bytes_pinned(pins, make, key):
     text = verification_report(make()).text()
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert hashlib.sha256(text.encode()).hexdigest() == pins[key]
 
 
 def swapped_levels():
@@ -712,12 +712,12 @@ def witness_images(g, u, v):
     return union_all(imgs)
 
 
-# pair 4 of the 4-stage uniform build carries [1] onto [0] across 2,048 atoms
+# the 4-stage uniform build and a hand-written sequence: each schedules a
+# pair that moves something
 PAIRED = [build_saturated(UNI, 4), swapped_halves()]
 
 
 def test_pairs_that_move_something_reach_the_witness_check():
-    assert PAIRED[0].pairs[3] == (C("1"), C("0"))
     for g in PAIRED:
         assert validate_sequence(g) == ()
         assert any(u != v for u, v in g.pairs)
@@ -726,9 +726,12 @@ def test_pairs_that_move_something_reach_the_witness_check():
 
 
 def test_verification_report_does_not_replay_witnesses(monkeypatch):
-    # pair 4 moves [1] onto [0]; its witness is listed, never applied
+    # the first pair that moves something has its witness listed, never applied
     g = PAIRED[0]
     want = verification_report(g).text()
+    i, (u, v) = next((i, (u, v)) for i, (u, v) in enumerate(g.pairs, start=1) if u != v)
+    w = saturation_witness(g, u, v)
+    assert any(w.exponents)
 
     def refuse(*args):
         raise AssertionError("a witness was replayed")
@@ -737,7 +740,8 @@ def test_verification_report_does_not_replay_witnesses(monkeypatch):
     monkeypatch.setattr(tower, "locate_atom", refuse)
     report = verification_report(g)
     assert report.ok and report.text() == want
-    assert "pair 4: witness with 4 pieces, exponents -7,-1,1,7" in want.splitlines()
+    line = "pair %d: witness with %d pieces, exponents %s" % (i, len(w), ",".join(map(str, w.exponents)))
+    assert line in want.splitlines()
 
 
 def test_verification_report_lists_witnesses_without_building_pieces(monkeypatch):
@@ -786,3 +790,16 @@ def test_pair_membership_from_masks_matches_the_set_tests(g, data):
 def test_pair_membership_counts_an_empty_atom_inside_and_outside():
     g = seq(UNI, [KRPartition(((C("0"), EMPTY, C("1")),))], pairs=((C("01"), C("1")),))
     assert g._pair_members(1) == ([([1], [1, 2])], False, True)
+
+
+@pytest.mark.parametrize("family", [UNI, THIRD], ids=["uniform", "third"])
+def test_a_schedule_longer_than_the_enumeration_is_reported(family):
+    # 20,000 copies of pair 1: more than the equivalent pairs within depth 3.
+    # validate_sequence reports each pair past the last stage first
+    g = build_saturated(family, 1, max_depth=16)
+    with pytest.raises(ValueError) as info:
+        enumerate_pairs(family, 20000)
+    n = re.fullmatch(r"only (\d+) equivalent pairs within depth 3, need 20000", str(info.value)).group(1)
+    report = verification_report(TowerSequence(family, g.stages, g.pairs * 20000, g.budgets))
+    assert not report.ok
+    assert "schedule: only %s equivalent pairs within depth 3, need 20000" % n in report.violations
