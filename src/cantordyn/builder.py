@@ -18,8 +18,8 @@ from itertools import islice
 
 from cantordyn.clopen import ClopenSet, _clopen_order, _mask, _mask_set
 from cantordyn.measure import (
-    _parse_rational, format_measure, frac_text, goodness_obstruction, obstruction_text,
-    parse_family, validate_family,
+    _ends_measure, _parse_rational, format_measure, frac_text, goodness_obstruction,
+    obstruction_text, parse_family, validate_family,
 )
 from cantordyn.oracles import GoodnessFailure, SearchFailure
 from cantordyn.tower import (
@@ -392,11 +392,12 @@ class _Cursor:
 def load_sequence(text):
     """Parse the tower text format.
 
-    The generator blocks are family-file text, read by parse_family with
-    the tower file's line numbers; each opens with its `measure` header.
-    The rest is checked for shape only, so that a damaged tower (atoms
-    that do not partition, broken refinement) loads and validate_sequence
-    then reports it.
+    The generator blocks, up to the `generators`-th `end measure` line,
+    go whole to parse_family with the tower file's line numbers: the
+    family grammar, its end marker included, decides what a block may
+    hold.  The rest is checked for shape only, so that a damaged tower
+    (atoms that do not partition, broken refinement) loads and
+    validate_sequence then reports it.
     """
     cur = _Cursor(text)
     if cur.take() != "cantordyn tower v1":
@@ -406,22 +407,9 @@ def load_sequence(text):
         raise cur.error("no generators")
     start = cur.pos
     for _ in range(gcount):
-        while cur.take() != "end measure":
+        while not _ends_measure(cur.take()):
             pass
-    # blank the lines before the blocks and each end marker; parse_family skips them
-    lines = [""] * start
-    opened = False  # the current block has had its header
-    for raw in cur.lines[start : cur.pos]:
-        line = raw.strip()
-        if line == "end measure":
-            raw, opened = "", False
-        elif not opened and line and not line.startswith("#"):
-            # a line before the header would join the block before it
-            if line.split()[0] != "measure":
-                raise ValueError("line %d: expected 'measure <name>', got %r" % (len(lines) + 1, line))
-            opened = True
-        lines.append(raw)
-    family = parse_family("\n".join(lines))
+    family = parse_family("\n" * start + "\n".join(cur.lines[start : cur.pos]))
     if len(family) != gcount:
         raise cur.error("generators %d but %d measures" % (gcount, len(family)))
     pcount = cur.count("pairs")

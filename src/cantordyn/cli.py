@@ -9,7 +9,7 @@ Exit codes: 0 success; 1 for usage, I/O, parse, or family-validation
 problems; 2 when the family is not good (validate prints a refuting pair
 of cylinders, build refuses it before its first stage) or a construction
 oracle fails during a build; 3 when a written sequence violates an
-invariant.
+invariant, goodness of its family included.
 """
 
 from __future__ import annotations

@@ -80,7 +80,7 @@ class TreeMeasure:
     the product over levels j < i of lcm(2, denominators of the weights
     at level j), and `_nums[w]` is mass(w) * _scale[len(w)], filled
     lazily for words of length at most _top.  Deeper masses only shift
-    the denominator.
+    the denominator.  cyl and eval each build one Fraction from it.
     """
 
     __slots__ = ("weights", "depth_bound", "name", "_top", "_scale", "_nums")
@@ -148,12 +148,8 @@ class TreeMeasure:
         """Mass of the cylinder [word]."""
         return Fraction(self._num(word[: self._top]), self._den(len(word)))
 
-    def _mass(self, a):
-        """Mass of a clopen set as (n, depth), meaning n / _den(depth).
-
-        Factors of two are stripped from n down to depth _top, never
-        below it, so equal masses give equal pairs.
-        """
+    def eval(self, a):
+        """Mass of a clopen set: its leaves' numerators over one common denominator."""
         top = self._top
         depth = max(top, a.max_leaf_len)
         den = self._den(depth)
@@ -163,13 +159,7 @@ class TreeMeasure:
                 total += self._num(w[:top]) << (depth - len(w))
             else:
                 total += self._num(w) * (den // self._scale[len(w)])
-        strip = min(depth - top, (total & -total).bit_length() - 1) if total else depth - top
-        return total >> strip, depth - strip
-
-    def eval(self, a):
-        """Mass of a clopen set."""
-        n, depth = self._mass(a)
-        return Fraction(n, self._den(depth))
+        return Fraction(total, den)
 
     def __eq__(self, other):
         return isinstance(other, TreeMeasure) and self.weights == other.weights
@@ -319,14 +309,20 @@ def _parse_rational(tok, lineno, col):
     return Fraction(int(num), int(den))
 
 
+def _ends_measure(line):
+    """Whether the line is the `end measure` marker that closes a measure."""
+    return line.strip() == "end measure"
+
+
 def parse_family(text):
     """Parse the plain-text family format.
 
     One measure per `measure <name>` header, followed by optional
     `depth_bound <int>` and `weight <word> <num>/<den>` lines, where the
-    word `e` names the root.  Blank lines and full-line # comments are
-    ignored.  Weights outside (0,1) are rejected here so that a bad file
-    never produces a family object.
+    word `e` names the root, and an optional `end measure` line that
+    closes it, as in a tower file's generator blocks.  Blank lines and
+    full-line # comments are ignored.  Weights outside (0,1) are
+    rejected here so that a bad file never produces a family object.
     """
     measures = []
     names = set()
@@ -380,6 +376,11 @@ def parse_family(text):
             if not (0 < q < 1):
                 raise FamilyParseError(lineno, qcol, "weight %s not in (0,1)" % frac_text(q))
             cur[2][word] = q
+        elif _ends_measure(raw):
+            if cur is None:
+                raise FamilyParseError(lineno, col, "end measure outside a measure")
+            finish()
+            cur = None
         else:
             raise FamilyParseError(lineno, col, "unknown keyword %r" % toks[0])
     finish()

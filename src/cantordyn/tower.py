@@ -86,10 +86,12 @@ def trivial_partition():
 def from_columns(k, columns):
     """Validated construction: per-column equivalence, then partition.
 
-    The partition check is one walk over all leaves in sorted order.  A
-    leaf inside the last leaf not nested so far overlaps it; otherwise it
-    must start where that one ends, which for words means the two read
-    c01..1 and c10..0.  A gap is reported before an overlap.
+    Equivalence compares the Fraction vectors of k.vec, built once per
+    atom shape.  The partition check is one walk over all leaves in
+    sorted order.  A leaf inside the last leaf not nested so far
+    overlaps it; otherwise it must start where that one ends, which for
+    words means the two read c01..1 and c10..0.  A gap is reported
+    before an overlap.
     """
     cols = tuple(tuple(col) for col in columns)
     if not cols:
@@ -104,7 +106,7 @@ def from_columns(k, columns):
                 raise NotAPartition("column %d level %d is empty" % (ci, ri))
             shape = tuple((len(w), w[: k._top]) for w in a.leaves)
             if shape not in vecs:
-                vecs[shape] = tuple(m._mass(a) for m in k.generators)
+                vecs[shape] = k.vec(a)
             masses.append(vecs[shape])
         for ri, v in enumerate(masses[1:], start=1):
             if v != masses[0]:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from cantordyn.builder import _PAIR_DEPTH, _budget, enumerate_pairs, validate_sequence
 from cantordyn.clopen import union_all
-from cantordyn.measure import frac_text, validate_family, vec_text
+from cantordyn.measure import frac_text, goodness_obstruction, obstruction_text, validate_family, vec_text
 from cantordyn.tower import locate_atom
 
 __all__ = [
@@ -307,11 +307,11 @@ def verification_report(g):
     Structural problems suppress the deeper certificates, which assume
     well-formed stages, and a well-formed stage's cone holds every
     generator, so only its vertex count and collapse are reported.  The
-    schedule must be the one build_saturated gives: one pair per stage
-    after stage 0, the pairs in enumerate_pairs order, and budget 2^-n at
-    stage n.  Witnesses are
-    listed from the level matching, neither replayed nor cut into pieces:
-    validate_sequence implies each carries u onto v.
+    family must be good, as build_saturated requires, and the schedule
+    the one build_saturated gives: one pair per stage after stage 0, the
+    pairs in enumerate_pairs order, and budget 2^-n at stage n.
+    Witnesses are listed from the level matching, neither replayed nor
+    cut into pieces: validate_sequence implies each carries u onto v.
     A stage equal to its predecessor reuses its collapse.  Raises
     InvalidWeights for weights outside (0,1); everything else is
     reported, not raised.
@@ -321,6 +321,9 @@ def verification_report(g):
     rep = validate_family(g.family)
     if not rep.ok:
         violations.append("family: " + rep.lines[0])
+    pair = goodness_obstruction(g.family)
+    if pair is not None:
+        violations.append("family: not good: " + obstruction_text(g.family, *pair))
     lines.append(
         "generators %d, stages %d, pairs %d"
         % (len(g.family.generators), len(g.stages), len(g.pairs))

@@ -628,7 +628,7 @@ def test_load_reads_generator_blocks_by_family_rules(old, new, message):
 
 def test_load_refuses_a_line_between_generator_blocks():
     # a weight after one block's end marker and before the next header
-    # would join the measure before it
+    # would join the measure before it, so the family parser refuses it
     g = build_saturated(parse_family("measure uniform\ndepth_bound 3\n"), 2)
     text = serialize_sequence(g)
     old = "generators 1\nmeasure uniform\ndepth_bound 3\nend measure"
@@ -636,7 +636,7 @@ def test_load_refuses_a_line_between_generator_blocks():
     assert old in text
     with pytest.raises(ValueError) as info:
         load_sequence(text.replace(old, new, 1))
-    assert str(info.value) == "line 5: expected 'measure <name>', got 'weight e 1/3'"
+    assert str(info.value) == "line 5, col 1: weight outside a measure"
     # a comment or a blank line may still come before a header
     assert load_sequence(text.replace("measure uniform", "# the first\n\nmeasure uniform", 1)) == g
 

@@ -7,9 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantordyn.builder import TowerSequence, build_saturated, enumerate_pairs, validate_sequence
+from cantordyn.builder import (
+    TowerSequence,
+    build_saturated,
+    enumerate_pairs,
+    serialize_sequence,
+    validate_sequence,
+)
 from cantordyn.clopen import EMPTY, FULL, ClopenSet, _mask_set, union_all
-from cantordyn.measure import MeasureFamily, TreeMeasure, frac_text
+from cantordyn.cli import main
+from cantordyn.measure import MeasureFamily, TreeMeasure, frac_text, parse_family
 from cantordyn import tower, verify
 from cantordyn.tower import (
     KRPartition,
@@ -20,6 +27,7 @@ from cantordyn.tower import (
     trivial_partition,
 )
 from cantordyn.verify import (
+    FullGroupWitness,
     MinimalityReport,
     PairNotScheduled,
     StageTooShallow,
@@ -341,6 +349,18 @@ def test_witness_swaps_halves():
     assert apply_witness(g, w, "01") == C("11")
     assert apply_witness(g, w, "10") == C("00")
     assert apply_witness(g, w, "1111") == C("01")
+    # a hand-made witness whose pieces miss [0]
+    partial = FullGroupWitness(1, (C("1"),), (-2,))
+    assert apply_witness(g, partial, "10") == C("00")
+    with pytest.raises(ValueError, match="atom escapes every witness piece"):
+        apply_witness(g, partial, "00")
+
+
+def test_witness_refuses_a_stage_that_visits_the_pair_unequally():
+    # [0] holds two of the four quarters and [10] one
+    g = seq(UNI, [KRPartition(((C("00"), C("01"), C("10"), C("11")),))], pairs=((C("0"), C("10")),))
+    with pytest.raises(ValueError, match="a column visits u and v unequally often"):
+        saturation_witness(g, C("0"), C("10"))
 
 
 def test_first_return_divide_exact():
@@ -368,6 +388,8 @@ def test_first_return_remainder_tolerance():
         first_return_divide(g, C("1101"), 2, 0)
     with pytest.raises(ValueError):
         first_return_divide(g, FULL, 0, 0)
+    with pytest.raises(ValueError, match="negative tolerance"):
+        first_return_divide(g, FULL, 3, F(-1, 4))
 
 
 def test_verification_report_accepts_built_tower():
@@ -588,6 +610,42 @@ def test_verification_report_flags_a_degenerate_family():
         "generators 2, stages 1, pairs 0",
         "violation: family: duplicate generators: 0 and 1",
     )
+
+
+def not_good_tower():
+    """A structurally valid two-stage tower over a family that is not good.
+
+    Stage 1 is one column of 8 atoms: atom i is three depth-5 cylinders of
+    [0] and [10] plus the i-th depth-5 cylinder of [11], so every atom has
+    masses (1/8, 1/8).  Base and top lie in [1], within the budget 1/2.
+    """
+    k = parse_family("measure uniform\nmeasure two\nweight e 1/3\nweight 1 1/4\n")
+    words = ["".join(p) for p in product("01", repeat=5)]
+    ten = [w for w in words if w.startswith("10")]
+    fill = ten[:3] + [w for w in words if w.startswith("0")] + ten[3:]
+    eleven = [w for w in words if w.startswith("11")]
+    col = tuple(ClopenSet(fill[3 * i : 3 * i + 3] + [eleven[i]]) for i in range(8))
+    return TowerSequence(k, (trivial_partition(), KRPartition((col,))), ((EMPTY, EMPTY),), (F(1), F(1, 2)))
+
+
+def test_verification_report_refuses_a_family_that_is_not_good():
+    g = not_good_tower()
+    assert {g.family.vec(a) for a in g.stages[1].atoms} == {(F(1, 8), F(1, 8))}
+    assert validate_sequence(g) == ()
+    report = verification_report(g)
+    assert not report.ok
+    assert report.violations == (
+        "family: not good: A = [000] has masses (1/8, 1/12) < (1/4, 1/2) of B = [11] under every "
+        "generator, but every clopen C inside B has masses (1/4, 1/2) * q for one dyadic q, and "
+        "the A/B ratios (1/2, 1/6) are not one dyadic q",
+    )
+
+
+def test_verify_exits_3_on_a_family_that_is_not_good(tmp_path, capsys):
+    (tmp_path / "tower.txt").write_text(serialize_sequence(not_good_tower()))
+    assert main(["verify", "--out", str(tmp_path)]) == 3
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("violated: family: not good: A = [000] has masses (1/8, 1/12)")
 
 
 def test_verification_report_flags_tampering():
