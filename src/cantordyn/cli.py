@@ -5,19 +5,24 @@ saturated tower sequence, verify a sequence against every invariant, and
 export its ordered Bratteli diagram.  All output is deterministic for
 fixed inputs: no timestamps, stable ordering, atomic file writes.
 
-Exit codes: 0 success; 1 for usage, I/O, parse, or family-validation
-problems; 2 when the family is not good (validate prints a refuting pair
-of cylinders, build refuses it before its first stage) or a construction
-oracle fails during a build; 3 when a written sequence violates an
-invariant, goodness of its family included.
+Options are --name value or --name=value, names spelled in full; a value
+is the next token even when it starts with '-'.  Defaults: --stages 4,
+--max-depth 12, --out out; validate and build need --family.  -h or
+--help anywhere lists the commands with their options.
+
+Exit codes: 0 success; 1 for usage (the message on stderr), I/O, parse,
+or family-validation problems; 2 when the family is not good (validate
+prints a refuting pair of cylinders, build refuses it before its first
+stage) or a construction oracle fails during a build; 3 when a written
+sequence violates an invariant, goodness of its family included.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from cantordyn.builder import (
     BuildFailure,
@@ -33,34 +38,6 @@ from cantordyn.oracles import SearchFailure
 from cantordyn.verify import StageTooShallow, first_return_divide, verification_report
 
 __all__ = ["main"]
-
-
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="cantordyn",
-        description="Kakutani-Rokhlin towers with a prescribed simplex of invariant measures",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a family and decide whether it is good")
-    p.add_argument("--family", required=True)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("build", help="construct the tower sequence and write it out")
-    p.add_argument("--family", required=True, help="family description file")
-    p.add_argument("--stages", type=int, default=4)
-    p.add_argument("--max-depth", type=int, default=12)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=_cmd_build)
-
-    p = sub.add_parser("verify", help="verify a written tower against every invariant")
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("export-dot", help="write the Bratteli diagram of a written tower")
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=_cmd_export_dot)
-    return parser
 
 
 def _read(path):
@@ -104,17 +81,9 @@ def _cmd_build(args):
     os.makedirs(args.out, exist_ok=True)
     lines = list(g.family_report.lines)
     for n, t in enumerate(g.stages):
-        lines.append(
-            "stage %d: %d columns, %d atoms, base %s, top %s, budget %s"
-            % (
-                n,
-                len(t.columns),
-                len(t.atoms),
-                frac_text(t.base.diameter()),
-                frac_text(t.top.diameter()),
-                frac_text(g.budgets[n]),
-            )
-        )
+        diameters = map(frac_text, (t.base.diameter(), t.top.diameter(), g.budgets[n]))
+        line = "stage %d: %d columns, %d atoms, base %s, top %s, budget %s"
+        lines.append(line % (n, len(t.columns), len(t.atoms), *diameters))
     lines.append("construction complete")
     _write_atomic(os.path.join(args.out, "tower.txt"), serialize_sequence(g))
     _write_atomic(os.path.join(args.out, "bratteli.dot"), bratteli_dot(g))
@@ -158,14 +127,59 @@ def _cmd_export_dot(args):
     return 0
 
 
+# command -> (handler, help line, option defaults); None marks a required
+# option, an int default an int option
+_COMMANDS = {
+    "validate": (_cmd_validate, "check a family and decide whether it is good", {"family": None}),
+    "build": (_cmd_build, "construct the tower sequence and write it out",
+              {"family": None, "stages": 4, "max-depth": 12, "out": "out"}),
+    "verify": (_cmd_verify, "verify a written tower against every invariant", {"out": "out"}),
+    "export-dot": (_cmd_export_dot, "write the Bratteli diagram of a written tower", {"out": "out"}),
+}
+_USAGE = "usage: cantordyn {%s} [--name value | --name=value ...]" % ",".join(_COMMANDS)
+
+
+def _parse(argv):
+    """The handler and options argv names, (None, None) for -h/--help; ValueError names the bad token."""
+    if "-h" in argv or "--help" in argv:
+        return None, None
+    if not argv or argv[0] not in _COMMANDS:
+        raise ValueError("need one of %s, got %s" % (", ".join(_COMMANDS), argv[0] if argv else "nothing"))
+    func, _, defaults = _COMMANDS[argv[0]]
+    opts = dict(defaults)
+    rest = iter(argv[1:])
+    for tok in rest:
+        name, eq, value = tok.partition("=")
+        if not name.startswith("--") or name[2:] not in defaults:
+            raise ValueError("unrecognized argument %r" % tok)
+        value = value if eq else next(rest, None)
+        if value is None:
+            raise ValueError("%s needs a value" % name)
+        try:
+            opts[name[2:]] = int(value) if type(defaults[name[2:]]) is int else value
+        except ValueError:
+            raise ValueError("%s takes an int, got %r" % (name, value)) from None
+    missing = [name for name, value in opts.items() if value is None]
+    if missing:
+        raise ValueError("--%s is required" % missing[0])
+    return func, SimpleNamespace(**{name.replace("-", "_"): value for name, value in opts.items()})
+
+
 def main(argv=None):
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 1
+        func, args = _parse(argv)
+    except ValueError as exc:
+        print("%s\ncantordyn: error: %s" % (_USAGE, exc), file=sys.stderr)
+        return 1
+    if func is None:
+        print(_USAGE + "\nKakutani-Rokhlin towers with a prescribed simplex of invariant measures\n")
+        for name, (_, text, defaults) in _COMMANDS.items():
+            opts = " ".join("--%s %s" % (k, "(required)" if v is None else v) for k, v in defaults.items())
+            print("  %-11s %s\n  %-11s %s" % (name, text, "", opts))
+        return 0
     try:
-        return args.func(args)
+        return func(args)
     except (BuildFailure, SearchFailure) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -173,4 +187,3 @@ def main(argv=None):
         # FamilyParseError and InvalidWeights are ValueErrors
         print("error: %s" % exc, file=sys.stderr)
         return 1
-

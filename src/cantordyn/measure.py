@@ -222,6 +222,17 @@ class FamilyReport:
         return self.ok
 
 
+def _check_generators(k):
+    """Raise InvalidWeights for a weight outside (0, 1); a line for each repeated generator."""
+    for i, m in enumerate(k.generators):
+        for word, q in m.weights.items():
+            if not (0 < q < 1):
+                text = "measure %d weight at %r is %s, not in (0,1)"
+                raise InvalidWeights(text % (i, word or "e", frac_text(q)))
+    firsts = [k.generators.index(m) for m in k.generators]
+    return ["duplicate generators: %d and %d" % (j, i) for i, j in enumerate(firsts) if j != i]
+
+
 def validate_family(k):
     """Check a family and compute its diameter-to-mass bound table.
 
@@ -233,22 +244,8 @@ def validate_family(k):
     generator: delta = 2^-(d-1) for the least depth d at which every
     depth-d cylinder already has mass at most eps.
     """
-    lines = []
-    for i, m in enumerate(k.generators):
-        for word, q in m.weights.items():
-            if not (0 < q < 1):
-                raise InvalidWeights(
-                    "measure %d weight at %r is %s, not in (0,1)"
-                    % (i, word or "e", frac_text(q))
-                )
-    ok = True
-    seen = {}
-    for i, m in enumerate(k.generators):
-        if m in seen:
-            ok = False
-            lines.append("duplicate generators: %d and %d" % (seen[m], i))
-        else:
-            seen[m] = i
+    lines = _check_generators(k)
+    ok = not lines
     lines.append("generators %d, all weights in (0,1)" % len(k.generators))
     table = []
     d = 1

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from cantordyn.builder import _PAIR_DEPTH, _budget, enumerate_pairs, validate_sequence
 from cantordyn.clopen import union_all
-from cantordyn.measure import frac_text, goodness_obstruction, obstruction_text, validate_family, vec_text
+from cantordyn.measure import _check_generators, frac_text, goodness_obstruction, obstruction_text, vec_text
 from cantordyn.tower import locate_atom
 
 __all__ = [
@@ -318,9 +318,9 @@ def verification_report(g):
     """
     violations = []
     lines = []
-    rep = validate_family(g.family)
-    if not rep.ok:
-        violations.append("family: " + rep.lines[0])
+    duplicates = _check_generators(g.family)
+    if duplicates:
+        violations.append("family: " + duplicates[0])
     pair = goodness_obstruction(g.family)
     if pair is not None:
         violations.append("family: not good: " + obstruction_text(g.family, *pair))
@@ -347,7 +347,7 @@ def verification_report(g):
     for n, b in enumerate(g.budgets):
         if b != _budget(n):
             violations.append("schedule: stage %d budget %s, need %s" % (n, frac_text(b), frac_text(_budget(n))))
-    if rep.ok and not structural:
+    if not duplicates and not structural:
         for n, t in enumerate(g.stages):
             spread = collapse_metric(g, n) if n == 0 or t != g.stages[n - 1] else spread
             lines.append(

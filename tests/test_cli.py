@@ -171,6 +171,26 @@ def test_build_validates_each_stage_once(tmp_path, capsys, monkeypatch, text, st
     assert len(calls) == distinct
 
 
+def test_verify_builds_no_delta_table(tmp_path, capsys, monkeypatch):
+    # the eps -> delta table is build's and validate's report; verify reads
+    # only the weight range and the duplicate-generator verdict
+    fam = write(tmp_path, "fam.txt", THIRD)
+    out = str(tmp_path / "out")
+    assert main(["build", "--family", fam, "--stages", "2", "--max-depth", "16", "--out", out]) == 0
+    calls = []
+    real = cantordyn.measure.TreeMeasure._peak
+
+    def counted(self, d):
+        calls.append(d)
+        return real(self, d)
+
+    monkeypatch.setattr(cantordyn.measure.TreeMeasure, "_peak", counted)
+    assert main(["verify", "--out", out]) == 0
+    assert calls == []
+    assert main(["validate", "--family", fam]) == 0
+    assert calls
+
+
 def test_verify_written_tower(tmp_path, capsys):
     fam = write(tmp_path, "fam.txt", UNIFORM)
     out = str(tmp_path / "out")
@@ -402,14 +422,83 @@ def test_export_dot_refuses_a_stage_that_is_not_a_partition(tmp_path, capsys):
 
 def test_usage_errors_exit_1(tmp_path, capsys):
     fam = write(tmp_path, "fam.txt", UNIFORM)
-    assert main([]) == 1
-    assert main(["frobnicate"]) == 1
-    assert main(["build"]) == 1
-    assert main(["build", "--family", fam, "--eps", "0/1"]) == 1
-    assert main(["build", "--family", fam, "--eps", "half"]) == 1
-    assert main(["build", "--family", fam, "--depth-cap", "3"]) == 1
-    # a negative cap is refused before the construction runs
+
+    def refused(argv, token):
+        # a usage line, then the error naming the offending token, on stderr
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage, error = captured.err.splitlines()
+        assert usage.startswith("usage: cantordyn {validate,build,verify,export-dot} ")
+        assert error.startswith("cantordyn: error: ") and token in error, error
+
+    refused([], "nothing")
+    refused(["frobnicate"], "frobnicate")
+    refused(["build"], "--family is required")
+    refused(["build", "--family"], "--family needs a value")
+    refused(["build", "--family", fam, "--stages"], "--stages needs a value")
+    refused(["build", "--family", fam, "--eps", "0/1"], "'--eps'")
+    refused(["build", "--family", fam, "--eps", "half"], "'--eps'")
+    refused(["build", "--family", fam, "--stages", "half"], "--stages takes an int, got 'half'")
+    refused(["build", "--family", fam, "--max-depth=1.5"], "--max-depth takes an int, got '1.5'")
+    refused(["build", "--family", fam, "--depth-cap", "3"], "'--depth-cap'")
+    # names are spelled in full: no prefix abbreviations
+    refused(["build", "--family", fam, "--max", "16"], "'--max'")
+    refused(["build", fam], repr(fam))
+    refused(["verify", "--out", str(tmp_path), "extra"], "'extra'")
+    refused(["verify", "-o", str(tmp_path)], "'-o'")
+    # an option of another command is unknown here
+    refused(["verify", "--stages", "2"], "'--stages'")
+    # a value starting with '-' is the value, so a negative cap is refused
+    # by the construction, before it runs
     assert main(["build", "--family", fam, "--max-depth", "-3", "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.endswith("error: max_depth must be at least 0, got -3\n")
-    assert main(["verify", "--stages", "2"]) == 1
+    assert capsys.readouterr().err == "error: max_depth must be at least 0, got -3\n"
     assert main(["validate", "--family", str(tmp_path / "absent.txt")]) == 1
+
+
+HELP = (
+    "usage: cantordyn {validate,build,verify,export-dot} [--name value | --name=value ...]\n"
+    "Kakutani-Rokhlin towers with a prescribed simplex of invariant measures\n"
+    "\n"
+    "  validate    check a family and decide whether it is good\n"
+    "              --family (required)\n"
+    "  build       construct the tower sequence and write it out\n"
+    "              --family (required) --stages 4 --max-depth 12 --out out\n"
+    "  verify      verify a written tower against every invariant\n"
+    "              --out out\n"
+    "  export-dot  write the Bratteli diagram of a written tower\n"
+    "              --out out\n"
+)
+
+
+@pytest.mark.parametrize("command", [[], ["validate"], ["build"], ["verify"], ["export-dot"]])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_command_and_its_defaults(command, flag, capsys):
+    assert main(command + [flag]) == 0
+    assert capsys.readouterr() == (HELP, "")
+
+
+def test_an_equals_sign_joins_an_option_to_its_value(tmp_path, capsys):
+    fam = write(tmp_path, "fam.txt", UNIFORM)
+    spaced = str(tmp_path / "spaced")
+    joined = str(tmp_path / "joined")
+    assert main(["build", "--family", fam, "--stages", "2", "--max-depth", "12", "--out", spaced]) == 0
+    assert main(["build", "--family=" + fam, "--stages=2", "--max-depth=12", "--out=" + joined]) == 0
+    for name in ("tower.txt", "build.log", "bratteli.dot"):
+        with open(os.path.join(spaced, name), "rb") as a, open(os.path.join(joined, name), "rb") as b:
+            assert a.read() == b.read(), name
+    capsys.readouterr()
+    assert main(["verify", "--out=" + joined]) == 0
+    assert capsys.readouterr().out.endswith("verified: all invariants hold\n")
+
+
+def test_the_command_line_imports_no_argparse():
+    # argparse's first message pulls in gettext and locale, a cost every
+    # build and verify would pay at start-up
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys\nfrom cantordyn.cli import main\nrc = main(['verify', '--help'])\n"
+    code += "print(rc, 'argparse' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 False"
