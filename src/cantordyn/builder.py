@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 
-from cantordyn.clopen import ClopenSet, _clopen_order, _mask, _mask_set
+from cantordyn.clopen import ClopenSet, _canonical, _clopen_order, _mask, _mask_set, _word_masks
 from cantordyn.measure import (
     _ends_measure, _parse_rational, format_measure, frac_text, goodness_obstruction,
     obstruction_text, parse_family, validate_family,
@@ -116,27 +116,45 @@ class TowerSequence:
             t = self.stages[n]
             if n and t == self.stages[n - 1]:
                 self._masks[n] = self._atom_masks(n - 1)
-            else:
-                self._masks[n] = tuple(tuple(_mask(a, _PAIR_DEPTH) for a in col) for col in t.columns)
+            else:  # clopen._mask per atom, with its word table looked up once
+                table = _word_masks(_PAIR_DEPTH)
+                self._masks[n] = []
+                for col in t.columns:
+                    self._masks[n].append([])
+                    for a in col:
+                        m = 0
+                        for x in a.leaves:
+                            m |= table[x[:_PAIR_DEPTH]]
+                        self._masks[n][-1].append(m)
         return self._masks[n]
 
     def _pair_members(self, i):
         """Stage i's atoms tested once against the i-th pair (u, v), 1 <= i.
 
         Per column, the levels inside u and those inside v; then whether
-        every atom lies inside or outside u, and likewise v, read off the
-        atom masks: exact for depth <= _PAIR_DEPTH, ValueError deeper.
+        every atom lies inside or outside u, and likewise v, in one pass over
+        the atom masks: exact for depth <= _PAIR_DEPTH, ValueError deeper.
         """
         if i not in self._members:
             deep = [w.text() for w in self.pairs[i - 1] if w.max_leaf_len > _PAIR_DEPTH]
             if deep:
                 msg = "pair %d: %s is deeper than %d, the schedule's depth"
                 raise ValueError(msg % (i, deep[0], _PAIR_DEPTH))
-            cols = self._atom_masks(i)
-            xs = [_mask(w, _PAIR_DEPTH) for w in self.pairs[i - 1]]  # u's mask, then v's
-            levels = [tuple([r for r, m in enumerate(ms) if m | x == x] for x in xs) for ms in cols]
-            split = (all(m | x == x or not m & x for ms in cols for m in ms) for x in xs)
-            self._members[i] = (levels, *split)
+            xu, xv = [_mask(w, _PAIR_DEPTH) for w in self.pairs[i - 1]]
+            levels = []
+            split_u = split_v = True
+            for ms in self._atom_masks(i):
+                levels.append(([], []))
+                for r, m in enumerate(ms):
+                    if m | xu == xu:
+                        levels[-1][0].append(r)
+                    elif m & xu:
+                        split_u = False
+                    if m | xv == xv:
+                        levels[-1][1].append(r)
+                    elif m & xv:
+                        split_v = False
+            self._members[i] = (levels, split_u, split_v)
         return self._members[i]
 
     def __eq__(self, other):
@@ -250,13 +268,9 @@ def validate_sequence(g):
     a pair deeper than that pass decides is reported instead.
     """
     k = g.family
-    bad = []
     if len(g.budgets) != len(g.stages):
-        bad.append(
-            "budget count %d does not match stage count %d"
-            % (len(g.budgets), len(g.stages))
-        )
-        return tuple(bad)
+        return ("budget count %d does not match stage count %d" % (len(g.budgets), len(g.stages)),)
+    bad = []
     broken = set()
     for n, t in enumerate(g.stages):
         if n == 0 or n - 1 in broken or t != g.stages[n - 1]:
@@ -348,7 +362,6 @@ class _Cursor:
     def __init__(self, text):
         self.lines = text.splitlines()
         self.pos = 0
-        self.sets = {}  # token -> ClopenSet: equal atom texts load as one object
 
     def take(self):
         if self.pos >= len(self.lines):
@@ -381,12 +394,21 @@ class _Cursor:
         return _parse_rational(tok, self.pos, self.lines[self.pos - 1].rindex(tok) + 1)
 
     def clopen(self, tok):
-        if tok not in self.sets:
-            try:
-                self.sets[tok] = ClopenSet.from_text(tok)
-            except ValueError as exc:
-                raise self.error(exc) from None
-        return self.sets[tok]
+        try:
+            return ClopenSet.from_text(tok)
+        except ValueError as exc:
+            raise self.error(exc) from None
+
+    def atoms(self, height):
+        """The next `height` lines as atoms.  When all are comma-separated
+        words over {0,1}, their joined text gets one check; otherwise each
+        line goes through clopen(), which names the line of an error."""
+        toks = [line.strip() for line in self.lines[self.pos : self.pos + height]]
+        text = ",".join(toks)
+        if len(toks) < height or text.strip("01,") or ",," in "," + text + ",":
+            return tuple(self.clopen(self.take()) for _ in range(height))
+        self.pos += height
+        return tuple([ClopenSet._raw(_canonical(tuple(tok.split(",")))) for tok in toks])
 
 
 def load_sequence(text):
@@ -397,7 +419,8 @@ def load_sequence(text):
     family grammar, its end marker included, decides what a block may
     hold.  The rest is checked for shape only, so that a damaged tower
     (atoms that do not partition, broken refinement) loads and
-    validate_sequence then reports it.
+    validate_sequence then reports it.  A stage whose column and atom
+    lines repeat its predecessor's loads as that same KRPartition.
     """
     cur = _Cursor(text)
     if cur.take() != "cantordyn tower v1":
@@ -424,6 +447,7 @@ def load_sequence(text):
         raise cur.error("no stages")
     stages = []
     budgets = []
+    block = None  # the previous stage's column and atom lines
     for n in range(scount):
         toks = cur.take().split()
         msg = "expected 'stage <n> columns <c> budget <q>'"
@@ -435,13 +459,19 @@ def load_sequence(text):
         if ncols < 1:
             raise cur.error("stage %d has no columns" % n)
         budgets.append(cur.rational(toks[5]))
+        start = cur.pos
+        if block and ncols == len(stages[-1].columns) and cur.lines[start : start + len(block)] == block:
+            cur.pos += len(block)
+            stages.append(stages[-1])
+            continue
         cols = []
         for _ in range(ncols):
             ct = cur.take().split()
             msg = "expected 'column <height>'"
             if len(ct) != 2 or ct[0] != "column" or cur.natural(ct[1], msg) < 1:
                 raise cur.error(msg)
-            cols.append(tuple(cur.clopen(cur.take()) for _ in range(int(ct[1]))))
+            cols.append(cur.atoms(int(ct[1])))
+        block = cur.lines[start : cur.pos]
         stages.append(KRPartition(cols))
     if cur.take() != "end tower":
         raise cur.error("missing 'end tower' marker")

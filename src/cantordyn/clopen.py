@@ -32,8 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cache, reduce
-from operator import or_
+from functools import cache
 from os.path import commonprefix
 
 __all__ = [
@@ -68,6 +67,12 @@ def _normalize(words):
                 kept.pop()
                 kept[-1] = kept[-1][:-1]
     return tuple(kept)
+
+
+def _canonical(ws):
+    """ws if canonical, else its normal form; sorted, a word's extensions and sibling follow it directly."""
+    ok = len(ws) < 2 or all(x < y and not y.startswith(x) and x[:-1] != y[:-1] for x, y in zip(ws, ws[1:]))
+    return ws if ok else _normalize(ws)
 
 
 def _meet(a, b):
@@ -115,10 +120,7 @@ class ClopenSet:
         ws = tuple(words)
         for w in ws:
             _check_word(w)
-        # words already canonical are kept; sorted, a word's extensions and
-        # its sibling follow it directly, so checking neighbours decides that
-        canonical = all(x < y and not y.startswith(x) and x[:-1] != y[:-1] for x, y in zip(ws, ws[1:]))
-        self.leaves = ws if canonical else _normalize(ws)
+        self.leaves = _canonical(ws)
 
     @classmethod
     def _raw(cls, leaves):
@@ -265,7 +267,10 @@ def _mask(s, depth):
     Exact on u of depth <= `depth`: a lies inside u when m(a) | m(u) == m(u),
     and misses it when m(a) & m(u) == 0."""
     table = _word_masks(depth)
-    return reduce(or_, [table[x[:depth]] for x in s.leaves], 0)
+    m = 0
+    for x in s.leaves:
+        m |= table[x[:depth]]
+    return m
 
 
 def enumerate_clopen(depth_cap):

@@ -209,14 +209,13 @@ class MeasureFamily:
 
 
 class FamilyReport:
-    """Outcome of validate_family: verdict, report lines, delta table."""
+    """Outcome of validate_family: verdict and report lines."""
 
-    __slots__ = ("ok", "lines", "delta_table")
+    __slots__ = ("ok", "lines")
 
-    def __init__(self, ok, lines, delta_table):
+    def __init__(self, ok, lines):
         self.ok = ok
         self.lines = tuple(lines)
-        self.delta_table = tuple(delta_table)
 
     def __bool__(self):
         return self.ok
@@ -234,12 +233,12 @@ def _check_generators(k):
 
 
 def validate_family(k):
-    """Check a family and compute its diameter-to-mass bound table.
+    """Check a family and report its diameter-to-mass bounds.
 
     Raises InvalidWeights if any branching weight leaves (0, 1); such a
     specification has no measure at all.  Duplicate generators make the
     family degenerate and are reported with ok=False.  For each
-    eps = 2^-1 .. 2^-_MAX_EPS_EXP the table records a delta such that any
+    eps = 2^-1 .. 2^-_MAX_EPS_EXP a report line gives a delta such that any
     clopen set of diameter < delta has mass at most eps under every
     generator: delta = 2^-(d-1) for the least depth d at which every
     depth-d cylinder already has mass at most eps.
@@ -247,16 +246,14 @@ def validate_family(k):
     lines = _check_generators(k)
     ok = not lines
     lines.append("generators %d, all weights in (0,1)" % len(k.generators))
-    table = []
     d = 1
     for j in range(1, _MAX_EPS_EXP + 1):
         eps = Fraction(1, 2 ** j)
         while max(m._peak(d) for m in k.generators) > eps:
             d += 1
         delta = Fraction(1, 2 ** (d - 1))
-        table.append((eps, delta))
         lines.append("eps %s -> delta %s (depth %d)" % (frac_text(eps), frac_text(delta), d))
-    return FamilyReport(ok, lines, table)
+    return FamilyReport(ok, lines)
 
 
 def goodness_obstruction(k):

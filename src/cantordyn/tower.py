@@ -96,24 +96,22 @@ def from_columns(k, columns):
     cols = tuple(tuple(col) for col in columns)
     if not cols:
         raise NotAPartition("no columns")
+    top = k._top
     vecs = {}  # each leaf's length and first k._top letters fix an atom's masses
     for ci, col in enumerate(cols):
         if not col:
             raise NotAPartition("column %d has no atoms" % ci)
-        masses = []
-        for ri, a in enumerate(col):
-            if a.is_empty:
-                raise NotAPartition("column %d level %d is empty" % (ci, ri))
-            shape = tuple((len(w), w[: k._top]) for w in a.leaves)
+        shapes = [tuple([(len(w), w[:top]) for w in a.leaves]) for a in col]
+        if () in shapes:
+            raise NotAPartition("column %d level %d is empty" % (ci, shapes.index(())))
+        for shape, a in dict(zip(shapes, col)).items():
             if shape not in vecs:
                 vecs[shape] = k.vec(a)
-            masses.append(vecs[shape])
-        for ri, v in enumerate(masses[1:], start=1):
-            if v != masses[0]:
-                raise NotEquivalentColumn(
-                    "column %d level %d differs in mass from its base" % (ci, ri)
-                )
-    leaves = sorted(w for col in cols for a in col for w in a.leaves)
+        bad = [shapes.index(x) for x in set(shapes) if vecs[x] != vecs[shapes[0]]]
+        if bad:
+            raise NotEquivalentColumn("column %d level %d differs in mass from its base" % (ci, min(bad)))
+    leaves = [w for col in cols for a in col for w in a.leaves]
+    leaves.sort()
     last = leaves[0]
     gap = "1" in last
     overlap = False

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from operator import sub
 
 from cantordyn.builder import _PAIR_DEPTH, _budget, enumerate_pairs, validate_sequence
 from cantordyn.clopen import union_all
@@ -202,13 +203,12 @@ class FullGroupWitness:
 
 
 def _level_matching(g, u, v):
-    """The pairing stage of (u, v) and its atoms grouped by exponent.
+    """The pairing stage of (u, v) and, per column, its levels (src, dst).
 
     A pair listed past the last stage was never incorporated.  Within
     every column the u-levels are matched to the v-levels in increasing
-    order and the remaining levels to each other likewise, so each atom
-    moves by a fixed signed number of levels, its exponent.  The levels
-    come from the membership pass that validate_sequence's pair check reads.
+    order and the remaining levels likewise: src[j] moves to dst[j], by its
+    exponent.  The levels come from validate_sequence's membership pass.
     """
     try:
         stage = g.pairs[: len(g.stages) - 1].index((u, v)) + 1
@@ -216,15 +216,13 @@ def _level_matching(g, u, v):
         raise PairNotScheduled(
             "pair %s -> %s was never incorporated" % (u.text(), v.text())
         ) from None
-    grouped = {}
+    matched = []
     for col, (ulev, vlev) in zip(g.stages[stage].columns, g._pair_members(stage)[0]):
         if len(ulev) != len(vlev):
             raise ValueError("a column visits u and v unequally often")
-        rest_u = sorted(set(range(len(col))) - set(ulev))
-        rest_v = sorted(set(range(len(col))) - set(vlev))
-        for ru, rv in list(zip(ulev, vlev)) + list(zip(rest_u, rest_v)):
-            grouped.setdefault(rv - ru, []).append(col[ru])
-    return stage, grouped
+        rest = set(range(len(col)))
+        matched.append((ulev + sorted(rest.difference(ulev)), vlev + sorted(rest.difference(vlev))))
+    return stage, matched
 
 
 def saturation_witness(g, u, v):
@@ -233,7 +231,11 @@ def saturation_witness(g, u, v):
     Atoms are grouped into pieces by their exponent in the level
     matching of _level_matching.
     """
-    stage, grouped = _level_matching(g, u, v)
+    stage, matched = _level_matching(g, u, v)
+    grouped = {}
+    for col, (src, dst) in zip(g.stages[stage].columns, matched):
+        for ru, rv in zip(src, dst):
+            grouped.setdefault(rv - ru, []).append(col[ru])
     exponents = tuple(sorted(grouped))
     pieces = tuple(union_all(grouped[e]) for e in exponents)
     return FullGroupWitness(stage, pieces, exponents)
@@ -263,16 +265,16 @@ def first_return_divide(g, a, n, eps):
         raise ValueError("need at least one class")
     if eps < 0:
         raise ValueError("negative tolerance")
-    t = g.stages[-1]
-    levs = [[r for r, x in enumerate(col) if x.is_subset(a)] for col in t.columns]
-    if union_all(col[r] for col, lev in zip(t.columns, levs) for r in lev) != a:
+    visits = [[x for x in col if x.is_subset(a)] for col in g.stages[-1].columns]
+    if union_all(x for lev in visits for x in lev) != a:
         raise ValueError("the set is not a union of last-stage atoms")
     classes = [[] for _ in range(n)]
     rem = []
-    for col, lev in zip(t.columns, levs):
-        full = (len(lev) // n) * n
-        for j, r in enumerate(lev):
-            (classes[j % n] if j < full else rem).append(col[r])
+    for lev in visits:
+        full = len(lev) // n * n
+        for i in range(n):
+            classes[i] += lev[i:full:n]
+        rem += lev[full:]
     remainder = union_all(rem)
     for m in g.family.generators:
         if m.eval(remainder) > eps * m.eval(a):
@@ -366,7 +368,7 @@ def verification_report(g):
                 % (last, len(c.leaves), head, vec_text(g.family.vec(c)), frac_text(c.diameter()))
             )
         for i, (u, v) in enumerate(g.pairs, start=1):
-            exponents = sorted(_level_matching(g, u, v)[1])
+            exponents = sorted(set().union(*(map(sub, dst, src) for src, dst in _level_matching(g, u, v)[1])))
             exps = ",".join(str(e) for e in exponents)
             lines.append("pair %d: witness with %d pieces, exponents %s" % (i, len(exponents), exps))
     for bad in violations:

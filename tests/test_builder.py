@@ -687,6 +687,56 @@ def test_load_shares_equal_atoms_across_stages():
     assert back.stages[5].columns[0][0] is back.stages[4].columns[0][0]
 
 
+def test_load_gives_a_repeated_stage_block_one_partition():
+    # stages 5 and 6 of the uniform build repeat stage 4 line for line
+    g = build_saturated(parse_family("measure uniform\ndepth_bound 3\n"), 6, 12)
+    text = serialize_sequence(g)
+    back = load_sequence(text)
+    assert back.stages[5] is back.stages[4] and back.stages[6] is back.stages[4]
+    assert back.stages[3] is back.stages[1] and back.stages[4] is not back.stages[3]
+    # one atom line of stage 5 changed to another valid word: stage 5 loads
+    # fresh and fails the partition check, and stage 6, no longer a repeat
+    # of its predecessor, loads fresh and passes it
+    lines = text.splitlines()
+    at = lines.index("stage 5 columns 1 budget 1/32") + 2
+    assert lines[at : at + 2] == ["00000000000", "00010000000"]
+    for word, why in [
+        ("00000000001", "atoms do not cover the space"),
+        ("0", "column 0 level 1 differs in mass from its base"),
+    ]:
+        broken = load_sequence("\n".join(lines[:at] + [word] + lines[at + 1 :]) + "\n")
+        assert broken.stages[5] is not broken.stages[4] and broken.stages[6] is not broken.stages[5]
+        assert broken.stages[6] == broken.stages[4]
+        assert validate_sequence(broken) == ("stage 5 is not a tower partition: " + why,)
+        assert verification_report(broken).violations == ("stage 5 is not a tower partition: " + why,)
+
+
+atom_line_st = st.one_of(st.text(alphabet="01,X∅ a", max_size=6), st.just("empty"))
+
+
+@given(st.lists(atom_line_st, min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_load_reads_every_atom_line_as_from_text(atom_lines):
+    # the same column at stages 0 and 1: each line loads as from_text of
+    # the stripped line, or the load fails naming the first line it refuses
+    head = ["cantordyn tower v1", "generators 1", "measure mu0", "depth_bound 0", "end measure", "pairs 0", "stages 2"]
+    block = ["column %d" % len(atom_lines)] + atom_lines
+    stages = ["stage 0 columns 1 budget 1/1"] + block + ["stage 1 columns 1 budget 1/2"] + block
+    text = "\n".join(head + stages + ["end tower"]) + "\n"
+    want = []
+    for i, line in enumerate(atom_lines):
+        try:
+            want.append(ClopenSet.from_text(line.strip()))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                load_sequence(text)
+            assert str(info.value) == "line %d: %s" % (len(head) + 3 + i, exc)
+            return
+    g = load_sequence(text)
+    assert g.stages[0].columns == (tuple(want),)
+    assert g.stages[1] is g.stages[0]
+
+
 def test_load_names_the_line_of_a_bad_atom_in_a_repeated_stage():
     # stages 2 and 3 repeat stage 1
     lines = ODOMETER_TEXT.splitlines()

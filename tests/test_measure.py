@@ -23,6 +23,13 @@ UNIFORM = MeasureFamily([TreeMeasure()])
 THIRD = MeasureFamily([TreeMeasure({"": Fraction(1, 3)})])
 
 
+def delta_table(rep):
+    """(eps, delta) off the report's `eps <q> -> delta <q> (depth <d>)` lines."""
+    rows = [line.split() for line in rep.lines if line.startswith("eps ")]
+    assert all(len(r) == 7 and r[2:4] == ["->", "delta"] and r[5] == "(depth" for r in rows)
+    return tuple((Fraction(r[1]), Fraction(r[4])) for r in rows)
+
+
 class TreeMeasureTest(unittest.TestCase):
     def test_uniform_cylinders(self):
         m = TreeMeasure()
@@ -92,14 +99,15 @@ class ValidateTest(unittest.TestCase):
         rep = validate_family(UNIFORM)
         self.assertTrue(rep.ok)
         self.assertTrue(rep)
-        for j, (eps, delta) in enumerate(rep.delta_table, start=1):
+        self.assertEqual(len(delta_table(rep)), 8)
+        for j, (eps, delta) in enumerate(delta_table(rep), start=1):
             self.assertEqual(eps, Fraction(1, 2 ** j))
             self.assertEqual(delta, 2 * eps)
 
     def test_third_delta_table(self):
         # root weight 1/3, everything deeper halves: max cyl = (2/3)*2^(1-d)
         rep = validate_family(THIRD)
-        table = dict(rep.delta_table)
+        table = dict(delta_table(rep))
         self.assertEqual(table[Fraction(1, 2)], Fraction(1, 2))
         self.assertEqual(table[Fraction(1, 4)], Fraction(1, 4))
         self.assertEqual(table[Fraction(1, 8)], Fraction(1, 8))
@@ -109,14 +117,14 @@ class ValidateTest(unittest.TestCase):
         k = MeasureFamily([TreeMeasure({"": Fraction(2, 3), "0": Fraction(1, 4), "01": Fraction(9, 10)})])
         rep = validate_family(k)
         deltas = [2, 8, 16, 32, 64, 128, 256, 512]
-        self.assertEqual(rep.delta_table, tuple((Fraction(1, 2 ** j), Fraction(1, d)) for j, d in enumerate(deltas, 1)))
+        self.assertEqual(delta_table(rep), tuple((Fraction(1, 2 ** j), Fraction(1, d)) for j, d in enumerate(deltas, 1)))
         self.assertIn("eps 1/4 -> delta 1/8 (depth 4)", rep.lines)
 
     def test_delta_is_sound(self):
         # any set of diameter < delta must have mass <= eps
         k = MeasureFamily([TreeMeasure({"": Fraction(1, 3), "1": Fraction(1, 4)})])
         rep = validate_family(k)
-        for eps, delta in rep.delta_table[:4]:
+        for eps, delta in delta_table(rep)[:4]:
             depth = (delta / 2).denominator.bit_length() - 1
             for w in FULL.refine_to_depth(depth):
                 self.assertLessEqual(k.generators[0].cyl(w), eps)

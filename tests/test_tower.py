@@ -60,6 +60,17 @@ def test_from_columns_validation():
             from_columns(UNI, cols)
 
 
+def test_from_columns_reports_violations_in_order():
+    # within a column an empty level beats an earlier mass mismatch, and a
+    # column is checked in full before the next one
+    with pytest.raises(NotAPartition) as info:
+        from_columns(UNI, [(C("00"), C("010"), C("1"), EMPTY)])
+    assert str(info.value) == "column 0 level 3 is empty"
+    with pytest.raises(NotEquivalentColumn) as info:
+        from_columns(UNI, [(C("0"), C("10")), (C("11"), EMPTY)])
+    assert str(info.value) == "column 0 level 1 differs in mass from its base"
+
+
 def test_from_columns_compares_every_generator():
     third = TreeMeasure({"": F(1, 3)})
     # [0] and [1] agree under every generator but the last one
