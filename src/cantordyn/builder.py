@@ -11,8 +11,6 @@ invariant measures are exactly the simplex spanned by the family;
 validate_sequence checks the structural certificates of each stage.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import islice
 

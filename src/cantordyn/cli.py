@@ -17,8 +17,6 @@ stage) or a construction oracle fails during a build; 3 when a written
 sequence violates an invariant, goodness of its family included.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from fractions import Fraction

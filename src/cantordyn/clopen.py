@@ -28,8 +28,6 @@ prefix, so a nonempty set has diameter 2^(-k) with k the depth of its
 smallest enclosing cylinder.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cache

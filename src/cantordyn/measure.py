@@ -13,8 +13,6 @@ vectors, structural validation with a bound table relating set diameter to
 set mass, and a plain-text format for families.
 """
 
-from __future__ import annotations
-
 import re
 from fractions import Fraction
 from itertools import product

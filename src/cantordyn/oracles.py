@@ -20,8 +20,6 @@ host, dividing a set into n almost-equal pieces, stamping out n disjoint
 copies, and realizing an affine combination of partition masses.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import groupby
 from math import lcm

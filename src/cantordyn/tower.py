@@ -14,8 +14,6 @@ which does the latter by stacking columns of opposite defect, is
 library-only.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm

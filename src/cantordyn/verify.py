@@ -13,8 +13,6 @@ in its cone: each column's atoms share one mass vector and the atoms
 partition the space, so the height-weighted column masses sum to 1.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from fractions import Fraction
 from operator import sub
@@ -266,7 +264,17 @@ def first_return_divide(g, a, n, eps):
     if eps < 0:
         raise ValueError("negative tolerance")
     visits = [[x for x in col if x.is_subset(a)] for col in g.stages[-1].columns]
-    if union_all(x for lev in visits for x in lev) != a:
+    # the visits lie inside a, so they cover it exactly when they have its
+    # Lebesgue measure, counted in cylinders of the deepest leaf's length;
+    # sorted, a leaf inside an earlier kept one is inside the last kept one
+    leaves = sorted(w for lev in visits for x in lev for w in x.leaves)
+    depth = max(map(len, leaves + list(a.leaves)), default=0)
+    covered, last = 0, None
+    for w in leaves:
+        if last is None or not w.startswith(last):
+            covered += 1 << depth - len(w)
+            last = w
+    if covered != sum(1 << depth - len(w) for w in a.leaves):
         raise ValueError("the set is not a union of last-stage atoms")
     classes = [[] for _ in range(n)]
     rem = []

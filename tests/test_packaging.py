@@ -1,12 +1,16 @@
 """The package imports nothing outside the standard library and itself,
-every name it exports or imports from itself exists, and the README's
-library example runs."""
+every name it exports or imports from itself exists, importing it loads
+each module only when first used, and the README's library example runs."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cantordyn"
@@ -34,14 +38,51 @@ def test_runtime_imports_are_stdlib_only():
 
 
 def test_exported_and_imported_names_resolve():
-    # importing the package fails on any name __init__ imports that is gone
-    importlib.import_module("cantordyn")
     missing = []
     for path in sorted(SRC.glob("*.py")):
         name = "cantordyn" if path.stem == "__init__" else "cantordyn." + path.stem
         module = importlib.import_module(name)
         missing += ["%s.%s" % (name, x) for x in getattr(module, "__all__", ()) if not hasattr(module, x)]
     assert missing == []
+    # each top-level name is its home module's object
+    pkg = importlib.import_module("cantordyn")
+    homes = {x: importlib.import_module("cantordyn." + pkg._HOME[x]) for x in pkg.__all__}
+    assert [x for x, home in homes.items() if getattr(pkg, x) is not getattr(home, x)] == []
+    assert len(homes) == 50 and set(homes) <= set(dir(pkg))
+    with pytest.raises(AttributeError, match="'cantordyn' has no attribute 'no_such_name'"):
+        pkg.no_such_name
+    star = {}
+    exec("from cantordyn import *", star)
+    assert set(star) - {"__builtins__"} == set(homes)
+
+
+LOADED = "print(sorted(m[10:] for m in sys.modules if m.startswith('cantordyn.')))"
+
+
+@pytest.mark.parametrize(
+    "code, loaded",
+    [
+        ("import cantordyn", []),
+        (
+            "import cantordyn as c; c.validate_family(c.parse_family('measure uniform'))",
+            ["clopen", "measure"],
+        ),
+        (
+            "import cantordyn as c; from fractions import Fraction as F; k = c.parse_family('measure uniform'); "
+            "c.validate_family(k); c.select_copy(k, [F(1, 4)], c.FULL); c.approx_divide(k, c.FULL, 3, F(1, 8))",
+            ["clopen", "measure", "oracles"],
+        ),
+        ("import cantordyn.cli", ["builder", "cli", "clopen", "measure", "oracles", "tower", "verify"]),
+    ],
+    ids=["import", "family-check", "oracles", "cli"],
+)
+def test_modules_load_on_first_use(code, loaded):
+    # a fresh interpreter, as every command and query process starts cold
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = "import sys; %s; %s" % (code, LOADED)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "%s\n" % loaded
 
 
 def test_readme_library_example_runs():

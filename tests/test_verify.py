@@ -386,6 +386,10 @@ def test_first_return_remainder_tolerance():
     assert rem == C("11")
     with pytest.raises(ValueError):
         first_return_divide(g, C("1101"), 2, 0)
+    # overlapping atoms whose masses add up to the space's, though [1] is not covered
+    h = seq(fam, [KRPartition(((C("0"), C("00"), C("01")),))])
+    with pytest.raises(ValueError, match="not a union of last-stage atoms"):
+        first_return_divide(h, FULL, 1, 0)
     with pytest.raises(ValueError):
         first_return_divide(g, FULL, 0, 0)
     with pytest.raises(ValueError, match="negative tolerance"):
