@@ -22,6 +22,9 @@ the leaves of b inside it; in the difference it is dropped, or halved
 until a half holds no leaf of b (kept) or is one (dropped).  Kept leaves
 and pieces come out sorted, and no two are siblings, as neither operand
 has a sibling pair: both results are canonical with no normalising pass.
+Whether sets inside u tile it is one walk over their sorted leaves: a leaf
+inside the last one kept overlaps it, and the kept leaves cover u exactly
+when they hold as many cylinders of the deepest leaf's length as u does.
 
 The metric is d(x, y) = 2^(-k) where k is the length of the longest common
 prefix, so a nonempty set has diameter 2^(-k) with k the depth of its
@@ -220,6 +223,26 @@ FULL = ClopenSet._raw(_FULL_LEAVES)
 def union_all(sets):
     """Union of many clopen sets in one normalization pass."""
     return ClopenSet._raw(_normalize([w for s in sets for w in s.leaves]))
+
+
+def _tiling(sets, whole):
+    """None if `sets` tile `whole`, "gap" if their union is smaller, else "overlap".
+
+    Every set must lie inside `whole`.  Sorted, a leaf inside an earlier
+    kept one is inside the last kept one, so the kept leaves are disjoint.
+    """
+    leaves = sorted([w for s in sets for w in s.leaves])
+    depth = max(max(map(len, leaves), default=0), whole.max_leaf_len)
+    covered, last, overlap = 0, "2", False  # no word extends "2"
+    for w in leaves:
+        if w.startswith(last):
+            overlap = True
+        else:
+            covered += 1 << depth - len(w)
+            last = w
+    if covered != sum(1 << depth - len(w) for w in whole.leaves):
+        return "gap"
+    return "overlap" if overlap else None
 
 
 @cache

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import groupby
 from math import lcm
 
-from cantordyn.clopen import EMPTY, FULL, ClopenSet, union_all
+from cantordyn.clopen import EMPTY, FULL, ClopenSet, _tiling, union_all
 from cantordyn.measure import vec_text
 
 __all__ = [
@@ -313,10 +313,9 @@ def affine_approx(k, partition, values, eps, max_depth=12):
     eps = Fraction(eps)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    if union_all(parts) != FULL:
-        raise ValueError("pieces do not cover the space")
-    if sum((k.generators[0].eval(p) for p in parts), Fraction(0)) != 1:
-        raise ValueError("pieces overlap")
+    fault = _tiling(parts, FULL)
+    if fault:
+        raise ValueError("pieces do not cover the space" if fault == "gap" else "pieces overlap")
     m = lcm(*(v.denominator for v in vals)) if vals else 1
     ns = [int(v * m) for v in vals]
     total = sum(ns)

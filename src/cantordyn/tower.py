@@ -18,7 +18,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 
-from cantordyn.clopen import FULL, ClopenSet, union_all
+from cantordyn.clopen import FULL, ClopenSet, _tiling, union_all
 from cantordyn.oracles import NotEquivalent, _carve, select_copy
 
 __all__ = [
@@ -85,11 +85,8 @@ def from_columns(k, columns):
     """Validated construction: per-column equivalence, then partition.
 
     Equivalence compares the Fraction vectors of k.vec, built once per
-    atom shape.  The partition check is one walk over all leaves in
-    sorted order.  A leaf inside the last leaf not nested so far
-    overlaps it; otherwise it must start where that one ends, which for
-    words means the two read c01..1 and c10..0.  A gap is reported
-    before an overlap.
+    atom shape.  The partition check is clopen._tiling of all atoms
+    against the space, which reports a gap before an overlap.
     """
     cols = tuple(tuple(col) for col in columns)
     if not cols:
@@ -108,21 +105,9 @@ def from_columns(k, columns):
         bad = [shapes.index(x) for x in set(shapes) if vecs[x] != vecs[shapes[0]]]
         if bad:
             raise NotEquivalentColumn("column %d level %d differs in mass from its base" % (ci, min(bad)))
-    leaves = [w for col in cols for a in col for w in a.leaves]
-    leaves.sort()
-    last = leaves[0]
-    gap = "1" in last
-    overlap = False
-    for w in leaves[1:]:
-        if w.startswith(last):
-            overlap = True
-        else:
-            gap = gap or last.rstrip("1")[:-1] != w.rstrip("0")[:-1]
-            last = w
-    if gap or "0" in last:
-        raise NotAPartition("atoms do not cover the space")
-    if overlap:
-        raise NotAPartition("atoms overlap")
+    fault = _tiling([a for col in cols for a in col], FULL)
+    if fault:
+        raise NotAPartition("atoms do not cover the space" if fault == "gap" else "atoms overlap")
     return KRPartition(cols)
 
 
@@ -204,7 +189,7 @@ def _split_column(k, column, level, pieces, max_depth=12):
     atom = column[level]
     if union_all(pieces) != atom:
         raise ValueError("pieces do not cover the atom")
-    if sum((k.generators[0].eval(p) for p in pieces), Fraction(0)) != k.generators[0].eval(atom):
+    if _tiling(pieces, atom):
         raise ValueError("pieces overlap")
     if len(pieces) == 1:
         return [tuple(column)]

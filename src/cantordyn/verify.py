@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import sub
 
 from cantordyn.builder import _PAIR_DEPTH, _budget, enumerate_pairs, validate_sequence
-from cantordyn.clopen import union_all
+from cantordyn.clopen import _tiling, union_all
 from cantordyn.measure import _check_generators, frac_text, goodness_obstruction, obstruction_text, vec_text
 from cantordyn.tower import locate_atom
 
@@ -264,17 +264,7 @@ def first_return_divide(g, a, n, eps):
     if eps < 0:
         raise ValueError("negative tolerance")
     visits = [[x for x in col if x.is_subset(a)] for col in g.stages[-1].columns]
-    # the visits lie inside a, so they cover it exactly when they have its
-    # Lebesgue measure, counted in cylinders of the deepest leaf's length;
-    # sorted, a leaf inside an earlier kept one is inside the last kept one
-    leaves = sorted(w for lev in visits for x in lev for w in x.leaves)
-    depth = max(map(len, leaves + list(a.leaves)), default=0)
-    covered, last = 0, None
-    for w in leaves:
-        if last is None or not w.startswith(last):
-            covered += 1 << depth - len(w)
-            last = w
-    if covered != sum(1 << depth - len(w) for w in a.leaves):
+    if _tiling([x for lev in visits for x in lev], a) == "gap":
         raise ValueError("the set is not a union of last-stage atoms")
     classes = [[] for _ in range(n)]
     rem = []

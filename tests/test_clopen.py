@@ -428,3 +428,63 @@ def test_word_errors_keep_their_messages_on_sorted_input():
         ClopenSet.from_text("0,,1")
     with pytest.raises(ValueError, match=r"^bad clopen text: '0,'$"):
         ClopenSet.from_text("0,")
+
+
+def ref_tiling(sets, whole):
+    """_tiling read off the words of the deepest leaf's length: a gap when
+    their union differs from whole's, an overlap when one is met twice."""
+    depth = max(s.max_leaf_len for s in (*sets, whole))
+    cells = ["".join(t) for t in itertools.product("01", repeat=depth)]
+    hits = [sum(any(c.startswith(w) for w in s.leaves) for s in sets) for c in cells]
+    if [bool(n) for n in hits] != [any(c.startswith(w) for w in whole.leaves) for c in cells]:
+        return "gap"
+    return "overlap" if max(hits) > 1 else None
+
+
+@st.composite
+def sets_inside(draw):
+    """(sets, whole): whole is the space or a proper subset, and the sets,
+    inside it, are a tiling with a set dropped, repeated, a nested or a
+    parent leaf of one added, or an empty set mixed in, or left as it is."""
+    whole = draw(st.one_of(st.just(FULL), sets_st.filter(lambda s: s != FULL)))
+    leaves = list(whole.leaves)
+    for _ in range(draw(st.integers(0, 8))):
+        i = draw(st.integers(0, max(len(leaves) - 1, 0)))
+        if leaves and len(leaves[i]) < DEPTH + 2:
+            w = leaves.pop(i)
+            leaves[i:i] = [w + "0", w + "1"]
+    labels = [draw(st.integers(0, len(leaves) - 1)) for _ in leaves]
+    sets = [C(*(w for w, j in zip(leaves, labels) if j == i)) for i in sorted(set(labels))]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["drop", "repeat", "nested", "parent", "empty"]))
+        if kind == "empty":
+            sets.append(EMPTY)
+            continue
+        s = draw(st.sampled_from(sets)) if sets else EMPTY
+        if kind == "drop" and sets:
+            sets.remove(s)
+        elif kind == "repeat":
+            sets.append(s)
+        elif s:
+            w = draw(st.sampled_from(s.leaves))
+            if kind == "nested":
+                sets.append(C(w + draw(st.text(alphabet="01", max_size=2))))
+            else:
+                u = next(u for u in whole.leaves if w.startswith(u))
+                sets.append(C(w[: draw(st.integers(len(u), len(w)))]))
+    return draw(st.permutations(sets)), whole
+
+
+@settings(max_examples=400)
+@given(sets_inside())
+def test_tiling_matches_word_reference(case):
+    sets, whole = case
+    assert clopen._tiling(sets, whole) == ref_tiling(sets, whole)
+
+
+def test_tiling_reports_a_gap_before_an_overlap():
+    assert clopen._tiling([C("0"), C("00")], FULL) == "gap"
+    assert clopen._tiling([C("0"), C("00"), C("1")], FULL) == "overlap"
+    assert clopen._tiling([C("01"), C("00", "1")], FULL) is None
+    assert clopen._tiling([], EMPTY) is None
+    assert clopen._tiling([EMPTY], C("1")) == "gap"

@@ -157,6 +157,13 @@ def test_affine_approx_indicator_values():
     assert affine_approx(UNI, parts, (F(1), F(0), F(1, 2), F(1, 2)), F(0)) == C("0", "110")
 
 
+def test_affine_approx_refuses_an_overlap_of_null_mass():
+    # [1] has mass 0 under a weight of 1, so the pieces' masses add up to 1
+    k = MeasureFamily([TreeMeasure({"": F(1)})])
+    with pytest.raises(ValueError, match="^pieces overlap$"):
+        affine_approx(k, (FULL, C("1")), (F(0), F(0)), F(0))
+
+
 def test_affine_approx_error_bound():
     parts = (ClopenSet(["0"]), ClopenSet(["10"]), ClopenSet(["11"]))
     vals = (F(1, 3), F(1, 2), F(1, 5))
@@ -170,9 +177,9 @@ def test_affine_approx_error_bound():
 
 
 def test_affine_approx_validates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^pieces do not cover the space$"):
         affine_approx(UNI, (ClopenSet(["0"]),), (F(1, 2),), F(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^pieces overlap$"):
         affine_approx(UNI, (FULL, FULL), (F(1, 2), F(1, 2)), F(0))
     with pytest.raises(ValueError):
         affine_approx(UNI, (FULL,), (F(3, 2),), F(0))

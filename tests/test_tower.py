@@ -222,6 +222,13 @@ def test_cut_column_at_level():
         tower._split_column(UNI, t.columns[0], 0, [C("00"), C("010")])
 
 
+def test_split_column_refuses_an_overlap_of_null_mass():
+    # [1] has mass 0 under a weight of 1, so the pieces' masses add up to the atom's
+    k = MeasureFamily([TreeMeasure({"": F(1)})])
+    with pytest.raises(ValueError, match="^pieces overlap$"):
+        tower._split_column(k, (FULL,), 0, [FULL, C("1")])
+
+
 def reference_split(k, column, level, pieces, max_depth):
     """_split_column carving every level on its own; a failure is (level, exc)."""
     pieces = [p for p in pieces if not p.is_empty]
