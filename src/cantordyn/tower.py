@@ -7,15 +7,16 @@ partition the space.  The partition encodes a partial homeomorphism:
 each atom maps to the one above it, and the union of the column tops
 maps onto the union of the bases in a way later stages pin down.
 
-A build stage is two moves: refine_small_base_top refines the tower so
-that base and top fit inside small cylinders, and _merge stacks it into
-one column that visits the stage's pair equally often.  balance_columns,
-which does the latter by stacking columns of opposite defect, is
-library-only.
+A build stage is two moves: refine_small_base_top fits base and top
+inside small cylinders, planning its stacks on the bases and splitting
+each pool column once, and _merge cuts along the stage's pair, testing
+each leaf prefix once, and stacks one column that visits the pair
+equally often.  balance_columns, stacking by defect, is library-only.
 """
 
 from bisect import bisect_right
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from cantordyn.clopen import FULL, ClopenSet, _tiling, union_all
@@ -216,18 +217,28 @@ def _split_column(k, column, level, pieces, max_depth=12):
     return [tuple(c) for c in subs]
 
 
-def _pure(a, u):
-    return a.is_subset(u) or a.is_disjoint(u)
-
-
 def _cut(k, columns, u, v, max_depth):
-    """The columns split until every atom lies inside or outside both u and v."""
+    """The columns split until every atom lies inside or outside both u and v.
+
+    A leaf lies where its first d letters do, d the deeper of u and v:
+    each distinct prefix is tested once, and an atom is pure when all
+    its leaves fall on one side of u and on one side of v.
+    """
+    d = max(u.max_leaf_len, v.max_leaf_len)
+
+    @cache
+    def side(p):  # [p] inside u, inside v; None when it straddles either
+        c = ClopenSet._raw((p,))
+        ins = c.is_subset(u), c.is_subset(v)
+        return ins if all(i or c.is_disjoint(s) for i, s in zip(ins, (u, v))) else None
+
     cols = [tuple(col) for col in columns]
     ci = 0
     while ci < len(cols):
         # columns before ci are pure, and so are pieces of pure atoms
         col = cols[ci]
-        ri = next((ri for ri, a in enumerate(col) if not (_pure(a, u) and _pure(a, v))), None)
+        sides = ({side(w[:d]) for w in a.leaves} for a in col)
+        ri = next((ri for ri, x in enumerate(sides) if len(x) > 1 or None in x), None)
         if ri is None:
             ci += 1
             continue
@@ -286,29 +297,29 @@ def balance_columns(k, t, u, v, max_depth=12, _trace=None):
             while sign * imb in ns:
                 dcol = cols[ns.index(sign * imb)]
                 pool = [col for col, x in zip(cols, ns) if x and (x < 0) == (sign > 0)]
-                cols, _ = _stack_pool_onto(k, cols, dcol, pool, len(dcol) - 1, max_depth)
+                cols = _stack_pool_onto(k, cols, dcol, pool, len(dcol) - 1, max_depth)
                 ns = [defect(col) for col in cols]
     return KRPartition(cols)
+
+
+def _shares(k, host, bases, max_depth):
+    """A copy of host selected across the bases: its (index, share) per base met, and host's matching pieces."""
+    sel = select_copy(k, k.vec(host), union_all(bases), max_depth)
+    parts = [(i, sel & b) for i, b in enumerate(bases) if not sel.is_disjoint(b)]
+    return parts, _carve(k, host, [k.vec(x) for _, x in parts[:-1]], max_depth)
 
 
 def _stack_pool_onto(k, cols, dcol, pool, level, max_depth):
     """Cut column dcol at one level and stack a pool base piece on each part.
 
     A copy of the level atom is selected across the union of the pool
-    columns' bases.  Its share of each base it meets is its intersection
-    with that base, most often the whole copy.
-    The atom is carved to match the shares, and every resulting
-    sub-column of dcol gets the matching pool sub-column stacked on top.
-    Returns cols with the stacked columns in dcol's place and each pool
-    column used replaced in place by its remainder, or dropped when used
-    up, and the stacked columns.  Passing the pool as cols returns the
-    pool left over.
+    columns' bases, and the atom is carved to match its shares (_shares).
+    Every resulting sub-column of dcol gets the matching pool sub-column
+    stacked on top.  Returns cols with the stacked columns in dcol's
+    place and each pool column used replaced in place by its remainder,
+    or dropped when used up.
     """
-    host = dcol[level]
-    bases = [col[0] for col in pool]
-    sel = select_copy(k, k.vec(host), union_all(bases), max_depth)
-    parts = [(i, sel & b) for i, b in enumerate(bases) if not sel.is_disjoint(b)]
-    pieces = _carve(k, host, [k.vec(x) for _, x in parts[:-1]], max_depth)
+    parts, pieces = _shares(k, dcol[level], [col[0] for col in pool], max_depth)
     dsubs = _split_column(k, dcol, level, pieces, max_depth)
     stacked = []
     swap = {id(dcol): stacked}
@@ -316,7 +327,7 @@ def _stack_pool_onto(k, cols, dcol, pool, level, max_depth):
         qcol = pool[i]
         head, *swap[id(qcol)] = _split_column(k, qcol, 0, [x, qcol[0] - x], max_depth)
         stacked.append(dsub + head)
-    return [c for col in cols for c in swap.get(id(col), (col,))], stacked
+    return [c for col in cols for c in swap.get(id(col), (col,))]
 
 
 def refine_small_base_top(k, t, eps, max_depth=12):
@@ -330,9 +341,11 @@ def refine_small_base_top(k, t, eps, max_depth=12):
     bases under [u0] and [u1], each holds an exact copy of the base's
     n-th part, and the two columns are split along them.  The rest of
     the base, n - 2 parts' worth, is the pool: n - 2 rounds of stacks
-    over the copy under [u0] use it up, one part per round, and each
-    stack is then routed through a piece of the copy under [u1].  The
-    new base lies in the pinned base and the new top inside [u].
+    over the copy under [u0] use it up, one part per round.  The rounds
+    are planned on the bases, then replayed on the columns with each
+    pool column split once, along all its shares in order.  Each stack
+    is then routed through a piece of the copy under [u1].  The new base
+    lies in the pinned base and the new top inside [u].
     Returns t itself when both diameters are already small enough.  The
     result is not run through from_columns; build_saturated validates
     every stage once, with validate_sequence.
@@ -380,15 +393,27 @@ def refine_small_base_top(k, t, eps, max_depth=12):
     col1, *rest1 = _split_column(k, cols[i1], 0, [c1, cols[i1][0] - c1], max_depth)
     pool = rest0 + cols[1:i1] + rest1 + cols[i1 + 1 :]
 
-    # absorb the pool into stacks over the c0 copy, one part per round
-    principals = [col0]
+    # plan the rounds on the bases: copy each principal base across the pool
+    bases = [col[0] for col in pool]
+    hosts, plan = [c0], []
     for _ in range(n - 2):
-        new_principals = []
-        for pcol in principals:
-            pool, stacked = _stack_pool_onto(k, pool, pcol, pool, 0, max_depth)
-            new_principals.extend(stacked)
-        principals = new_principals
-    assert not pool
+        for host in hosts[len(plan) :]:
+            parts, pieces = _shares(k, host, bases, max_depth)
+            for i, x in parts:
+                bases[i] -= x
+            plan.append((parts, pieces))
+            hosts += pieces
+    assert not any(bases)
+
+    # split each pool column once along its shares (carves pick pieces off in
+    # order, so this equals round-by-round splits), then replay the rounds
+    shares = [[x for parts, _ in plan for j, x in parts if j == i] for i in range(len(pool))]
+    heads = [iter(_split_column(k, col, 0, s, max_depth)) for col, s in zip(pool, shares)]
+    principals = [col0]
+    for j, (parts, pieces) in enumerate(plan):
+        psubs = _split_column(k, principals[j], 0, pieces, max_depth)
+        principals += [p + next(heads[i]) for p, (i, _) in zip(psubs, parts)]
+    principals = principals[len(plan) :]
 
     # route every stack through its matched piece of the c1 copy
     pieces = _carve(k, c1, [k.vec(p[0]) for p in principals[:-1]], max_depth)

@@ -153,6 +153,16 @@ def test_build_two_stages():
 D2 = "measure d2\nweight 0 1/3\nweight 1 2/3\n"
 
 
+def tree_weights(weight, depth):
+    """Family lines giving one weight to every node of length below depth."""
+    nodes = ("e", "0", "1", "00", "01", "10", "11")[: 2**depth - 1]
+    return "".join("weight %s %s\n" % (w, weight) for w in nodes)
+
+
+# one generator, weight 1/3 at every node of depth at most 2
+DEEP_WEIGHTS = tree_weights("1/3", 3)
+
+
 @pytest.mark.parametrize(
     "text,stages,max_depth,key",
     [
@@ -166,8 +176,11 @@ D2 = "measure d2\nweight 0 1/3\nweight 1 2/3\n"
         (D2, 3, 16, "d2-3/tower.txt"),
         # the benchmark's uniform6 tower, whose digest its output check gates on
         ("measure uniform\ndepth_bound 3\n", 6, 12, "uniform-6/tower.txt"),
+        # in these two, the refine splits principals across pool columns twice
+        ("measure seventeenth\nweight e 1/17\n", 3, 12, "seventeenth-3/tower.txt"),
+        ("measure deep\n" + DEEP_WEIGHTS, 2, 12, "deep-2/tower.txt"),
     ],
-    ids=["uniform3", "third2", "third4", "d2_3", "uniform6"],
+    ids=["uniform3", "third2", "third4", "d2_3", "uniform6", "seventeenth3", "deep2"],
 )
 def test_serialized_build_bytes_pinned(monkeypatch, pins, text, stages, max_depth, key):
     # every stage is refine, then merge: the build never balances by stacking
@@ -178,16 +191,6 @@ def test_serialized_build_bytes_pinned(monkeypatch, pins, text, stages, max_dept
     monkeypatch.setattr(cantordyn.builder, "balance_columns", no_balance, raising=False)
     g = build_saturated(parse_family(text), stages, max_depth)
     assert hashlib.sha256(serialize_sequence(g).encode()).hexdigest() == pins[key]
-
-
-def tree_weights(weight, depth):
-    """Family lines giving one weight to every node of length below depth."""
-    nodes = ("e", "0", "1", "00", "01", "10", "11")[: 2**depth - 1]
-    return "".join("weight %s %s\n" % (w, weight) for w in nodes)
-
-
-# one generator, weight 1/3 at every node of depth at most 2
-DEEP_WEIGHTS = tree_weights("1/3", 3)
 
 
 @pytest.mark.parametrize(

@@ -390,7 +390,11 @@ def test_stack_pool_onto_leaves_the_pool_in_place(data):
     pool = data.draw(st.lists(st.sampled_from([c for c in t.columns if c is not dcol]), min_size=1, unique=True))
     assume(UNI.vec(dcol[level]) <= UNI.vec(union_all(q[0] for q in pool)))
 
-    left, stacked = tower._stack_pool_onto(UNI, pool, dcol, pool, level, 12)
+    left = tower._stack_pool_onto(UNI, pool, dcol, pool, level, 12)
+    # with dcol first in cols, the stacked columns come first
+    both = tower._stack_pool_onto(UNI, [dcol, *pool], dcol, pool, level, 12)
+    stacked = both[: len(both) - len(left)]
+    assert both[len(stacked) :] == left
     # each stacked column is a sub-column of dcol under a piece of the copy
     sel = union_all(c[len(dcol)] for c in stacked)
     assert UNI.vec(sel) == UNI.vec(dcol[level])
@@ -406,8 +410,9 @@ def test_stack_pool_onto_leaves_the_pool_in_place(data):
     rests = {id(q): [] for q in pool}
     rests.update((id(q), [r]) for q, r in zip(kept, left))
     rests[id(dcol)] = stacked
-    got, again = tower._stack_pool_onto(UNI, list(t.columns), dcol, pool, level, 12)
-    assert again == stacked
+    got = tower._stack_pool_onto(UNI, list(t.columns), dcol, pool, level, 12)
+    at = sum(len(rests.get(id(col), [col])) for col in t.columns[: t.columns.index(dcol)])
+    assert got[at : at + len(stacked)] == stacked
     assert got == [c for col in t.columns for c in rests.get(id(col), [col])]
     assert run_decomposition(from_columns(UNI, got), t) is not None
 
@@ -544,15 +549,24 @@ def test_balance_not_equivalent():
         ([("",)], ["0"], ["00", "10"], ["00", "01", "10", "11"]),
         # the base straddles u: the column is cut along it, level by level
         ([("0", "1")], ["00"], ["10"], ["00", "10", "01", "11"]),
+        # no leaf is cut, but each atom has a leaf on each side: cut apart
+        ([("00,11",), ("01,10",)], ["0"], ["1"], ["00", "11", "01", "10"]),
+        # a pair deeper than the atoms and than the schedule's depth 3: the
+        # leaf prefixes tested are as long as the pair
+        ([("0", "1")], ["0000"], ["1111"], [
+            "0000", "1000", "0001", "1111", "0010", "1001", "0011", "1010",
+            "0100", "1011", "0101", "1100", "0110", "1101", "0111", "1110",
+        ]),
     ],
-    ids=["pure", "gcd", "singletons", "cut", "cut_four", "cut_column"],
+    ids=["pure", "gcd", "singletons", "cut", "cut_four", "cut_column", "leaves_on_both_sides", "deep_pair"],
 )
 def test_merge_cuts_along_the_pair_and_balances(cols, u, v, want):
-    t = from_columns(UNI, [tuple(C(w) for w in col) for col in cols])
+    # an atom is written as its leaves joined by commas
+    t = from_columns(UNI, [tuple(C(*a.split(",")) for a in col) for col in cols])
     u, v = C(*u), C(*v)
     out = tower._merge(UNI, t, u, v, 12)
     assert len(out.columns) == 1
-    assert [a.leaves for a in out.columns[0]] == [(w,) for w in want]
+    assert [a.leaves for a in out.columns[0]] == [tuple(a.split(",")) for a in want]
     assert from_columns(UNI, out.columns) == out
     assert run_decomposition(out, t) is not None
     for a in out.atoms:
