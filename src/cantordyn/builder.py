@@ -14,7 +14,7 @@ validate_sequence checks the structural certificates of each stage.
 from fractions import Fraction
 from itertools import islice
 
-from cantordyn.clopen import ClopenSet, _canonical, _clopen_order, _mask, _mask_set, _word_masks
+from cantordyn.clopen import ClopenSet, _canonical, _clopen_order, _mask_set, _masks
 from cantordyn.measure import (
     _ends_measure, _parse_rational, format_measure, frac_text, goodness_obstruction,
     obstruction_text, parse_family, validate_family,
@@ -108,22 +108,14 @@ class TowerSequence:
         return cur
 
     def _atom_masks(self, n):
-        """Per column, each stage-n atom's clopen._mask at depth _PAIR_DEPTH;
+        """Per column, each stage-n atom's clopen._masks at depth _PAIR_DEPTH;
         a stage equal to its predecessor shares its masks."""
         if n not in self._masks:
             t = self.stages[n]
             if n and t == self.stages[n - 1]:
                 self._masks[n] = self._atom_masks(n - 1)
-            else:  # clopen._mask per atom, with its word table looked up once
-                table = _word_masks(_PAIR_DEPTH)
-                self._masks[n] = []
-                for col in t.columns:
-                    self._masks[n].append([])
-                    for a in col:
-                        m = 0
-                        for x in a.leaves:
-                            m |= table[x[:_PAIR_DEPTH]]
-                        self._masks[n][-1].append(m)
+            else:
+                self._masks[n] = [_masks(col, _PAIR_DEPTH) for col in t.columns]
         return self._masks[n]
 
     def _pair_members(self, i):
@@ -138,7 +130,7 @@ class TowerSequence:
             if deep:
                 msg = "pair %d: %s is deeper than %d, the schedule's depth"
                 raise ValueError(msg % (i, deep[0], _PAIR_DEPTH))
-            xu, xv = [_mask(w, _PAIR_DEPTH) for w in self.pairs[i - 1]]
+            xu, xv = _masks(self.pairs[i - 1], _PAIR_DEPTH)
             levels = []
             split_u = split_v = True
             for ms in self._atom_masks(i):

@@ -282,16 +282,19 @@ def _word_masks(depth):
     return {p: sum(1 << b for b, w in enumerate(words) if w.startswith(p)) for p in prefixes}
 
 
-def _mask(s, depth):
-    """The mask, in _mask_set's bit order, of the depth-`depth` cylinders s meets.
+def _masks(sets, depth):
+    """Per set, the mask, in _mask_set's bit order, of the depth-`depth` cylinders it meets.
 
     Exact on u of depth <= `depth`: a lies inside u when m(a) | m(u) == m(u),
     and misses it when m(a) & m(u) == 0."""
     table = _word_masks(depth)
-    m = 0
-    for x in s.leaves:
-        m |= table[x[:depth]]
-    return m
+    out = []
+    for s in sets:
+        m = 0
+        for x in s.leaves:
+            m |= table[x[:depth]]
+        out.append(m)
+    return out
 
 
 def enumerate_clopen(depth_cap):

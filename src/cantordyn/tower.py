@@ -8,10 +8,13 @@ each atom maps to the one above it, and the union of the column tops
 maps onto the union of the bases in a way later stages pin down.
 
 A build stage is two moves: refine_small_base_top fits base and top
-inside small cylinders, planning its stacks on the bases and splitting
-each pool column once, and _merge cuts along the stage's pair, testing
+inside small cylinders, and _merge cuts along the stage's pair, testing
 each leaf prefix once, and stacks one column that visits the pair
 equally often.  balance_columns, stacking by defect, is library-only.
+It and the refine share one stacking move, _stack: balance_columns
+stacks one round at a column's top level, the refine n - 2 rounds at
+level 0, planned on the bases and replayed with each pool column split
+once.
 """
 
 from bisect import bisect_right
@@ -297,37 +300,43 @@ def balance_columns(k, t, u, v, max_depth=12, _trace=None):
             while sign * imb in ns:
                 dcol = cols[ns.index(sign * imb)]
                 pool = [col for col, x in zip(cols, ns) if x and (x < 0) == (sign > 0)]
-                cols = _stack_pool_onto(k, cols, dcol, pool, len(dcol) - 1, max_depth)
+                stacked, rests = _stack(k, dcol, len(dcol) - 1, pool, 1, max_depth)
+                swap = {id(dcol): stacked, **dict(zip(map(id, pool), rests))}
+                cols = [c for col in cols for c in swap.get(id(col), [col])]
                 ns = [defect(col) for col in cols]
     return KRPartition(cols)
 
 
-def _shares(k, host, bases, max_depth):
-    """A copy of host selected across the bases: its (index, share) per base met, and host's matching pieces."""
-    sel = select_copy(k, k.vec(host), union_all(bases), max_depth)
-    parts = [(i, sel & b) for i, b in enumerate(bases) if not sel.is_disjoint(b)]
-    return parts, _carve(k, host, [k.vec(x) for _, x in parts[:-1]], max_depth)
+def _stack(k, col, level, pool, rounds, max_depth):
+    """Stack heads cut off the pool columns' bases onto sub-columns of col.
 
-
-def _stack_pool_onto(k, cols, dcol, pool, level, max_depth):
-    """Cut column dcol at one level and stack a pool base piece on each part.
-
-    A copy of the level atom is selected across the union of the pool
-    columns' bases, and the atom is carved to match its shares (_shares).
-    Every resulting sub-column of dcol gets the matching pool sub-column
-    stacked on top.  Returns cols with the stacked columns in dcol's
-    place and each pool column used replaced in place by its remainder,
-    or dropped when used up.
+    Round 1 selects a copy of col[level] across the pool bases left and
+    carves that atom to match its shares; each later round does the same
+    at level 0 (so level must be 0) for every column the round before
+    stacked.  Planned on the bases, the rounds are replayed with each
+    pool column split once, along all its shares in order: carves pick
+    pieces off in order, so this equals round-by-round splits.  Returns
+    the columns stacked in the last round and, per pool column, the list
+    of what is left of it (itself, its remainder, or nothing).
     """
-    parts, pieces = _shares(k, dcol[level], [col[0] for col in pool], max_depth)
-    dsubs = _split_column(k, dcol, level, pieces, max_depth)
-    stacked = []
-    swap = {id(dcol): stacked}
-    for (i, x), dsub in zip(parts, dsubs):
-        qcol = pool[i]
-        head, *swap[id(qcol)] = _split_column(k, qcol, 0, [x, qcol[0] - x], max_depth)
-        stacked.append(dsub + head)
-    return [c for col in cols for c in swap.get(id(col), (col,))]
+    bases = [q[0] for q in pool]
+    hosts, plan = [col[level]], []
+    for _ in range(rounds):
+        for host in hosts[len(plan) :]:
+            sel = select_copy(k, k.vec(host), union_all(bases), max_depth)
+            parts = [(i, sel & b) for i, b in enumerate(bases) if not sel.is_disjoint(b)]
+            for i, x in parts:
+                bases[i] -= x
+            plan.append((parts, _carve(k, host, [k.vec(x) for _, x in parts[:-1]], max_depth)))
+            hosts += plan[-1][1]
+    shares = [[x for parts, _ in plan for j, x in parts if j == i] for i in range(len(pool))]
+    subs = [_split_column(k, q, 0, s + [b], max_depth) if s else [q] for q, s, b in zip(pool, shares, bases)]
+    heads = [iter(x) for x in subs]
+    stacked = [col]
+    for j, (parts, pieces) in enumerate(plan):
+        psubs = _split_column(k, stacked[j], level if j == 0 else 0, pieces, max_depth)
+        stacked += [p + next(heads[i]) for p, (i, _) in zip(psubs, parts)]
+    return stacked[len(plan) :], [x[len(s) :] for x, s in zip(subs, shares)]
 
 
 def refine_small_base_top(k, t, eps, max_depth=12):
@@ -341,11 +350,9 @@ def refine_small_base_top(k, t, eps, max_depth=12):
     bases under [u0] and [u1], each holds an exact copy of the base's
     n-th part, and the two columns are split along them.  The rest of
     the base, n - 2 parts' worth, is the pool: n - 2 rounds of stacks
-    over the copy under [u0] use it up, one part per round.  The rounds
-    are planned on the bases, then replayed on the columns with each
-    pool column split once, along all its shares in order.  Each stack
-    is then routed through a piece of the copy under [u1].  The new base
-    lies in the pinned base and the new top inside [u].
+    over the copy under [u0] use it up, one part per round (_stack).
+    Each stack is then routed through a piece of the copy under [u1].
+    The new base lies in the pinned base and the new top inside [u].
     Returns t itself when both diameters are already small enough.  The
     result is not run through from_columns; build_saturated validates
     every stage once, with validate_sequence.
@@ -393,27 +400,8 @@ def refine_small_base_top(k, t, eps, max_depth=12):
     col1, *rest1 = _split_column(k, cols[i1], 0, [c1, cols[i1][0] - c1], max_depth)
     pool = rest0 + cols[1:i1] + rest1 + cols[i1 + 1 :]
 
-    # plan the rounds on the bases: copy each principal base across the pool
-    bases = [col[0] for col in pool]
-    hosts, plan = [c0], []
-    for _ in range(n - 2):
-        for host in hosts[len(plan) :]:
-            parts, pieces = _shares(k, host, bases, max_depth)
-            for i, x in parts:
-                bases[i] -= x
-            plan.append((parts, pieces))
-            hosts += pieces
-    assert not any(bases)
-
-    # split each pool column once along its shares (carves pick pieces off in
-    # order, so this equals round-by-round splits), then replay the rounds
-    shares = [[x for parts, _ in plan for j, x in parts if j == i] for i in range(len(pool))]
-    heads = [iter(_split_column(k, col, 0, s, max_depth)) for col, s in zip(pool, shares)]
-    principals = [col0]
-    for j, (parts, pieces) in enumerate(plan):
-        psubs = _split_column(k, principals[j], 0, pieces, max_depth)
-        principals += [p + next(heads[i]) for p, (i, _) in zip(psubs, parts)]
-    principals = principals[len(plan) :]
+    principals, rests = _stack(k, col0, 0, pool, n - 2, max_depth)
+    assert not any(rests)
 
     # route every stack through its matched piece of the c1 copy
     pieces = _carve(k, c1, [k.vec(p[0]) for p in principals[:-1]], max_depth)

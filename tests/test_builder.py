@@ -486,13 +486,13 @@ def test_validate_reports_a_pair_deeper_than_the_schedule(monkeypatch):
     g = build_saturated(UNI, 2)
     deep = TowerSequence(UNI, g.stages, (g.pairs[0], (C("0000"), C("0001"))), g.budgets)
 
-    real = cantordyn.builder._mask
+    real = cantordyn.builder._masks
 
-    def shallow_only(s, depth):
-        assert all(s is not w for w in deep.pairs[1]), "a deeper pair reached the membership check"
-        return real(s, depth)
+    def shallow_only(sets, depth):
+        assert all(s is not w for s in sets for w in deep.pairs[1]), "a deeper pair reached the membership check"
+        return real(sets, depth)
 
-    monkeypatch.setattr(cantordyn.builder, "_mask", shallow_only)
+    monkeypatch.setattr(cantordyn.builder, "_masks", shallow_only)
     assert validate_sequence(deep) == ("pair 2: 0000 is deeper than 3, the schedule's depth",)
     monkeypatch.undo()
     with pytest.raises(ValueError, match="^pair 2: 0000 is deeper than 3, the schedule's depth$"):

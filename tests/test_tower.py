@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cantordyn import tower
 from cantordyn.clopen import EMPTY, FULL, ClopenSet, union_all
 from cantordyn.measure import MeasureFamily, TreeMeasure, parse_family
-from cantordyn.oracles import NotEquivalent, select_copy
+from cantordyn.oracles import NotEquivalent, _carve, select_copy
 from cantordyn.tower import (
     KRPartition,
     NotAPartition,
@@ -364,11 +364,9 @@ def test_split_column_tells_shapes_apart():
     assert [tuple(c) for c in got] == reference_split(k, column, 0, pieces, 12)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_stack_pool_onto_leaves_the_pool_in_place(data):
-    # a uniform tower: leaves to depth 5 grouped into atoms, and atoms of
-    # one mass stacked into columns
+def uniform_tower(data):
+    """A uniform tower: leaves to depth 5 grouped into atoms, and atoms of
+    one mass stacked into columns."""
     leaves = [""]
     for _ in range(data.draw(st.integers(1, 12))):
         i = data.draw(st.integers(0, len(leaves) - 1))
@@ -383,38 +381,98 @@ def test_stack_pool_onto_leaves_the_pool_in_place(data):
         if UNI.vec(a) != UNI.vec(cols[-1][0]) or data.draw(st.booleans()):
             cols.append([])
         cols[-1].append(a)
-    t = from_columns(UNI, cols)
+    return from_columns(UNI, cols)
+
+
+D4 = [format(i, "04b") for i in range(16)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_stack_and_balance_leave_the_pool_in_place(data):
+    t = uniform_tower(data)
     assume(len(t.columns) > 1)
     dcol = data.draw(st.sampled_from(t.columns))
     level = data.draw(st.integers(0, len(dcol) - 1))
     pool = data.draw(st.lists(st.sampled_from([c for c in t.columns if c is not dcol]), min_size=1, unique=True))
     assume(UNI.vec(dcol[level]) <= UNI.vec(union_all(q[0] for q in pool)))
 
-    left = tower._stack_pool_onto(UNI, pool, dcol, pool, level, 12)
-    # with dcol first in cols, the stacked columns come first
-    both = tower._stack_pool_onto(UNI, [dcol, *pool], dcol, pool, level, 12)
-    stacked = both[: len(both) - len(left)]
-    assert both[len(stacked) :] == left
+    stacked, rests = tower._stack(UNI, dcol, level, pool, 1, 12)
     # each stacked column is a sub-column of dcol under a piece of the copy
+    assert all(all(a.is_subset(b) for a, b in zip(c, dcol)) for c in stacked)
     sel = union_all(c[len(dcol)] for c in stacked)
     assert UNI.vec(sel) == UNI.vec(dcol[level])
-    assert union_all(q[0] for q in left) == union_all(q[0] for q in pool) - sel
-    # each remainder sits where its column sat; used-up columns are dropped
-    kept = [q for q in pool if not q[0].is_subset(sel)]
-    assert len(left) == len(kept)
-    for q, r in zip(kept, left):
-        assert r[0] == q[0] - sel
-        assert len(r) == len(q) and all(a.is_subset(b) for a, b in zip(r, q))
-    # with the whole tower as cols, the stack and the remainders replace
-    # their columns in place, and the result refines the tower
-    rests = {id(q): [] for q in pool}
-    rests.update((id(q), [r]) for q, r in zip(kept, left))
-    rests[id(dcol)] = stacked
-    got = tower._stack_pool_onto(UNI, list(t.columns), dcol, pool, level, 12)
-    at = sum(len(rests.get(id(col), [col])) for col in t.columns[: t.columns.index(dcol)])
-    assert got[at : at + len(stacked)] == stacked
-    assert got == [c for col in t.columns for c in rests.get(id(col), [col])]
-    assert run_decomposition(from_columns(UNI, got), t) is not None
+    assert union_all(r[0] for rs in rests for r in rs) == union_all(q[0] for q in pool) - sel
+    # per pool column, its remainder, or nothing when it is used up
+    assert len(rests) == len(pool)
+    for q, rs in zip(pool, rests):
+        if q[0].is_subset(sel):
+            assert rs == []
+        else:
+            (r,) = rs
+            assert r[0] == q[0] - sel
+            assert len(r) == len(q) and all(a.is_subset(b) for a, b in zip(r, q))
+    # in the columns' places, the stack and the remainders refine the tower
+    swap = {dcol: stacked, **dict(zip(pool, rests))}
+    placed = [c for col in t.columns for c in swap.get(col, [col])]
+    assert run_decomposition(from_columns(UNI, placed), t) is not None
+
+    # balance_columns puts each stack in its column's place and each
+    # remainder in its pool column's, and drops a used-up pool column
+    picks = data.draw(st.lists(st.sampled_from(D4), min_size=2, max_size=8, unique=True))
+    h = len(picks) // 2
+    u, v = C(*picks[:h]), C(*picks[h : 2 * h])
+    calls = []
+    real = tower._stack
+
+    def spy(*args):  # (k, col, level, pool, rounds, max_depth)
+        out = real(*args)
+        calls.append((*args[1:5], *out))
+        return out
+
+    with mock.patch.object(tower, "_stack", spy):
+        got = balance_columns(UNI, t, u, v)
+    cols = tower._cut(UNI, t.columns, u, v, 12)
+    for col, level, pool, rounds, stacked, rests in calls:
+        assert (level, rounds) == (len(col) - 1, 1)
+        assert col in cols and pool == [c for c in cols if c in pool]
+        swap = {col: stacked, **dict(zip(pool, rests))}
+        cols = [c for old in cols for c in swap.get(old, [old])]
+        assert run_decomposition(from_columns(UNI, cols), t) is not None
+    assert list(got.columns) == cols
+
+
+def reference_stack(k, col, pool, rounds, max_depth):
+    """Round by round, each column on its own: select a copy of its base
+    across the pool bases left, split it along the shares, and split each
+    pool column met into the share's head and the rest."""
+    pool, stacked = list(pool), [col]
+    for _ in range(rounds):
+        principals, stacked = stacked, []
+        for p in principals:
+            sel = select_copy(k, k.vec(p[0]), union_all(q[0] for q in pool if q), max_depth)
+            parts = [(i, sel & q[0]) for i, q in enumerate(pool) if q and not sel.is_disjoint(q[0])]
+            pieces = _carve(k, p[0], [k.vec(x) for _, x in parts[:-1]], max_depth)
+            for psub, (i, x) in zip(tower._split_column(k, p, 0, pieces, max_depth), parts):
+                head, *rest = tower._split_column(k, pool[i], 0, [x, pool[i][0] - x], max_depth)
+                pool[i] = rest[0] if rest else None
+                stacked.append(psub + head)
+    return stacked, [[q] if q else [] for q in pool]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_stack_splits_once_as_round_by_round(data):
+    # carves pick pieces off in order, so splitting each pool column once
+    # along all its shares gives the round-by-round sub-columns
+    t = uniform_tower(data)
+    assume(len(t.columns) > 1)
+    col = data.draw(st.sampled_from(t.columns))
+    pool = data.draw(st.lists(st.sampled_from([c for c in t.columns if c is not col]), min_size=1, unique=True))
+    rounds = data.draw(st.integers(2, 4))
+    assume(rounds * UNI.vec(col[0])[0] <= UNI.vec(union_all(q[0] for q in pool))[0])
+    got = tower._stack(UNI, col, 0, pool, rounds, 12)
+    assert got == reference_stack(UNI, col, pool, rounds, 12)
 
 
 def test_refine_identity_when_small():
