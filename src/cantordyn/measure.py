@@ -74,11 +74,11 @@ class TreeMeasure:
     `weights` and `depth_bound` are fixed after construction: masses are
     read from an integer table built from them.  Let `_top` be the weight
     depth (one more than the longest weighted word), so every word of
-    length _top or more has weight 1/2.  For i <= _top, `_scale[i]` is
-    the product over levels j < i of lcm(2, denominators of the weights
-    at level j), and `_nums[w]` is mass(w) * _scale[len(w)], filled
-    lazily for words of length at most _top.  Deeper masses only shift
-    the denominator.  cyl and eval each build one Fraction from it.
+    length _top or more has weight 1/2.  `_scale[i]` is the product over
+    levels j < i of lcm(2, denominators of the weights at level j),
+    which _den extends on demand, and `_nums[w]` is mass(w) *
+    _scale[len(w)], filled lazily for words of length at most _top.  cyl
+    and eval each build one Fraction from it.
     """
 
     __slots__ = ("weights", "depth_bound", "name", "_top", "_scale", "_nums")
@@ -128,10 +128,10 @@ class TreeMeasure:
 
     def _den(self, depth):
         """Common denominator of the masses of depth-`depth` cylinders."""
-        top = self._top
-        if depth <= top:
-            return self._scale[depth]
-        return self._scale[top] << (depth - top)
+        scale = self._scale
+        while len(scale) <= depth:  # deeper levels halve
+            scale.append(scale[-1] * 2)
+        return scale[depth]
 
     def _peak(self, depth):
         """Largest mass of a depth-`depth` cylinder."""
@@ -146,18 +146,16 @@ class TreeMeasure:
         """Mass of the cylinder [word]."""
         return Fraction(self._num(word[: self._top]), self._den(len(word)))
 
+    def _int(self, a, depth):
+        """mass(a) * _den(depth), for depth at least a's deepest leaf."""
+        n = self._den(depth)  # extends _scale to depth
+        num, scale, top = self._num, self._scale, self._top
+        return sum(num(w[:top]) * (n // scale[len(w)]) for w in a.leaves)
+
     def eval(self, a):
         """Mass of a clopen set: its leaves' numerators over one common denominator."""
-        top = self._top
-        depth = max(top, a.max_leaf_len)
-        den = self._den(depth)
-        total = 0
-        for w in a.leaves:
-            if len(w) >= top:
-                total += self._num(w[:top]) << (depth - len(w))
-            else:
-                total += self._num(w) * (den // self._scale[len(w)])
-        return Fraction(total, den)
+        depth = a.max_leaf_len
+        return Fraction(self._int(a, depth), self._den(depth))
 
     def __eq__(self, other):
         return isinstance(other, TreeMeasure) and self.weights == other.weights

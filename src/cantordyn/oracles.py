@@ -11,9 +11,11 @@ Below the family's weight depth cylinders split evenly, so the runs are
 read off the host's own leaves, one block of equal cylinders per leaf;
 only leaves shorter than the weight depth are refined.  Taking the
 largest admissible count from each run, first cylinders first, makes the
-answer canonical.  The search works on integers; Fraction stays at the
-boundary (the box, the host's vector).  Feasibility only grows with depth,
-so a box with no integer point at max_depth is refused without a search.
+answer canonical.  Everything past the public entry points is integer:
+the host's vector, the bounds, the box and every comparison between
+them.  Feasibility only grows with depth, so a box with no integer point
+at max_depth is refused without a search, and a failed search past the
+weight depth is followed by one at max_depth that may refuse at once.
 
 On top of that sit the derived operations: copying a value vector into a
 host, dividing a set into n almost-equal pieces, stamping out n disjoint
@@ -141,6 +143,12 @@ def _vector(k, vec, what):
     return vec
 
 
+def _ints(k, host):
+    """host's vector as one (numerator, denominator) pair per generator, at host's depth."""
+    d = host.max_leaf_len
+    return [(m._int(host, d), m._den(d)) for m in k.generators]
+
+
 def subset_in_box(k, host, lo, hi, max_depth=12):
     """Clopen subset of host with value vector in [lo, hi], or None.
 
@@ -149,9 +157,10 @@ def subset_in_box(k, host, lo, hi, max_depth=12):
     depth d generator i's masses are integers over one denominator D_i,
     so the box becomes ceil(lo_i D_i) .. floor(hi_i D_i), exactly.  A box
     point or a solution at depth d is one at every deeper depth, so a box
-    with no point at max_depth is refused before any search; that box is
-    computed only when the one at the host's own depth is empty.  Below
-    the family's weight depth every depth-d cylinder under a word has the
+    with no point at max_depth is refused before any search, and after
+    the first failed search past the weight depth one search at max_depth
+    decides whether any depth up to the cap can succeed.  Below the
+    family's weight depth every depth-d cylinder under a word has the
     same vector, so only host leaves shorter than e = min(d, weight depth)
     are refined, to depth e: each word w is then a block of 2^(d-|w|)
     equal cylinders, and adjacent blocks of equal vector merge into runs.
@@ -161,37 +170,34 @@ def subset_in_box(k, host, lo, hi, max_depth=12):
     """
     lo = _vector(k, lo, "lower bound")
     hi = _vector(k, hi, "upper bound")
-    return _in_box(k, host, k.vec(host), lo, hi, max_depth)
+    bounds = [(l.numerator, l.denominator, h.numerator, h.denominator) for l, h in zip(lo, hi)]
+    return _in_box(k, host, bounds, max_depth, _ints(k, host))
 
 
-def _in_box(k, host, hv, lo, hi, max_depth):
-    """subset_in_box for checked bounds, given the host's vector hv."""
+def _in_box(k, host, bounds, max_depth, hv):
+    """subset_in_box for bounds lo = a/b, hi = c/e as (a, b, c, e) per generator; hv from _ints."""
     if max_depth < 0:
         raise ValueError("max_depth must be at least 0, got %d" % max_depth)
-    if any(l > h for l, h in zip(lo, hi)):
-        return None
-    if all(l <= x <= h for l, x, h in zip(lo, hv, hi)):
-        return host
     gens = k.generators
-    bounds = [(l.numerator, l.denominator, h.numerator, h.denominator) for l, h in zip(lo, hi)]
 
     def box(d):
-        """The integer box at depth d as (lows, highs), or None when it is empty."""
+        """The integer box at depth d, one (low, high) per generator, or None when it is empty."""
         pts = []
         for m, (a, b, c, e) in zip(gens, bounds):
             n = m._den(d)
             pts.append((-(-a * n // b), c * n // e))
             if pts[-1][0] > pts[-1][1]:
                 return None
-        return zip(*pts)
+        return pts
 
     base = host.max_leaf_len
-    if host.is_empty or base > max_depth:
-        return None
     ib = box(base)
-    if ib is None and box(max_depth) is None:
+    if ib is not None and all(l <= x <= h for (l, h), (x, _) in zip(ib, hv)):
+        return host
+    if host.is_empty or base > max_depth or ib is None and box(max_depth) is None:
         return None
     top = k._top
+    probe = True  # no search at max_depth yet
     for d in range(base, max_depth + 1):
         if d == base or d <= top:  # past the weight depth the runs stay put
             e = min(d, top)
@@ -208,19 +214,30 @@ def _in_box(k, host, hv, lo, hi, max_depth):
             ib = box(d)
         if ib is None:
             continue
-        sized = [(v, sum(1 << (d - len(b)) for b in bs)) for v, bs in runs]
-        counts = _solve_at_depth(sized, *ib)
-        if counts is not None:
-            chosen = []
-            for (_, bs), t in zip(runs, counts):
-                for b in bs:
-                    if not t:
-                        break
-                    s = d - len(b)
-                    chosen.extend((b,) if t >> s else _first_words(b, t, s))
-                    t -= min(t, 1 << s)
-            return ClopenSet(chosen)
+        counts = _solve_at_depth(_sized(runs, d), *zip(*ib))
+        if counts is None:
+            # the runs are those of every deeper depth, so if max_depth
+            # has no solution either, no depth up to it has one
+            if probe and top <= d < max_depth:
+                probe = False
+                if _solve_at_depth(_sized(runs, max_depth), *zip(*box(max_depth))) is None:
+                    return None
+            continue
+        chosen = []
+        for (_, bs), t in zip(runs, counts):
+            for b in bs:
+                if not t:
+                    break
+                s = d - len(b)
+                chosen.extend((b,) if t >> s else _first_words(b, t, s))
+                t -= min(t, 1 << s)
+        return ClopenSet(chosen)
     return None
+
+
+def _sized(runs, d):
+    """The runs' vectors with their counts of depth-d cylinders."""
+    return [(v, sum(1 << (d - len(b)) for b in bs)) for v, bs in runs]
 
 
 def select_copy(k, target, host, max_depth=12):
@@ -233,22 +250,25 @@ def select_copy(k, target, host, max_depth=12):
     generators but not all is refused without searching.
     """
     target = _vector(k, target, "target")
-    if any(t < 0 for t in target):
+    pairs = [(t.numerator, t.denominator) for t in target]
+    if any(p < 0 for p, _ in pairs):
         raise ValueError("target %s has a negative entry" % vec_text(target))
-    hv = k.vec(host)
-    if any(t > x for t, x in zip(target, hv)):
-        raise ValueError("target %s exceeds host %s" % (vec_text(target), vec_text(hv)))
-    if target == hv:
+    hv = _ints(k, host)
+    # target minus host, cross-multiplied: its sign per generator
+    diff = [p * y - x * q for (p, q), (x, y) in zip(pairs, hv)]
+    if any(s > 0 for s in diff):
+        raise ValueError("target %s exceeds host %s" % (vec_text(target), vec_text(k.vec(host))))
+    if not any(diff):
         return host
-    if all(t == 0 for t in target):
+    if not any(target):
         return EMPTY
-    if any(t == x for t, x in zip(target, hv)):
+    if not all(diff):
         raise GoodnessFailure(
             "target %s matches host %s in some generators but not all"
-            % (vec_text(target), vec_text(hv)),
+            % (vec_text(target), vec_text(k.vec(host))),
             None,
         )
-    s = _in_box(k, host, hv, target, target, max_depth)
+    s = _in_box(k, host, [pq * 2 for pq in pairs], max_depth, hv)
     if s is None:
         raise GoodnessFailure(
             "no subset of %s attains %s" % (host.text(), vec_text(target)), max_depth
@@ -264,7 +284,7 @@ def goodness_select(k, a, b, max_depth=12):
 
 
 def approx_divide(k, a, n, eps=Fraction(0), max_depth=12):
-    """Subset b of a with mu(a) - eps <= n*mu(b) <= mu(a) per generator."""
+    """Subset b of a with mu(a) - eps <= n*mu(b) <= mu(a) per generator, for an integer n >= 1."""
     if a.is_empty:
         raise ValueError("cannot divide the empty set")
     if n < 1:
@@ -272,15 +292,16 @@ def approx_divide(k, a, n, eps=Fraction(0), max_depth=12):
     eps = Fraction(eps)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    av = k.vec(a)
-    lo = tuple(max(Fraction(0), (x - eps) / n) for x in av)
-    hi = tuple(x / n for x in av)
-    s = _in_box(k, a, av, lo, hi, max_depth)
+    if n % 1:
+        raise ValueError("need an integer n, got %r" % (n,))
+    n, p, q = int(n), eps.numerator, eps.denominator
+    hv = _ints(k, a)
+    # lo = max(0, (x/y - p/q) / n) and hi = x/y / n
+    bounds = [(max(0, x * q - p * y), y * q * n, x, y * n) for x, y in hv]
+    s = _in_box(k, a, bounds, max_depth, hv)
     if s is None:
         raise DivisibilityFailure(
-            "no n-th part of %s for n=%d, eps=%s/%s"
-            % (a.text(), n, eps.numerator, eps.denominator),
-            max_depth,
+            "no n-th part of %s for n=%d, eps=%s/%s" % (a.text(), n, p, q), max_depth
         )
     return s
 

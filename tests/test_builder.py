@@ -307,13 +307,14 @@ def test_every_built_stage_is_one_column_and_verifies(monkeypatch, text, stages,
     boxes = []
     real = oracles._in_box
 
-    def spy(k, host, hv, lo, hi, depth):
-        boxes.append((lo, hi))
-        return real(k, host, hv, lo, hi, depth)
+    def spy(k, host, bounds, depth, *rest):
+        boxes.append(bounds)
+        return real(k, host, bounds, depth, *rest)
 
     monkeypatch.setattr(oracles, "_in_box", spy)
     g = build_saturated(parse_family(text), stages, max_depth)
-    assert boxes and all(lo == hi for lo, hi in boxes)
+    # each generator's bounds are lo = a/b and hi = c/e
+    assert boxes and all(a * e == c * b for bounds in boxes for a, b, c, e in bounds)
     assert all(len(t.columns) == 1 for t in g.stages)
     assert verification_report(g).ok
 

@@ -8,8 +8,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cantordyn import oracles
+from cantordyn.builder import build_saturated
 from cantordyn.clopen import EMPTY, FULL, ClopenSet
-from cantordyn.measure import MeasureFamily, TreeMeasure
+from cantordyn.measure import MeasureFamily, TreeMeasure, parse_family
 from cantordyn.oracles import (
     DivisibilityFailure,
     GoodnessFailure,
@@ -137,6 +138,11 @@ def test_approx_divide_arg_errors():
         approx_divide(UNI, FULL, 0)
     with pytest.raises(ValueError):
         approx_divide(UNI, FULL, 2, F(-1, 8))
+    # a fractional n is refused, not searched for as some other part
+    for n in (2.5, F(5, 2)):
+        with pytest.raises(ValueError, match="^need an integer n, got "):
+            approx_divide(UNI, FULL, n)
+    assert approx_divide(UNI, FULL, F(2)) == C("0")
 
 
 def test_affine_approx_frozen():
@@ -406,19 +412,25 @@ def test_an_answer_within_one_cap_is_the_answer_within_the_next(case):
         assert subset_in_box(k, host, lo, hi, cap + 1) == got, case
 
 
-def test_a_box_with_no_point_at_the_cap_is_refused_without_a_search(monkeypatch):
-    calls, depths = [], []
-    den = TreeMeasure._den
+def count_searches(monkeypatch):
+    calls = []
 
     def spy(*args):
         calls.append(args)
         return _solve_at_depth(*args)
 
+    monkeypatch.setattr(oracles, "_solve_at_depth", spy)
+    return calls
+
+
+def test_a_box_with_no_point_at_the_cap_is_refused_without_a_search(monkeypatch):
+    calls, depths = count_searches(monkeypatch), []
+    den = TreeMeasure._den
+
     def den_spy(m, depth):
         depths.append(depth)
         return den(m, depth)
 
-    monkeypatch.setattr(oracles, "_solve_at_depth", spy)
     monkeypatch.setattr(TreeMeasure, "_den", den_spy)
     # a third of [00] is 1/12, which no dyadic cylinder depth reaches
     with pytest.raises(DivisibilityFailure) as info:
@@ -431,6 +443,31 @@ def test_a_box_with_no_point_at_the_cap_is_refused_without_a_search(monkeypatch)
     # the spy sees the search when there is one
     assert approx_divide(UNI, C("00"), 2, 0, max_depth=10) == C("000")
     assert calls
+
+
+def test_a_failed_search_past_the_weight_depth_is_decided_at_the_cap(monkeypatch):
+    calls = count_searches(monkeypatch)
+    # below [0] every subset keeps the ratio 3:2, so the boxes from depth 2
+    # on have points and no depth has a subset: depth 2, then the cap
+    with pytest.raises(GoodnessFailure, match=r"\(searched to depth 10\)$"):
+        select_copy(TWO, (F(1, 4), F(1, 4)), C("0"), max_depth=10)
+    assert len(calls) == 2
+    # an exact copy found at the first depth whose box has a point
+    calls.clear()
+    assert select_copy(TWO, (F(1, 4), F(1, 6)), C("0"), max_depth=10) == C("00")
+    assert len(calls) == 1
+    # 3/16 of [10]: the boxes have points from depth 4, but only depth 6 has
+    # a subset, so the cap's search succeeds and the scan goes on to it
+    k = MeasureFamily([TreeMeasure({"": F(1, 3)}), TreeMeasure({"": F(1, 5), "1": F(2, 3)})])
+    calls.clear()
+    assert select_copy(k, (F(1, 16), F(1, 10)), C("10"), max_depth=10) == C("10000", "100010")
+    assert len(calls) == 4
+
+
+def test_the_early_refusal_adds_no_search_to_the_uniform_build(monkeypatch):
+    calls = count_searches(monkeypatch)
+    build_saturated(parse_family("measure uniform\ndepth_bound 3\n"), 6, 12)
+    assert len(calls) == 269
 
 
 @pytest.mark.parametrize(
