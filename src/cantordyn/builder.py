@@ -16,8 +16,8 @@ from itertools import islice
 
 from cantordyn.clopen import ClopenSet, _canonical, _clopen_order, _mask_set, _masks
 from cantordyn.measure import (
-    _ends_measure, _parse_rational, format_measure, frac_text, goodness_obstruction,
-    obstruction_text, parse_family, validate_family,
+    _check_generators, _ends_measure, _parse_rational, format_measure, frac_text,
+    goodness_obstruction, obstruction_text, parse_family,
 )
 from cantordyn.oracles import GoodnessFailure, SearchFailure
 from cantordyn.tower import (
@@ -67,19 +67,16 @@ class BuildFailure(Exception):
 class TowerSequence:
     """A refining chain of tower partitions with its schedule and budgets.
 
-    `family_report` is the validate_family report build_saturated
-    computed for the family, or None for a sequence built another way.
     Runs, atom masks and pair membership are computed once each, on first use.
     """
 
-    __slots__ = ("family", "stages", "pairs", "budgets", "family_report", "_steps", "_masks", "_members")
+    __slots__ = ("family", "stages", "pairs", "budgets", "_steps", "_masks", "_members")
 
     def __init__(self, family, stages, pairs, budgets):
         self.family = family
         self.stages = tuple(stages)
         self.pairs = tuple(pairs)
         self.budgets = tuple(Fraction(b) for b in budgets)
-        self.family_report = None
         self._steps = {}  # j -> run_decomposition of stage j+1 over stage j
         self._masks = {}  # n -> _atom_masks(n)
         self._members = {}  # i -> _pair_members(i)
@@ -206,16 +203,16 @@ def enumerate_pairs(k, count):
 def build_saturated(k, n_stages, max_depth=12):
     """Build the tower sequence: shrink, then merge along a pair, per stage.
 
-    Stage n gets the diameter budget 2^-n.  Raises ValueError for a
-    degenerate family, fewer than one stage or a negative max_depth, and
-    BuildFailure when the family is not good (stage 0, before any stage
-    is built) or when an oracle cannot complete a stage, naming the
-    stage, the phase, and the underlying failure.  The returned sequence
-    keeps the family's validate_family report as `family_report`.
+    Stage n gets the diameter budget 2^-n.  The family is checked as
+    verification_report checks it.  Raises InvalidWeights for a weight
+    outside (0, 1), ValueError for duplicate generators, fewer than one
+    stage or a negative max_depth, and BuildFailure when the family is not
+    good (stage 0, before any stage is built) or when an oracle cannot
+    complete a stage, naming the stage, the phase, and the underlying failure.
     """
-    report = validate_family(k)
-    if not report.ok:
-        raise ValueError("degenerate family: " + report.lines[0])
+    duplicates = _check_generators(k)
+    if duplicates:
+        raise ValueError("degenerate family: " + duplicates[0])
     pair = goodness_obstruction(k)
     if pair is not None:
         raise BuildFailure(0, "goodness", GoodnessFailure(obstruction_text(k, *pair)))
@@ -239,7 +236,6 @@ def build_saturated(k, n_stages, max_depth=12):
     bad = validate_sequence(g)
     if bad:
         raise BuildFailure(n_stages, "validate", AssertionError(bad[0]))
-    g.family_report = report
     return g
 
 

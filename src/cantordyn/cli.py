@@ -77,7 +77,7 @@ def _cmd_build(args):
     k = parse_family(_read(args.family))
     g = build_saturated(k, args.stages, args.max_depth)
     os.makedirs(args.out, exist_ok=True)
-    lines = list(g.family_report.lines)
+    lines = list(validate_family(k).lines)
     for n, t in enumerate(g.stages):
         diameters = map(frac_text, (t.base.diameter(), t.top.diameter(), g.budgets[n]))
         line = "stage %d: %d columns, %d atoms, base %s, top %s, budget %s"

@@ -322,12 +322,11 @@ def parse_family(text):
         if cur is None:
             return
         name, bound, weights, lineno = cur
-        need = max((len(w) + 1 for w in weights), default=0)
-        if bound is not None and bound < need:
-            raise FamilyParseError(
-                lineno, 1, "depth_bound %d below weight depth %d in measure %s" % (bound, need, name)
-            )
         measures.append(TreeMeasure(weights, bound or 0, name))
+        if bound is not None and bound < measures[-1]._top:
+            raise FamilyParseError(
+                lineno, 1, "depth_bound %d below weight depth %d in measure %s" % (bound, measures[-1]._top, name)
+            )
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         found = list(_TOKEN_RE.finditer(raw))

@@ -342,8 +342,6 @@ def affine_approx(k, partition, values, eps, max_depth=12):
     total = sum(ns)
     if total == 0:
         return EMPTY
-    if m == 1:
-        return union_all(p for p, n in zip(parts, ns) if n)
     delta = eps * m / total
     pieces = []
     for p, n in zip(parts, ns):

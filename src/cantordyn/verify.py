@@ -263,6 +263,9 @@ def first_return_divide(g, a, n, eps):
         raise ValueError("need at least one class")
     if eps < 0:
         raise ValueError("negative tolerance")
+    if n % 1:
+        raise ValueError("need an integer n, got %r" % (n,))
+    n = int(n)
     visits = [[x for x in col if x.is_subset(a)] for col in g.stages[-1].columns]
     if _tiling([x for lev in visits for x in lev], a) == "gap":
         raise ValueError("the set is not a union of last-stage atoms")

@@ -166,6 +166,10 @@ class ParseTest(unittest.TestCase):
         # an optional end marker closes a measure, as in a tower's generator blocks
         closed = FAMILY_TEXT.replace("\nmeasure skew", "end measure\nmeasure skew") + "  end measure  \n"
         self.assertEqual(parse_family(closed), k)
+        # depth_bound caps the non-even weights; an explicit 1/2 deeper than it is the default split
+        even = parse_family("measure a\ndepth_bound 0\nweight 00 1/2\n")
+        self.assertEqual(even.generators[0], TreeMeasure())
+        self.assertEqual(even.generators[0].depth_bound, 0)
 
     def assert_error(self, text, line, fragment):
         with self.assertRaises(FamilyParseError) as cm:

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import re
 from fractions import Fraction
 from itertools import product
@@ -6,17 +7,21 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from naive_check import naive_faults
 
 from cantordyn.builder import (
+    BuildFailure,
     TowerSequence,
     build_saturated,
     enumerate_pairs,
+    load_sequence,
     serialize_sequence,
     validate_sequence,
 )
 from cantordyn.clopen import EMPTY, FULL, ClopenSet, _mask_set, union_all
 from cantordyn.cli import main
-from cantordyn.measure import MeasureFamily, TreeMeasure, frac_text, parse_family
+from cantordyn.measure import InvalidWeights, MeasureFamily, TreeMeasure, frac_text, parse_family
+from cantordyn.oracles import GoodnessFailure
 from cantordyn import tower, verify
 from cantordyn.tower import (
     KRPartition,
@@ -394,6 +399,12 @@ def test_first_return_remainder_tolerance():
         first_return_divide(g, FULL, 0, 0)
     with pytest.raises(ValueError, match="negative tolerance"):
         first_return_divide(g, FULL, 3, F(-1, 4))
+    # a class count must be an integer, whatever its type
+    for n, text in ((2.5, "2.5"), (F(5, 2), "Fraction(5, 2)")):
+        with pytest.raises(ValueError) as info:
+            first_return_divide(g, FULL, n, 0)
+        assert str(info.value) == "need an integer n, got %s" % text
+    assert first_return_divide(g, FULL, F(3), 0) == first_return_divide(g, FULL, 3, 0)
 
 
 def test_verification_report_accepts_built_tower():
@@ -616,6 +627,32 @@ def test_verification_report_flags_a_degenerate_family():
     )
 
 
+def test_build_and_verify_refuse_a_family_with_the_same_text():
+    def one_stage(k):
+        return TowerSequence(k, [trivial_partition()], [], [1])
+
+    dup = MeasureFamily([TreeMeasure(), TreeMeasure()])
+    with pytest.raises(ValueError) as info:
+        build_saturated(dup, 1)
+    assert str(info.value) == "degenerate family: duplicate generators: 0 and 1"
+    assert "family: duplicate generators: 0 and 1" in verification_report(one_stage(dup)).violations
+    # criterion 6's family: the build's stage-0 refusal is verify's family violation
+    quarter = MeasureFamily([TreeMeasure(), TreeMeasure({"": F(1, 4)})])
+    with pytest.raises(BuildFailure) as info:
+        build_saturated(quarter, 1)
+    assert isinstance(info.value.cause, GoodnessFailure)
+    prefix = "family: not good: "
+    found = [v[len(prefix):] for v in verification_report(one_stage(quarter)).violations if v.startswith(prefix)]
+    assert found == [str(info.value.cause)]
+    # a weight outside (0, 1) is no measure: both raise, with one message
+    bad = MeasureFamily([TreeMeasure({"": F(3, 2)})])
+    with pytest.raises(InvalidWeights) as built:
+        build_saturated(bad, 1)
+    with pytest.raises(InvalidWeights) as verified:
+        verification_report(one_stage(bad))
+    assert str(built.value) == str(verified.value) == "measure 0 weight at 'e' is 3/2, not in (0,1)"
+
+
 def not_good_tower():
     """A structurally valid two-stage tower over a family that is not good.
 
@@ -650,6 +687,75 @@ def test_verify_exits_3_on_a_family_that_is_not_good(tmp_path, capsys):
     assert main(["verify", "--out", str(tmp_path)]) == 3
     last = capsys.readouterr().out.splitlines()[-1]
     assert last.startswith("violated: family: not good: A = [000] has masses (1/8, 1/12)")
+
+
+def tower_edits(text, rng, count):
+    """count seeded edits of a tower's text, cycling through three kinds.
+
+    Within one stage: swap two equal-length leaves between two atoms,
+    swap two atom lines, or swap two adjacent levels of one column.  Every
+    other edit is made in every stage that repeats the edited one as well,
+    so that the stages next to it may still refine it.
+    """
+    lines = text.splitlines()
+    heads = [i for i, line in enumerate(lines) if line.startswith("stage ")] + [len(lines) - 1]
+    blocks = list(zip(heads, heads[1:]))  # per stage, its header and the next stage's
+    for e in range(count):
+        n = rng.randrange(1, len(blocks))
+        first, stop = blocks[n]
+        cols = []  # per column, the line numbers of its atoms
+        for i in range(first + 1, stop):
+            if lines[i].startswith("column "):
+                cols.append(range(i + 1, i + 1 + int(lines[i].split()[1])))
+        kind = ("leaves", "atoms", "levels")[e % 3]
+        if kind == "levels":
+            col = rng.choice([c for c in cols if len(c) > 1])
+            j = rng.randrange(len(col) - 1)
+            i, k = col[j], col[j + 1]
+        else:
+            i, k = rng.sample([x for c in cols for x in c], 2)
+        a, b = lines[k], lines[i]  # the new lines i and k
+        if kind == "leaves":
+            a, b = lines[i].split(","), lines[k].split(",")
+            lengths = sorted({len(w) for w in a} & {len(w) for w in b})
+            if not lengths:
+                continue
+            size = rng.choice(lengths)
+            x = rng.choice([j for j, w in enumerate(a) if len(w) == size])
+            y = rng.choice([j for j, w in enumerate(b) if len(w) == size])
+            a[x], b[y] = b[y], a[x]
+            a, b = ",".join(a), ",".join(b)
+        out = list(lines)
+        for head, end in blocks if e % 2 else [blocks[n]]:
+            if lines[head + 1 : end] == lines[first + 1 : stop]:
+                out[i + head - first], out[k + head - first] = a, b
+        yield kind, "\n".join(out) + "\n"
+
+
+def test_verify_agrees_with_an_independent_checker_on_edited_towers():
+    # tests/naive_check.py decides from the definitions, on sets of cylinders
+    builds = [
+        ("measure uniform\n", 3),
+        ("measure third\nweight e 1/3\n", 2),
+        ("measure d2\nweight 0 1/3\nweight 1 2/3\n", 2),
+        ("measure fifth\nweight e 1/5\n", 3),
+    ]
+    rng = random.Random(40)
+    verdicts = []
+    for family, stages in builds:
+        g = build_saturated(parse_family(family), stages)
+        assert verification_report(g).ok and naive_faults(g, enumerate_pairs(g.family, stages)) == []
+        for kind, text in tower_edits(serialize_sequence(g), rng, 150):
+            try:
+                h = load_sequence(text)
+            except ValueError:
+                continue
+            report = verification_report(h)
+            faults = naive_faults(h, enumerate_pairs(h.family, len(h.pairs)))
+            assert report.ok == (not faults), (kind, report.violations, faults)
+            verdicts.append((kind, report.ok))
+    # every kind of edit keeps a valid tower somewhere and breaks one somewhere
+    assert set(verdicts) == {(kind, ok) for kind in ("leaves", "atoms", "levels") for ok in (True, False)}
 
 
 def test_verification_report_flags_tampering():
