@@ -258,11 +258,9 @@ def select_copy(k, target, host, max_depth=12):
     diff = [p * y - x * q for (p, q), (x, y) in zip(pairs, hv)]
     if any(s > 0 for s in diff):
         raise ValueError("target %s exceeds host %s" % (vec_text(target), vec_text(k.vec(host))))
-    if not any(diff):
-        return host
     if not any(target):
         return EMPTY
-    if not all(diff):
+    if any(diff) and not all(diff):
         raise GoodnessFailure(
             "target %s matches host %s in some generators but not all"
             % (vec_text(target), vec_text(k.vec(host))),

@@ -11,10 +11,10 @@ A build stage is two moves: refine_small_base_top fits base and top
 inside small cylinders, and _merge cuts along the stage's pair, testing
 each leaf prefix once, and stacks one column that visits the pair
 equally often.  balance_columns, stacking by defect, is library-only.
-It and the refine share one stacking move, _stack: balance_columns
-stacks one round at a column's top level, the refine n - 2 rounds at
-level 0, planned on the bases and replayed with each pool column split
-once.
+It and the refine share one stacking move, _stack, planned on the
+bases and replayed with each pool column split once: balance_columns
+stacks one round onto a column, the refine n - 2 rounds and one more
+through the copy under [u1].
 """
 
 from bisect import bisect_right
@@ -278,9 +278,9 @@ def balance_columns(k, t, u, v, max_depth=12, _trace=None):
 
     First cuts columns until each atom lies inside or outside both sets,
     then repeatedly stacks columns of opposite count defect onto the
-    worst offenders.  Each stacked sub-column absorbs exactly one piece
-    of the opposite sign, so the worst defect strictly decreases.  The
-    result is not run through from_columns.
+    worst offenders, one _stack round each.  Each stacked sub-column
+    absorbs exactly one piece of the opposite sign, so the worst defect
+    strictly decreases.  The result is not run through from_columns.
     """
     if not k.sim(u, v):
         raise NotEquivalent("u and v differ in mass under some generator")
@@ -300,27 +300,27 @@ def balance_columns(k, t, u, v, max_depth=12, _trace=None):
             while sign * imb in ns:
                 dcol = cols[ns.index(sign * imb)]
                 pool = [col for col, x in zip(cols, ns) if x and (x < 0) == (sign > 0)]
-                stacked, rests = _stack(k, dcol, len(dcol) - 1, pool, 1, max_depth)
+                stacked, rests = _stack(k, [dcol], pool, 1, max_depth)
                 swap = {id(dcol): stacked, **dict(zip(map(id, pool), rests))}
                 cols = [c for col in cols for c in swap.get(id(col), [col])]
                 ns = [defect(col) for col in cols]
     return KRPartition(cols)
 
 
-def _stack(k, col, level, pool, rounds, max_depth):
-    """Stack heads cut off the pool columns' bases onto sub-columns of col.
+def _stack(k, cols, pool, rounds, max_depth):
+    """Stack heads cut off the pool columns' bases onto sub-columns of cols.
 
-    Round 1 selects a copy of col[level] across the pool bases left and
-    carves that atom to match its shares; each later round does the same
-    at level 0 (so level must be 0) for every column the round before
-    stacked.  Planned on the bases, the rounds are replayed with each
-    pool column split once, along all its shares in order: carves pick
-    pieces off in order, so this equals round-by-round splits.  Returns
-    the columns stacked in the last round and, per pool column, the list
-    of what is left of it (itself, its remainder, or nothing).
+    Each round selects, for every column the round before stacked (in
+    round 1, every column of cols), a copy of its base across the pool
+    bases left and carves that base to match its shares.  Planned on the
+    bases, the rounds are replayed with each pool column split once,
+    along all its shares in order: carves pick pieces off in order, so
+    this equals round-by-round splits.  Returns the columns stacked in
+    the last round and, per pool column, the list of what is left of it
+    (itself, its remainder, or nothing).
     """
     bases = [q[0] for q in pool]
-    hosts, plan = [col[level]], []
+    hosts, plan = [c[0] for c in cols], []
     for _ in range(rounds):
         for host in hosts[len(plan) :]:
             sel = select_copy(k, k.vec(host), union_all(bases), max_depth)
@@ -332,9 +332,9 @@ def _stack(k, col, level, pool, rounds, max_depth):
     shares = [[x for parts, _ in plan for j, x in parts if j == i] for i in range(len(pool))]
     subs = [_split_column(k, q, 0, s + [b], max_depth) if s else [q] for q, s, b in zip(pool, shares, bases)]
     heads = [iter(x) for x in subs]
-    stacked = [col]
+    stacked = list(cols)
     for j, (parts, pieces) in enumerate(plan):
-        psubs = _split_column(k, stacked[j], level if j == 0 else 0, pieces, max_depth)
+        psubs = _split_column(k, stacked[j], 0, pieces, max_depth)
         stacked += [p + next(heads[i]) for p, (i, _) in zip(psubs, parts)]
     return stacked[len(plan) :], [x[len(s) :] for x, s in zip(subs, shares)]
 
@@ -351,7 +351,7 @@ def refine_small_base_top(k, t, eps, max_depth=12):
     n-th part, and the two columns are split along them.  The rest of
     the base, n - 2 parts' worth, is the pool: n - 2 rounds of stacks
     over the copy under [u0] use it up, one part per round (_stack).
-    Each stack is then routed through a piece of the copy under [u1].
+    A last round stacks a piece of the copy under [u1] onto each.
     The new base lies in the pinned base and the new top inside [u].
     Returns t itself when both diameters are already small enough.  The
     result is not run through from_columns; build_saturated validates
@@ -389,21 +389,16 @@ def refine_small_base_top(k, t, eps, max_depth=12):
     n = 4
     while any(Fraction(1, n) >= x for x in m):
         n *= 2
-    b_all = union_all(col[0] for col in cols)
-    pv = tuple(x / n for x in k.vec(b_all))
+    pv = tuple(x / n for x in k.vec(t.base))
 
     # exact copies of the n-th part in the two designated bases; the rest
     # of the base, n - 2 parts' worth, is the pool the stacks use up
-    c0 = select_copy(k, pv, cols[0][0], max_depth)
-    c1 = select_copy(k, pv, cols[i1][0], max_depth)
-    col0, *rest0 = _split_column(k, cols[0], 0, [c0, cols[0][0] - c0], max_depth)
-    col1, *rest1 = _split_column(k, cols[i1], 0, [c1, cols[i1][0] - c1], max_depth)
+    col0, *rest0 = _split_column(k, cols[0], 0, _carve(k, cols[0][0], [pv], max_depth), max_depth)
+    col1, *rest1 = _split_column(k, cols[i1], 0, _carve(k, cols[i1][0], [pv], max_depth), max_depth)
     pool = rest0 + cols[1:i1] + rest1 + cols[i1 + 1 :]
 
-    principals, rests = _stack(k, col0, 0, pool, n - 2, max_depth)
+    principals, rests = _stack(k, [col0], pool, n - 2, max_depth)
     assert not any(rests)
 
-    # route every stack through its matched piece of the c1 copy
-    pieces = _carve(k, c1, [k.vec(p[0]) for p in principals[:-1]], max_depth)
-    csubs = _split_column(k, col1, 0, pieces, max_depth)
-    return KRPartition([p + csub for p, csub in zip(principals, csubs)])
+    # one more round: route every stack through a piece of the copy under [u1]
+    return KRPartition(_stack(k, principals, [col1], 1, max_depth)[0])

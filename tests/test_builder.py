@@ -1,4 +1,5 @@
 import hashlib
+import random
 import re
 from fractions import Fraction
 from itertools import islice, product
@@ -6,6 +7,7 @@ from itertools import islice, product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from naive_check import naive_faults
 
 from cantordyn.builder import (
     BuildFailure,
@@ -349,6 +351,34 @@ def test_builder_ships_only_what_verify_accepts(text, stages, max_depth):
         return
     assert all(len(t.columns) == 1 for t in g.stages)
     assert verification_report(g).ok
+
+
+def test_a_leaf_moved_within_an_earlier_atom_is_refused_for_its_mass():
+    # in the last stage that moves anything, and in every stage repeating
+    # it, split a leaf w of one atom into w0 and w1 and move w1 up a
+    # multiple of h levels, h the height of the stage before: both atoms
+    # lie in one atom of that stage, so the partition and the refinement
+    # hold, and only the masses tell
+    rng = random.Random(41)
+    for text in AGREEMENT_FAMILIES:
+        g = build_saturated(parse_family(text), 3, 16)
+        n = max(i for i in range(1, len(g.stages)) if g.stages[i] != g.stages[i - 1])
+        ((below,), (col,)) = g.stages[n - 1].columns, g.stages[n].columns
+        h = len(below)
+        schedule = enumerate_pairs(g.family, len(g.pairs))
+        for _ in range(18):
+            r = rng.randrange(len(col) - h)
+            j = rng.randrange(1, (len(col) - 1 - r) // h + 1)
+            w1 = C(rng.choice(col[r].leaves) + "1")
+            atoms = list(col)
+            atoms[r], atoms[r + j * h] = col[r] - w1, col[r + j * h] | w1
+            stages = g.stages[:n] + (KRPartition((tuple(atoms),)),) * (len(g.stages) - n)
+            edited = TowerSequence(g.family, stages, g.pairs, g.budgets)
+            report = verification_report(edited)
+            assert report.ok == (not naive_faults(edited, schedule))
+            assert report.violations and all(
+                v.endswith("differs in mass from its base") for v in report.violations
+            ), report.violations
 
 
 def test_validate_reports_tampering():

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import runpy
 import subprocess
 import sys
 
@@ -42,6 +43,15 @@ def test_module_entry_point(tmp_path):
     run = subprocess.run(cmd, env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1].startswith("good: one generator")
+
+
+def test_module_entry_point_help_in_process(monkeypatch, capsys):
+    # the entry point in this process, where a line trace of the suite sees it
+    monkeypatch.setattr(sys, "argv", ["cantordyn", "--help"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("cantordyn", run_name="__main__")
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cantordyn {validate,build,verify,export-dot} ")
 
 
 def test_validate_seeded_output_is_stable(tmp_path, capsys):

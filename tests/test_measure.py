@@ -51,6 +51,9 @@ class TreeMeasureTest(unittest.TestCase):
         self.assertEqual(m.weights, {"": Fraction(1, 3)})
         self.assertEqual(m, TreeMeasure({"": Fraction(1, 3)}))
 
+    def test_repr_shows_weights_and_bound(self):
+        self.assertEqual(repr(TreeMeasure({"": Fraction(1, 3)})), "TreeMeasure({'': Fraction(1, 3)}, depth_bound=1)")
+
     def test_identity_ignores_name_and_bound(self):
         a = TreeMeasure({"": Fraction(1, 3)}, depth_bound=5, name="a")
         b = TreeMeasure({"": Fraction(1, 3)}, name="b")

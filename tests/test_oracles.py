@@ -15,6 +15,7 @@ from cantordyn.oracles import (
     DivisibilityFailure,
     GoodnessFailure,
     _solve_at_depth,
+    _span,
     affine_approx,
     approx_divide,
     goodness_select,
@@ -361,6 +362,13 @@ def solver_cases(draw):
     return runs, lo, hi
 
 
+def test_span_with_a_zero_entry_takes_every_count_or_none():
+    # a zero entry leaves that sum at acc + tail whatever the count: below
+    # the low bound no count fits, else that entry bounds none
+    assert _span((0,), (0,), 3, (0,), (1,), (5,)) == (1, 0)
+    assert _span((2,), (0,), 3, (0,), (1,), (5,)) == (0, 3)
+
+
 @settings(max_examples=300, deadline=None)
 @given(solver_cases())
 # the largest first count, 1, leaves 1 to make from twos: the search has to back up
@@ -475,11 +483,12 @@ def test_the_early_refusal_adds_no_search_to_the_uniform_build(monkeypatch):
     [
         lambda: subset_in_box(UNI, C("0"), (F(1, 8),), (F(1, 8),), max_depth=-3),
         lambda: select_copy(UNI, (F(1, 8),), C("0"), max_depth=-3),
+        lambda: select_copy(UNI, (F(1, 2),), C("0"), max_depth=-3),
         lambda: approx_divide(UNI, C("0"), 4, max_depth=-3),
         lambda: goodness_select(UNI, C("000"), C("0"), max_depth=-3),
         lambda: affine_approx(UNI, (FULL,), (F(1, 2),), F(0), max_depth=-3),
     ],
-    ids=["subset_in_box", "select_copy", "approx_divide", "goodness_select", "affine_approx"],
+    ids=["subset_in_box", "select_copy", "select_copy_whole_host", "approx_divide", "goodness_select", "affine_approx"],
 )
 def test_a_negative_max_depth_is_refused_before_any_search(call):
     with pytest.raises(ValueError, match="^max_depth must be at least 0, got -3$"):

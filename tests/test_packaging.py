@@ -72,9 +72,10 @@ LOADED = "print(sorted(m[10:] for m in sys.modules if m.startswith('cantordyn.')
             "c.validate_family(k); c.select_copy(k, [F(1, 4)], c.FULL); c.approx_divide(k, c.FULL, 3, F(1, 8))",
             ["clopen", "measure", "oracles"],
         ),
+        ("import cantordyn; cantordyn.tower", ["clopen", "measure", "oracles", "tower"]),
         ("import cantordyn.cli", ["builder", "cli", "clopen", "measure", "oracles", "tower", "verify"]),
     ],
-    ids=["import", "family-check", "oracles", "cli"],
+    ids=["import", "family-check", "oracles", "module-attribute", "cli"],
 )
 def test_modules_load_on_first_use(code, loaded):
     # a fresh interpreter, as every command and query process starts cold
@@ -83,6 +84,15 @@ def test_modules_load_on_first_use(code, loaded):
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "%s\n" % loaded
+
+
+def test_a_module_name_not_bound_yet_loads_its_module(monkeypatch):
+    # the fresh-interpreter case above, in this process: unbound, the
+    # module name goes through the package's __getattr__
+    pkg = importlib.import_module("cantordyn")
+    tower = importlib.import_module("cantordyn.tower")
+    monkeypatch.delattr(pkg, "tower")
+    assert pkg.tower is tower
 
 
 def test_readme_library_example_runs():

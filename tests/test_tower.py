@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 from unittest import mock
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cantordyn import tower
+from cantordyn.builder import build_saturated
 from cantordyn.clopen import EMPTY, FULL, ClopenSet, union_all
 from cantordyn.measure import MeasureFamily, TreeMeasure, parse_family
 from cantordyn.oracles import NotEquivalent, _carve, select_copy
@@ -35,6 +37,7 @@ def test_trivial_partition():
     assert t.top == FULL
     assert t.heights == (1,)
     assert t.atoms == (FULL,)
+    assert repr(t) == "KRPartition(1 columns, heights [1])"
 
 
 def test_from_columns_validation():
@@ -393,15 +396,14 @@ def test_stack_and_balance_leave_the_pool_in_place(data):
     t = uniform_tower(data)
     assume(len(t.columns) > 1)
     dcol = data.draw(st.sampled_from(t.columns))
-    level = data.draw(st.integers(0, len(dcol) - 1))
     pool = data.draw(st.lists(st.sampled_from([c for c in t.columns if c is not dcol]), min_size=1, unique=True))
-    assume(UNI.vec(dcol[level]) <= UNI.vec(union_all(q[0] for q in pool)))
+    assume(UNI.vec(dcol[0]) <= UNI.vec(union_all(q[0] for q in pool)))
 
-    stacked, rests = tower._stack(UNI, dcol, level, pool, 1, 12)
+    stacked, rests = tower._stack(UNI, [dcol], pool, 1, 12)
     # each stacked column is a sub-column of dcol under a piece of the copy
     assert all(all(a.is_subset(b) for a, b in zip(c, dcol)) for c in stacked)
     sel = union_all(c[len(dcol)] for c in stacked)
-    assert UNI.vec(sel) == UNI.vec(dcol[level])
+    assert UNI.vec(sel) == UNI.vec(dcol[0])
     assert union_all(r[0] for rs in rests for r in rs) == union_all(q[0] for q in pool) - sel
     # per pool column, its remainder, or nothing when it is used up
     assert len(rests) == len(pool)
@@ -425,16 +427,17 @@ def test_stack_and_balance_leave_the_pool_in_place(data):
     calls = []
     real = tower._stack
 
-    def spy(*args):  # (k, col, level, pool, rounds, max_depth)
+    def spy(*args):  # (k, cols, pool, rounds, max_depth)
         out = real(*args)
-        calls.append((*args[1:5], *out))
+        calls.append((*args[1:4], *out))
         return out
 
     with mock.patch.object(tower, "_stack", spy):
         got = balance_columns(UNI, t, u, v)
     cols = tower._cut(UNI, t.columns, u, v, 12)
-    for col, level, pool, rounds, stacked, rests in calls:
-        assert (level, rounds) == (len(col) - 1, 1)
+    for start, pool, rounds, stacked, rests in calls:
+        (col,) = start
+        assert rounds == 1
         assert col in cols and pool == [c for c in cols if c in pool]
         swap = {col: stacked, **dict(zip(pool, rests))}
         cols = [c for old in cols for c in swap.get(old, [old])]
@@ -442,11 +445,11 @@ def test_stack_and_balance_leave_the_pool_in_place(data):
     assert list(got.columns) == cols
 
 
-def reference_stack(k, col, pool, rounds, max_depth):
+def reference_stack(k, cols, pool, rounds, max_depth):
     """Round by round, each column on its own: select a copy of its base
     across the pool bases left, split it along the shares, and split each
     pool column met into the share's head and the rest."""
-    pool, stacked = list(pool), [col]
+    pool, stacked = list(pool), list(cols)
     for _ in range(rounds):
         principals, stacked = stacked, []
         for p in principals:
@@ -467,12 +470,48 @@ def test_stack_splits_once_as_round_by_round(data):
     # along all its shares gives the round-by-round sub-columns
     t = uniform_tower(data)
     assume(len(t.columns) > 1)
-    col = data.draw(st.sampled_from(t.columns))
-    pool = data.draw(st.lists(st.sampled_from([c for c in t.columns if c is not col]), min_size=1, unique=True))
-    rounds = data.draw(st.integers(2, 4))
-    assume(rounds * UNI.vec(col[0])[0] <= UNI.vec(union_all(q[0] for q in pool))[0])
-    got = tower._stack(UNI, col, 0, pool, rounds, 12)
-    assert got == reference_stack(UNI, col, pool, rounds, 12)
+    order = data.draw(st.permutations(t.columns))
+    start = min(data.draw(st.integers(1, 2)), len(order) - 1)
+    cols, rest = order[:start], order[start:]
+    pool = data.draw(st.lists(st.sampled_from(rest), min_size=1, unique=True))
+    rounds = data.draw(st.integers(1, 4))
+    assume(rounds * UNI.vec(union_all(c[0] for c in cols))[0] <= UNI.vec(union_all(q[0] for q in pool))[0])
+    got = tower._stack(UNI, cols, pool, rounds, 12)
+    assert got == reference_stack(UNI, cols, pool, rounds, 12)
+
+
+def uniform_column(data):
+    """Two to four uniform atoms of one mass: groups of equally many depth-5
+    cylinders, merged where two siblings fall in one group."""
+    words = data.draw(st.permutations([format(i, "05b") for i in range(32)]))
+    height = data.draw(st.integers(2, 4))
+    size = data.draw(st.integers(1, 32 // height))
+    return tuple(C(*words[i * size : (i + 1) * size]) for i in range(height))
+
+
+@cache
+def built_column(text):
+    """The one column of a one-stage build, 48 atoms."""
+    return build_saturated(parse_family(text), 1, 16).stages[1].columns[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["uniform", "measure third\nweight e 1/3\n", "measure d2\nweight 0 1/3\nweight 1 2/3\n"]), st.data())
+def test_split_column_along_a_carve_is_the_same_at_every_level(text, data):
+    # the carve sees an atom only through its shape, and every atom of a
+    # column has one vector: cutting any level cuts the column alike
+    if text == "uniform":
+        k, col = UNI, uniform_column(data)
+    else:
+        k, col = parse_family(text), built_column(text)
+    a = col[data.draw(st.integers(0, len(col) - 1))]
+    words = a.refine_to_depth(a.max_leaf_len + data.draw(st.integers(0, 1)))
+    labels = [data.draw(st.integers(0, 2)) for _ in words]
+    pieces = [C(*(w for w, j in zip(words, labels) if j == i)) for i in range(3)]
+    vecs = [k.vec(p) for p in pieces if not p.is_empty][:-1]
+    subs = [tower._split_column(k, col, r, _carve(k, col[r], vecs, 16), 16) for r in range(len(col))]
+    assert len(subs[0]) == len(vecs) + 1
+    assert all(sub == subs[0] for sub in subs)
 
 
 def test_refine_identity_when_small():
