@@ -15,7 +15,6 @@ partition the space, so the height-weighted column masses sum to 1.
 
 from collections import Counter
 from fractions import Fraction
-from operator import sub
 
 from cantordyn.builder import _PAIR_DEPTH, _budget, enumerate_pairs, validate_sequence
 from cantordyn.clopen import _tiling, union_all
@@ -200,13 +199,27 @@ class FullGroupWitness:
         return len(self.pieces)
 
 
-def _level_matching(g, u, v):
-    """The pairing stage of (u, v) and, per column, its levels (src, dst).
+def _exponents(g, stage):
+    """(atom, exponent) over a stage's columns, for the pair (u, v) it lists.
 
-    A pair listed past the last stage was never incorporated.  Within
-    every column the u-levels are matched to the v-levels in increasing
-    order and the remaining levels likewise: src[j] moves to dst[j], by its
-    exponent.  The levels come from validate_sequence's membership pass.
+    Within every column the u-levels are matched to the v-levels in
+    increasing order and the remaining levels likewise: each atom moves
+    to the level it is matched to, by its exponent.  The levels come from
+    validate_sequence's membership pass.
+    """
+    for col, (ulev, vlev) in zip(g.stages[stage].columns, g._pair_members(stage)[0]):
+        if len(ulev) != len(vlev):
+            raise ValueError("a column visits u and v unequally often")
+        rest = set(range(len(col)))
+        for ru, rv in zip(ulev + sorted(rest.difference(ulev)), vlev + sorted(rest.difference(vlev))):
+            yield col[ru], rv - ru
+
+
+def saturation_witness(g, u, v):
+    """Full-group element moving u onto v, read off the pair's first stage.
+
+    Atoms are grouped into pieces by their exponent from _exponents; a
+    pair listed past the last stage was never incorporated.
     """
     try:
         stage = g.pairs[: len(g.stages) - 1].index((u, v)) + 1
@@ -214,26 +227,9 @@ def _level_matching(g, u, v):
         raise PairNotScheduled(
             "pair %s -> %s was never incorporated" % (u.text(), v.text())
         ) from None
-    matched = []
-    for col, (ulev, vlev) in zip(g.stages[stage].columns, g._pair_members(stage)[0]):
-        if len(ulev) != len(vlev):
-            raise ValueError("a column visits u and v unequally often")
-        rest = set(range(len(col)))
-        matched.append((ulev + sorted(rest.difference(ulev)), vlev + sorted(rest.difference(vlev))))
-    return stage, matched
-
-
-def saturation_witness(g, u, v):
-    """Full-group element moving u onto v, read off the pairing stage.
-
-    Atoms are grouped into pieces by their exponent in the level
-    matching of _level_matching.
-    """
-    stage, matched = _level_matching(g, u, v)
     grouped = {}
-    for col, (src, dst) in zip(g.stages[stage].columns, matched):
-        for ru, rv in zip(src, dst):
-            grouped.setdefault(rv - ru, []).append(col[ru])
+    for atom, e in _exponents(g, stage):
+        grouped.setdefault(e, []).append(atom)
     exponents = tuple(sorted(grouped))
     pieces = tuple(union_all(grouped[e]) for e in exponents)
     return FullGroupWitness(stage, pieces, exponents)
@@ -313,8 +309,8 @@ def verification_report(g):
     family must be good, as build_saturated requires, and the schedule
     the one build_saturated gives: one pair per stage after stage 0, the
     pairs in enumerate_pairs order, and budget 2^-n at stage n.
-    Witnesses are listed from the level matching, neither replayed nor
-    cut into pieces: validate_sequence implies each carries u onto v.
+    Pair i's witness is listed from stage i's exponents, neither replayed
+    nor cut into pieces: validate_sequence implies it carries u onto v.
     A stage equal to its predecessor reuses its collapse.  Raises
     InvalidWeights for weights outside (0,1); everything else is
     reported, not raised.
@@ -368,8 +364,8 @@ def verification_report(g):
                 "stage %d: orbits can stay trapped in a region of %d leaves (%s), masses %s, diameter %s"
                 % (last, len(c.leaves), head, vec_text(g.family.vec(c)), frac_text(c.diameter()))
             )
-        for i, (u, v) in enumerate(g.pairs, start=1):
-            exponents = sorted(set().union(*(map(sub, dst, src) for src, dst in _level_matching(g, u, v)[1])))
+        for i in range(1, len(g.pairs) + 1):
+            exponents = sorted({e for _, e in _exponents(g, i)})
             exps = ",".join(str(e) for e in exponents)
             lines.append("pair %d: witness with %d pieces, exponents %s" % (i, len(exponents), exps))
     for bad in violations:

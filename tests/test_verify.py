@@ -930,6 +930,27 @@ def test_verification_report_lists_witnesses_without_building_pieces(monkeypatch
         assert [line for line in report.lines if line.startswith("pair ")] == want
 
 
+def test_a_pairs_exponents_do_not_depend_on_the_stage_that_lists_it():
+    # every stage-5 column runs through whole stage-4 columns, each run
+    # visiting u and v equally, so the runs repeat stage 4's matching
+    g = build_saturated(THIRD, 8, max_depth=16)
+    u, v = g.pairs[3]
+    assert (u, v) == (C("1"), C("0", "11"))
+    pairs = g.pairs[:3] + ((EMPTY, EMPTY), (u, v)) + g.pairs[5:]
+    moved = TowerSequence(g.family, g.stages, pairs, g.budgets)
+    assert g.stages[5] != g.stages[4]
+    assert validate_sequence(moved) == ()
+    w, w_moved = saturation_witness(g, u, v), saturation_witness(moved, u, v)
+    assert (w.stage, w_moved.stage) == (4, 5)
+    assert w.exponents == w_moved.exponents == (-7, -6, -5, -4, 0, 1, 4, 5)
+
+    def witness_line(report, i):
+        prefix = "pair %d:" % i
+        return next(line[len(prefix):] for line in report.lines if line.startswith(prefix))
+
+    assert witness_line(verification_report(moved), 5) == witness_line(verification_report(g), 4)
+
+
 @settings(max_examples=100, deadline=None)
 @given(perturbed_sequences(VALID + PAIRED))
 def test_a_structurally_valid_sequence_has_witnesses_that_carry_u_onto_v(g):
