@@ -105,22 +105,25 @@ class TowerSequence:
         return cur
 
     def _atom_masks(self, n):
-        """Per column, each stage-n atom's clopen._masks at depth _PAIR_DEPTH;
-        a stage equal to its predecessor shares its masks."""
+        """Per column, each distinct stage-n atom mask (clopen._masks, depth
+        _PAIR_DEPTH) with its ascending levels; a repeated stage shares them."""
         if n not in self._masks:
             t = self.stages[n]
             if n and t == self.stages[n - 1]:
                 self._masks[n] = self._atom_masks(n - 1)
             else:
-                self._masks[n] = [_masks(col, _PAIR_DEPTH) for col in t.columns]
+                self._masks[n] = [{} for _ in t.columns]
+                for col, groups in zip(t.columns, self._masks[n]):
+                    for r, m in enumerate(_masks(col, _PAIR_DEPTH)):
+                        groups.setdefault(m, []).append(r)
         return self._masks[n]
 
     def _pair_members(self, i):
         """Stage i's atoms tested once against the i-th pair (u, v), 1 <= i.
 
         Per column, the levels inside u and those inside v; then whether
-        every atom lies inside or outside u, and likewise v, in one pass over
-        the atom masks: exact for depth <= _PAIR_DEPTH, ValueError deeper.
+        every atom lies inside or outside u, and likewise v, testing each
+        distinct atom mask once: exact for depth <= _PAIR_DEPTH, else ValueError.
         """
         if i not in self._members:
             deep = [w.text() for w in self.pairs[i - 1] if w.max_leaf_len > _PAIR_DEPTH]
@@ -130,17 +133,18 @@ class TowerSequence:
             xu, xv = _masks(self.pairs[i - 1], _PAIR_DEPTH)
             levels = []
             split_u = split_v = True
-            for ms in self._atom_masks(i):
-                levels.append(([], []))
-                for r, m in enumerate(ms):
+            for groups in self._atom_masks(i):
+                ul, vl = [], []
+                for m, rs in groups.items():
                     if m | xu == xu:
-                        levels[-1][0].append(r)
+                        ul += rs
                     elif m & xu:
                         split_u = False
                     if m | xv == xv:
-                        levels[-1][1].append(r)
+                        vl += rs
                     elif m & xv:
                         split_v = False
+                levels.append((sorted(ul), sorted(vl)))
             self._members[i] = (levels, split_u, split_v)
         return self._members[i]
 
@@ -336,10 +340,11 @@ def serialize_sequence(g):
         out.append(
             "stage %d columns %d budget %s" % (n, len(t.columns), frac_text(g.budgets[n]))
         )
-        for col in t.columns:
-            out.append("column %d" % len(col))
-            for a in col:
-                out.append(a.text())
+        if not n or t != g.stages[n - 1]:  # a repeated stage repeats its lines
+            block = []
+            for col in t.columns:
+                block += ["column %d" % len(col)] + [a.text() for a in col]
+        out.extend(block)
     out.append("end tower")
     return "\n".join(out) + "\n"
 

@@ -13,8 +13,9 @@ only leaves shorter than the weight depth are refined.  Taking the
 largest admissible count from each run, first cylinders first, makes the
 answer canonical.  Everything past the public entry points is integer:
 the host's vector, the bounds, the box and every comparison between
-them.  Feasibility only grows with depth, so a box with no integer point
-at max_depth is refused without a search, and a failed search past the
+them, and the tower's moves enter at _select with integer targets.
+Feasibility only grows with depth, so a box with no integer point at
+max_depth is refused without a search, and a failed search past the
 weight depth is followed by one at max_depth that may refuse at once.
 
 On top of that sit the derived operations: copying a value vector into a
@@ -105,7 +106,7 @@ def _solve_at_depth(runs, lo, hi):
     # per run on it the counts not tried yet (a stack, since nothing caps
     # the number of runs)
     counts, sums, todo = [], [zero], []
-    dead = [set() for _ in range(len(runs) + 1)]
+    dead = [()] * (len(runs) + 1)  # per run, the sums before it that miss the box; a set from the first
     while len(counts) < len(runs):
         j = len(counts)
         if len(todo) == j:
@@ -114,6 +115,8 @@ def _solve_at_depth(runs, lo, hi):
             todo.append(iter(range(b, a - 1, -1)))
         t = next(todo[j], None)
         if t is None:
+            if not dead[j]:
+                dead[j] = set()
             dead[j].add(sums.pop())
             todo.pop()
             if not counts:
@@ -135,12 +138,18 @@ def _first_words(w, r, s):
 
 
 def _vector(k, vec, what):
-    vec = tuple(Fraction(x) for x in vec)
+    return _sized_as(k, tuple(Fraction(x) for x in vec), what)
+
+
+def _sized_as(k, vec, what):
     if len(vec) != len(k):
-        raise ValueError(
-            "%s has %d entries but the family has %d generators" % (what, len(vec), len(k))
-        )
+        raise ValueError("%s has %d entries but the family has %d generators" % (what, len(vec), len(k)))
     return vec
+
+
+def _pairs_text(pairs):
+    """(numerator, denominator) pairs as vec_text prints their Fractions."""
+    return vec_text(Fraction(p, q) for p, q in pairs)
 
 
 def _ints(k, host):
@@ -249,28 +258,27 @@ def select_copy(k, target, host, max_depth=12):
     under every generator at once, so a target matching the host in some
     generators but not all is refused without searching.
     """
-    target = _vector(k, target, "target")
-    pairs = [(t.numerator, t.denominator) for t in target]
-    if any(p < 0 for p, _ in pairs):
-        raise ValueError("target %s has a negative entry" % vec_text(target))
+    return _select(k, [(t.numerator, t.denominator) for t in _vector(k, target, "target")], host, max_depth)
+
+
+def _select(k, pairs, host, max_depth):
+    """select_copy for a target given as one (numerator, denominator) pair per generator."""
+    if any(p < 0 for p, _ in _sized_as(k, pairs, "target")):
+        raise ValueError("target %s has a negative entry" % _pairs_text(pairs))
     hv = _ints(k, host)
     # target minus host, cross-multiplied: its sign per generator
     diff = [p * y - x * q for (p, q), (x, y) in zip(pairs, hv)]
     if any(s > 0 for s in diff):
-        raise ValueError("target %s exceeds host %s" % (vec_text(target), vec_text(k.vec(host))))
-    if not any(target):
+        raise ValueError("target %s exceeds host %s" % (_pairs_text(pairs), _pairs_text(hv)))
+    if not any(p for p, _ in pairs):
         return EMPTY
     if any(diff) and not all(diff):
         raise GoodnessFailure(
-            "target %s matches host %s in some generators but not all"
-            % (vec_text(target), vec_text(k.vec(host))),
-            None,
+            "target %s matches host %s in some generators but not all" % (_pairs_text(pairs), _pairs_text(hv)), None
         )
     s = _in_box(k, host, [pq * 2 for pq in pairs], max_depth, hv)
     if s is None:
-        raise GoodnessFailure(
-            "no subset of %s attains %s" % (host.text(), vec_text(target)), max_depth
-        )
+        raise GoodnessFailure("no subset of %s attains %s" % (host.text(), _pairs_text(pairs)), max_depth)
     return s
 
 
@@ -305,10 +313,11 @@ def approx_divide(k, a, n, eps=Fraction(0), max_depth=12):
 
 
 def _carve(k, host, vecs, max_depth):
-    """Pieces of host matching vecs, picked off in order, then the remainder."""
+    """Pieces of host matching vecs, picked off in order, then the remainder;
+    each vector is integer pairs, as _select takes them and _ints reads them."""
     pieces = []
     for vec in vecs:
-        piece = select_copy(k, vec, host, max_depth)
+        piece = _select(k, vec, host, max_depth)
         pieces.append(piece)
         host = host - piece
     pieces.append(host)
@@ -350,5 +359,5 @@ def affine_approx(k, partition, values, eps, max_depth=12):
             continue
         b = approx_divide(k, p, m, delta, max_depth)
         # b and n - 1 disjoint copies of it carved from the rest of p
-        pieces.extend((b, *_carve(k, p - b, [k.vec(b)] * (n - 1), max_depth)[:-1]))
+        pieces.extend((b, *_carve(k, p - b, [_ints(k, b)] * (n - 1), max_depth)[:-1]))
     return union_all(pieces)

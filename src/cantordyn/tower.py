@@ -23,7 +23,7 @@ from functools import cache
 from math import gcd, lcm
 
 from cantordyn.clopen import FULL, ClopenSet, _tiling, union_all
-from cantordyn.oracles import NotEquivalent, _carve, select_copy
+from cantordyn.oracles import NotEquivalent, _carve, _ints, _select
 
 __all__ = [
     "KRPartition",
@@ -197,7 +197,7 @@ def _split_column(k, column, level, pieces, max_depth=12):
         raise ValueError("pieces overlap")
     if len(pieces) == 1:
         return [tuple(column)]
-    vecs = [k.vec(p) for p in pieces[:-1]]
+    vecs = [_ints(k, p) for p in pieces[:-1]]
     top = k._top
     # shape -> per piece, (leaf index, word) of the first carve
     carved = {}
@@ -235,13 +235,23 @@ def _cut(k, columns, u, v, max_depth):
         ins = c.is_subset(u), c.is_subset(v)
         return ins if all(i or c.is_disjoint(s) for i, s in zip(ins, (u, v))) else None
 
+    def impure(col):  # the first level with a leaf that straddles, or differs from the first leaf
+        for ri, a in enumerate(col):
+            ws = a.leaves
+            s = side(ws[0][:d]) if ws else ()
+            if s is None:
+                return ri
+            for w in ws[1:]:
+                if side(w[:d]) != s:
+                    return ri
+        return None
+
     cols = [tuple(col) for col in columns]
     ci = 0
     while ci < len(cols):
         # columns before ci are pure, and so are pieces of pure atoms
         col = cols[ci]
-        sides = ({side(w[:d]) for w in a.leaves} for a in col)
-        ri = next((ri for ri, x in enumerate(sides) if len(x) > 1 or None in x), None)
+        ri = impure(col)
         if ri is None:
             ci += 1
             continue
@@ -268,7 +278,7 @@ def _merge(k, t, u, v, max_depth):
     y = Fraction(gcd(*(x.numerator for x in masses)), lcm(*(x.denominator for x in masses)))
     subs = []
     for col, x in zip(cols, masses):
-        pieces = _carve(k, col[0], [(y,)] * (int(x / y) - 1), max_depth)
+        pieces = _carve(k, col[0], [[(y.numerator, y.denominator)]] * (int(x / y) - 1), max_depth)
         subs.extend(_split_column(k, col, 0, pieces, max_depth))
     return KRPartition((tuple(a for col in subs for a in col),))
 
@@ -320,14 +330,16 @@ def _stack(k, cols, pool, rounds, max_depth):
     (itself, its remainder, or nothing).
     """
     bases = [q[0] for q in pool]
+    left = union_all(bases)
     hosts, plan = [c[0] for c in cols], []
     for _ in range(rounds):
         for host in hosts[len(plan) :]:
-            sel = select_copy(k, k.vec(host), union_all(bases), max_depth)
+            sel = _select(k, _ints(k, host), left, max_depth)
+            left -= sel
             parts = [(i, sel & b) for i, b in enumerate(bases) if not sel.is_disjoint(b)]
             for i, x in parts:
                 bases[i] -= x
-            plan.append((parts, _carve(k, host, [k.vec(x) for _, x in parts[:-1]], max_depth)))
+            plan.append((parts, _carve(k, host, [_ints(k, x) for _, x in parts[:-1]], max_depth)))
             hosts += plan[-1][1]
     shares = [[x for parts, _ in plan for j, x in parts if j == i] for i in range(len(pool))]
     subs = [_split_column(k, q, 0, s + [b], max_depth) if s else [q] for q, s, b in zip(pool, shares, bases)]
@@ -389,7 +401,7 @@ def refine_small_base_top(k, t, eps, max_depth=12):
     n = 4
     while any(Fraction(1, n) >= x for x in m):
         n *= 2
-    pv = tuple(x / n for x in k.vec(t.base))
+    pv = [(x, y * n) for x, y in _ints(k, t.base)]
 
     # exact copies of the n-th part in the two designated bases; the rest
     # of the base, n - 2 parts' worth, is the pool the stacks use up

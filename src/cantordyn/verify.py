@@ -13,7 +13,6 @@ in its cone: each column's atoms share one mass vector and the atoms
 partition the space, so the height-weighted column masses sum to 1.
 """
 
-from collections import Counter
 from fractions import Fraction
 
 from cantordyn.builder import _PAIR_DEPTH, _budget, enumerate_pairs, validate_sequence
@@ -110,13 +109,13 @@ def collapse_metric(g, n):
     g.runs(n, 0)
     bits = range(1 << _PAIR_DEPTH)
     outer, inner = [Fraction(0)] * len(bits), [Fraction(1)] * len(bits)
-    for ms in g._atom_masks(n):
-        counts = Counter(ms).items()
+    for col, groups in zip(g.stages[n].columns, g._atom_masks(n)):
+        counts = [(m, len(rs)) for m, rs in groups.items()]
         for b in bits:
             meet = sum(c for m, c in counts if m >> b & 1)
             inside = sum(c for m, c in counts if m in (0, 1 << b))  # 0: the empty atom, inside all
-            outer[b] = max(outer[b], Fraction(meet, len(ms)))
-            inner[b] = min(inner[b], Fraction(inside, len(ms)))
+            outer[b] = max(outer[b], Fraction(meet, len(col)))
+            inner[b] = min(inner[b], Fraction(inside, len(col)))
     return max([Fraction(0)] + [o - i for o, i in zip(outer, inner)])
 
 

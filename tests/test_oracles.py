@@ -7,13 +7,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cantordyn import oracles
+from cantordyn import oracles, tower
 from cantordyn.builder import build_saturated
 from cantordyn.clopen import EMPTY, FULL, ClopenSet
 from cantordyn.measure import MeasureFamily, TreeMeasure, parse_family
 from cantordyn.oracles import (
     DivisibilityFailure,
     GoodnessFailure,
+    SearchFailure,
     _solve_at_depth,
     _span,
     affine_approx,
@@ -476,6 +477,92 @@ def test_the_early_refusal_adds_no_search_to_the_uniform_build(monkeypatch):
     calls = count_searches(monkeypatch)
     build_saturated(parse_family("measure uniform\ndepth_bound 3\n"), 6, 12)
     assert len(calls) == 269
+
+
+def test_the_root_third_build_makes_a_fixed_number_of_searches(monkeypatch):
+    calls = count_searches(monkeypatch)
+    build_saturated(parse_family("measure third\nweight e 1/3\n"), 4, 16)
+    assert len(calls) == 95
+
+
+@pytest.mark.parametrize(
+    "text,stages,max_depth,count",
+    [("measure uniform\ndepth_bound 3\n", 6, 12, 273), ("measure third\nweight e 1/3\n", 4, 16, 47)],
+    ids=["uniform6", "third4"],
+)
+def test_the_builds_make_a_fixed_number_of_selections(monkeypatch, text, stages, max_depth, count):
+    calls = []
+    real = oracles._select
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    # the tower's moves call _select directly, and through _carve
+    monkeypatch.setattr(oracles, "_select", spy)
+    monkeypatch.setattr(tower, "_select", spy)
+    build_saturated(parse_family(text), stages, max_depth)
+    assert len(calls) == count
+
+
+def outcome(call, *args):
+    """A call's result, or the type and text of the exception it raised."""
+    try:
+        return call(*args)
+    except (ValueError, SearchFailure) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_st, host_st, st.integers(0, 6), st.sampled_from([1, 2, 3, 4]), st.data())
+def test_integer_targets_give_the_answers_of_fraction_targets(k, host, cap, n, data):
+    # the target is an n-th of a set's vector, the set inside the host or
+    # anywhere; _ints gives unreduced pairs, and n = 3 leaves the dyadic grid
+    if data.draw(st.booleans()):
+        words = host.refine_to_depth(data.draw(st.integers(host.max_leaf_len, max(host.max_leaf_len, 5))))
+        x = ClopenSet(data.draw(st.lists(st.sampled_from(words), max_size=6)))
+    else:
+        x = data.draw(st.lists(st.text(alphabet="01", max_size=4), max_size=3).map(ClopenSet))
+    want = outcome(select_copy, k, tuple(y / n for y in k.vec(x)), host, cap)
+    assert outcome(oracles._select, k, [(p, q * n) for p, q in oracles._ints(k, x)], host, cap) == want
+
+
+def test_integer_targets_are_refused_with_the_texts_of_fraction_targets():
+    cases = [
+        (TWO, (F(1, 8),)),  # too short
+        (UNI, (F(-1, 4),)),  # negative
+        (TWO, (F(1, 8), F(-1, 8))),
+        (UNI, (F(3, 4),)),  # exceeds the host
+        (TWO, (F(1, 2), F(1, 4))),  # matches the host under one generator only
+        (UNI, (F(1, 3),)),  # searched to the cap
+    ]
+    for k, target in cases:
+        want = outcome(select_copy, k, target, C("0"), 8)
+        assert isinstance(want, tuple)
+        for scale in (1, 3):
+            pairs = [(x.numerator * scale, x.denominator * scale) for x in target]
+            assert outcome(oracles._select, k, pairs, C("0"), 8) == want
+
+
+def reference_carve(k, host, vecs, max_depth):
+    """_carve as it was: select_copy on each Fraction vector in turn."""
+    pieces = []
+    for vec in vecs:
+        pieces.append(select_copy(k, vec, host, max_depth))
+        host = host - pieces[-1]
+    return pieces + [host]
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_st, host_st, st.integers(0, 8), st.data())
+def test_carve_with_integer_vectors_matches_select_copy_on_fractions(k, host, cap, data):
+    # up to three pieces labelled off the host's cylinders of some depth:
+    # each fits, but an earlier canonical pick may block a later one
+    words = host.refine_to_depth(data.draw(st.integers(host.max_leaf_len, max(host.max_leaf_len, 5))))
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=len(words), max_size=len(words)))
+    sets = [ClopenSet(w for w, j in zip(words, labels) if j == i) for i in range(data.draw(st.integers(0, 3)))]
+    want = outcome(reference_carve, k, host, [k.vec(x) for x in sets], cap)
+    assert outcome(oracles._carve, k, host, [oracles._ints(k, x) for x in sets], cap) == want
 
 
 @pytest.mark.parametrize(

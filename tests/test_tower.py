@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cantordyn import tower
+from cantordyn import oracles, tower
 from cantordyn.builder import build_saturated
-from cantordyn.clopen import EMPTY, FULL, ClopenSet, union_all
+from cantordyn.clopen import EMPTY, FULL, ClopenSet, _mask_set, union_all
 from cantordyn.measure import MeasureFamily, TreeMeasure, parse_family
 from cantordyn.oracles import NotEquivalent, _carve, select_copy
 from cantordyn.tower import (
@@ -455,7 +455,7 @@ def reference_stack(k, cols, pool, rounds, max_depth):
         for p in principals:
             sel = select_copy(k, k.vec(p[0]), union_all(q[0] for q in pool if q), max_depth)
             parts = [(i, sel & q[0]) for i, q in enumerate(pool) if q and not sel.is_disjoint(q[0])]
-            pieces = _carve(k, p[0], [k.vec(x) for _, x in parts[:-1]], max_depth)
+            pieces = _carve(k, p[0], [oracles._ints(k, x) for _, x in parts[:-1]], max_depth)
             for psub, (i, x) in zip(tower._split_column(k, p, 0, pieces, max_depth), parts):
                 head, *rest = tower._split_column(k, pool[i], 0, [x, pool[i][0] - x], max_depth)
                 pool[i] = rest[0] if rest else None
@@ -508,7 +508,7 @@ def test_split_column_along_a_carve_is_the_same_at_every_level(text, data):
     words = a.refine_to_depth(a.max_leaf_len + data.draw(st.integers(0, 1)))
     labels = [data.draw(st.integers(0, 2)) for _ in words]
     pieces = [C(*(w for w, j in zip(words, labels) if j == i)) for i in range(3)]
-    vecs = [k.vec(p) for p in pieces if not p.is_empty][:-1]
+    vecs = [oracles._ints(k, p) for p in pieces if not p.is_empty][:-1]
     subs = [tower._split_column(k, col, r, _carve(k, col[r], vecs, 16), 16) for r in range(len(col))]
     assert len(subs[0]) == len(vecs) + 1
     assert all(sub == subs[0] for sub in subs)
@@ -671,3 +671,58 @@ def test_merge_cuts_along_the_pair_and_balances(cols, u, v, want):
             assert a.is_subset(w) or a.is_disjoint(w)
     col = out.columns[0]
     assert sum(a.is_subset(u) for a in col) == sum(a.is_subset(v) for a in col)
+
+
+def reference_cut(k, columns, u, v, max_depth):
+    """_cut with the set rule it had: an atom is pure when the set of its
+    leaves' sides has one element, and that is not None."""
+    d = max(u.max_leaf_len, v.max_leaf_len)
+
+    def side(p):
+        c = C(p)
+        ins = c.is_subset(u), c.is_subset(v)
+        return ins if all(i or c.is_disjoint(s) for i, s in zip(ins, (u, v))) else None
+
+    cols = [tuple(col) for col in columns]
+    ci = 0
+    while ci < len(cols):
+        sides = [{side(w[:d]) for w in a.leaves} for a in cols[ci]]
+        ri = next((ri for ri, x in enumerate(sides) if len(x) > 1 or None in x), None)
+        if ri is None:
+            ci += 1
+            continue
+        a = cols[ci][ri]
+        pieces = [a & u & v, (a & u) - v, (a & v) - u, (a - u) - v]
+        cols[ci : ci + 1] = tower._split_column(k, cols[ci], ri, pieces, max_depth)
+    return cols
+
+
+# two atoms of mass 3/8, each a short leaf after a long one, and [01]
+MULTI_LEAF = [(C("000", "11"), C("001", "10")), (C("01"),)]
+
+
+@pytest.mark.parametrize(
+    "u,v",
+    [
+        (C("11"), C("11")),  # the later leaf [11] on the other side of both
+        (C("0"), C("00")),  # [000] inside both, [11] outside both
+        (C("0"), C("001")),  # [000] inside u only, [11] outside both
+        (C("110"), C("110")),  # the later leaf straddles u and v
+        (C("0"), C("110")),  # the later leaf straddles v only
+        (C("00"), C("01")),  # both atoms' first leaves on one side, their later leaves outside
+        (C("0000"), C("0000")),  # the first leaf straddles
+    ],
+)
+def test_cut_tests_each_leaf_as_the_set_rule_did(u, v):
+    got = tower._cut(UNI, MULTI_LEAF, u, v, 12)
+    assert got == reference_cut(UNI, MULTI_LEAF, u, v, 12)
+    assert got != [tuple(col) for col in MULTI_LEAF]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cut_matches_the_set_rule_on_drawn_towers(data):
+    t = uniform_tower(data)
+    depth3 = st.integers(0, 255).map(lambda m: _mask_set(m, 3))
+    u, v = data.draw(depth3), data.draw(depth3)
+    assert tower._cut(UNI, t.columns, u, v, 12) == reference_cut(UNI, t.columns, u, v, 12)

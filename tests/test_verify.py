@@ -18,7 +18,7 @@ from cantordyn.builder import (
     serialize_sequence,
     validate_sequence,
 )
-from cantordyn.clopen import EMPTY, FULL, ClopenSet, _mask_set, union_all
+from cantordyn.clopen import EMPTY, FULL, ClopenSet, _mask_set, _masks, union_all
 from cantordyn.cli import main
 from cantordyn.measure import InvalidWeights, MeasureFamily, TreeMeasure, frac_text, parse_family
 from cantordyn.oracles import GoodnessFailure
@@ -992,3 +992,73 @@ def test_a_schedule_longer_than_the_enumeration_is_reported(family):
     report = verification_report(TowerSequence(family, g.stages, g.pairs * 20000, g.budgets))
     assert not report.ok
     assert "schedule: only %s equivalent pairs within depth 3, need 20000" % n in report.violations
+
+
+def per_atom_members(g, i):
+    """_pair_members as one pass over the atoms, testing each atom's mask."""
+    xu, xv = _masks(g.pairs[i - 1], 3)
+    levels, split_u, split_v = [], True, True
+    for col in g.stages[i].columns:
+        ms = _masks(col, 3)
+        levels.append(tuple([r for r, m in enumerate(ms) if m | x == x] for x in (xu, xv)))
+        split_u = split_u and all(m | xu == xu or not m & xu for m in ms)
+        split_v = split_v and all(m | xv == xv or not m & xv for m in ms)
+    return levels, split_u, split_v
+
+
+def per_atom_collapse(g, n):
+    """collapse_metric counting atom by atom, each with its own mask."""
+    outer, inner = [F(0)] * 8, [F(1)] * 8
+    for col in g.stages[n].columns:
+        ms = _masks(col, 3)
+        for b in range(8):
+            outer[b] = max(outer[b], F(sum(m >> b & 1 for m in ms), len(ms)))
+            inner[b] = min(inner[b], F(sum(m in (0, 1 << b) for m in ms), len(ms)))
+    return max([F(0)] + [o - i for o, i in zip(outer, inner)])
+
+
+def assert_grouped_masks_match_per_atom(g, pairs):
+    """Every stage's collapse, and every pair's membership at every stage past 0."""
+    for n in range(len(g.stages)):
+        assert collapse_metric(g, n) == per_atom_collapse(g, n)
+    for u, v in pairs:
+        h = TowerSequence(g.family, g.stages, ((u, v),) * (len(g.stages) - 1), g.budgets)
+        for i in range(1, len(g.stages)):
+            assert h._pair_members(i) == per_atom_members(h, i)
+
+
+# depth-3 pairs that cut the stages in several ways: halves, alternate
+# quarters, single cylinders and their complements, alternating cylinders
+MASK_PAIRS = [(_mask_set(a, 3), _mask_set(b, 3)) for a, b in [(0x0F, 0xF0), (0x33, 0x05), (0x01, 0x80), (0xFE, 0x7F), (0x69, 0x96)]]
+
+
+@pytest.mark.parametrize(
+    "text,stages,max_depth",
+    [
+        ("measure uniform\ndepth_bound 3\n", 6, 12),
+        ("measure uniform\ndepth_bound 3\n", 3, 12),
+        ("measure third\nweight e 1/3\n", 4, 16),
+        ("measure third\nweight e 1/3\n", 2, 16),
+        ("measure d2\nweight 0 1/3\nweight 1 2/3\n", 3, 16),
+    ],
+    ids=["uniform6", "uniform3", "third4", "third2", "d2_3"],
+)
+def test_grouped_masks_match_a_per_atom_pass_on_the_pinned_builds(text, stages, max_depth):
+    g = build_saturated(parse_family(text), stages, max_depth)
+    assert_grouped_masks_match_per_atom(g, g.pairs + tuple(MASK_PAIRS))
+
+
+def test_grouped_masks_match_a_per_atom_pass_on_hand_written_towers():
+    # a column whose masks repeat at alternate levels, next to one whose
+    # atoms have leaves in two depth-3 cylinders each; then leaves of depth 1
+    s1 = KRPartition([(C("0000"), C("1000"), C("0001"), C("1001")), (C("01", "101"), C("001", "11"))])
+    s2 = KRPartition([(C("0"), C("1"))])
+    for g in (seq(UNI, [s1]), seq(UNI, [s2]), interleaved(), swapped_halves(), refined_twice()):
+        assert_grouped_masks_match_per_atom(g, g.pairs + tuple(MASK_PAIRS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(multi_column_sequences(), multi_leaf_sequences()), st.data())
+def test_grouped_masks_match_a_per_atom_pass_on_drawn_towers(g, data):
+    depth3 = st.integers(0, 255).map(lambda m: _mask_set(m, 3))
+    assert_grouped_masks_match_per_atom(g, [(data.draw(depth3), data.draw(depth3)) for _ in range(3)])
