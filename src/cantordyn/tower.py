@@ -180,12 +180,12 @@ def run_decomposition(s, t):
 def _split_column(k, column, level, pieces, max_depth=12):
     """Split a column along a partition of its atom at one level.
 
-    Returns one sub-column per nonempty piece, in piece order.  At every
-    other level, matching parts are picked off in sequence; the last
-    piece takes the forced remainder, which is exact by additivity.
-    Every carved word lies in one leaf, and the carve sees an atom only
-    through its shape (each leaf's length and weight-depth prefix): later
-    atoms of a shape take the first one's words below their own leaves.
+    Returns one sub-column per nonempty piece, in piece order.  Masses
+    depend on an atom only through its shape (each leaf's length and
+    weight-depth prefix), and each piece word lies in one leaf: atoms of
+    the split atom's shape take the pieces' words below their own leaves.
+    The first atom of another shape is carved, the last piece taking the
+    exact remainder, and later atoms of that shape take its words alike.
     """
     pieces = [p for p in pieces if not p.is_empty]
     if not pieces:
@@ -197,27 +197,26 @@ def _split_column(k, column, level, pieces, max_depth=12):
         raise ValueError("pieces overlap")
     if len(pieces) == 1:
         return [tuple(column)]
-    vecs = [_ints(k, p) for p in pieces[:-1]]
+    vecs = None  # the pieces' vectors, computed once a shape is carved
     top = k._top
-    # shape -> per piece, (leaf index, word) of the first carve
-    carved = {}
-    subs = [[None] * len(column) for _ in pieces]
-    for r, a in enumerate(column):
+    # shape -> per piece, (leaf index, word): the split atom's pieces, then each other shape's first carve
+    moves = [[(bisect_right(atom.leaves, w) - 1, w) for w in p.leaves] for p in pieces]
+    carved = {tuple((len(w), w[:top]) for w in atom.leaves): moves}
+    cuts = []
+    for a in column:
         leaves = a.leaves
         shape = tuple((len(w), w[:top]) for w in leaves)
-        if r == level:
-            cut = pieces
-        elif shape in carved:
+        if shape in carved:
             cut = [
                 ClopenSet._raw(tuple(leaves[i] + w[len(leaves[i]) :] for i, w in p))
                 for p in carved[shape]
             ]
         else:
+            vecs = vecs or [_ints(k, p) for p in pieces[:-1]]
             cut = _carve(k, a, vecs, max_depth)
             carved[shape] = [[(bisect_right(leaves, w) - 1, w) for w in p.leaves] for p in cut]
-        for sub, piece in zip(subs, cut):
-            sub[r] = piece
-    return [tuple(c) for c in subs]
+        cuts.append(cut)
+    return list(zip(*cuts))
 
 
 def _cut(k, columns, u, v, max_depth):

@@ -181,8 +181,18 @@ DEEP_WEIGHTS = tree_weights("1/3", 3)
         # in these two, the refine splits principals across pool columns twice
         ("measure seventeenth\nweight e 1/17\n", 3, 12, "seventeenth-3/tower.txt"),
         ("measure deep\n" + DEEP_WEIGHTS, 2, 12, "deep-2/tower.txt"),
+        # in these five, a column split moves its pieces onto atoms of the
+        # split atom's shape at other levels
+        ("measure uniform\ndepth_bound 3\n", 10, 14, "uniform-10/tower.txt"),
+        ("measure m\nweight e 1/5\n", 4, 16, "fifth-4/tower.txt"),
+        ("measure m\nweight e 1/9\n", 3, 16, "ninth-3/tower.txt"),
+        ("measure m\nweight e 8/9\n", 3, 16, "eight-ninths-3/tower.txt"),
+        ("measure m\n" + tree_weights("1/3", 2), 3, 16, "third-tree-3/tower.txt"),
     ],
-    ids=["uniform3", "third2", "third4", "d2_3", "uniform6", "seventeenth3", "deep2"],
+    ids=[
+        "uniform3", "third2", "third4", "d2_3", "uniform6", "seventeenth3", "deep2",
+        "uniform10", "fifth4", "ninth3", "eight_ninths3", "third_tree3",
+    ],
 )
 def test_serialized_build_bytes_pinned(monkeypatch, pins, text, stages, max_depth, key):
     # every stage is refine, then merge: the build never balances by stacking

@@ -476,7 +476,7 @@ def test_a_failed_search_past_the_weight_depth_is_decided_at_the_cap(monkeypatch
 def test_the_early_refusal_adds_no_search_to_the_uniform_build(monkeypatch):
     calls = count_searches(monkeypatch)
     build_saturated(parse_family("measure uniform\ndepth_bound 3\n"), 6, 12)
-    assert len(calls) == 269
+    assert len(calls) == 142
 
 
 def test_the_root_third_build_makes_a_fixed_number_of_searches(monkeypatch):
@@ -487,7 +487,7 @@ def test_the_root_third_build_makes_a_fixed_number_of_searches(monkeypatch):
 
 @pytest.mark.parametrize(
     "text,stages,max_depth,count",
-    [("measure uniform\ndepth_bound 3\n", 6, 12, 273), ("measure third\nweight e 1/3\n", 4, 16, 47)],
+    [("measure uniform\ndepth_bound 3\n", 6, 12, 146), ("measure third\nweight e 1/3\n", 4, 16, 47)],
     ids=["uniform6", "third4"],
 )
 def test_the_builds_make_a_fixed_number_of_selections(monkeypatch, text, stages, max_depth, count):

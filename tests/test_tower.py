@@ -10,7 +10,7 @@ from cantordyn import oracles, tower
 from cantordyn.builder import build_saturated
 from cantordyn.clopen import EMPTY, FULL, ClopenSet, _mask_set, union_all
 from cantordyn.measure import MeasureFamily, TreeMeasure, parse_family
-from cantordyn.oracles import NotEquivalent, _carve, select_copy
+from cantordyn.oracles import GoodnessFailure, NotEquivalent, _carve, select_copy
 from cantordyn.tower import (
     KRPartition,
     NotAPartition,
@@ -233,15 +233,33 @@ def test_split_column_refuses_an_overlap_of_null_mass():
 
 
 def reference_split(k, column, level, pieces, max_depth):
-    """_split_column carving every level on its own; a failure is (level, exc)."""
+    """_split_column level by level: atoms of the split atom's shape take the
+    pieces' words below their own leaves, and every other atom is carved on
+    its own; a failure is (level, exc)."""
+    return carve_every_level(k, column, level, pieces, max_depth, moved=True)
+
+
+def carve_every_level(k, column, level, pieces, max_depth, moved=False):
+    """_split_column carving every level but the split one on its own, or,
+    when moved, every level of a shape other than the split atom's; a
+    failure is (level, exc)."""
     pieces = [p for p in pieces if not p.is_empty]
     if len(pieces) == 1:
         return [tuple(column)]
     vecs = [k.vec(p) for p in pieces[:-1]]
+    host = column[level].leaves
     cuts = []
     for r, a in enumerate(column):
         if r == level:
             cuts.append(pieces)
+            continue
+        if moved and shape(k, a) == shape(k, column[level]):
+            # a word below the split atom's i-th leaf moves below a's i-th leaf
+            cut = []
+            for p in pieces:
+                words = [a.leaves[i] + w[len(h) :] for w in p.leaves for i, h in enumerate(host) if w.startswith(h)]
+                cut.append(C(*words))
+            cuts.append(cut)
             continue
         cut = []
         try:
@@ -268,9 +286,9 @@ def shape(k, a):
     return tuple((len(w), w[: k._top]) for w in a.leaves)
 
 
-@settings(max_examples=150, deadline=None)
-@given(family_st, st.data())
-def test_split_column_carves_each_shape_once(k, data):
+def drawn_split(k, data):
+    """A column of atoms of a few shapes, a level, and three pieces of its
+    atom, some of them possibly empty."""
     top = k._top
     # stems: an antichain of words no longer than the weight depth
     stems = [""]
@@ -304,8 +322,12 @@ def test_split_column_carves_each_shape_once(k, data):
     words = atom.refine_to_depth(atom.max_leaf_len + data.draw(st.integers(0, 1)))
     labels = [data.draw(st.integers(0, 2)) for _ in words]
     pieces = [C(*(w for w, j in zip(words, labels) if j == i)) for i in range(3)]
-    want = reference_split(k, column, level, pieces, 8)
-    got, hosts = split_and_carves(k, column, level, pieces, 8)
+    return column, level, pieces
+
+
+def same_split(got, want, hosts, column):
+    """_split_column's result matches a reference's, and a failing carve is
+    the last one made."""
     if isinstance(want, tuple):
         r, exc = want
         assert type(got) is type(exc) and str(got) == str(exc)
@@ -314,8 +336,34 @@ def test_split_column_carves_each_shape_once(k, data):
         assert hosts[-1] is column[r]
     else:
         assert [tuple(c) for c in got] == want
-        if len([p for p in pieces if not p.is_empty]) > 1:
-            assert len(hosts) == len({shape(k, a) for r, a in enumerate(column) if r != level})
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_st, st.data())
+def test_split_column_carves_each_shape_once(k, data):
+    column, level, pieces = drawn_split(k, data)
+    want = reference_split(k, column, level, pieces, 8)
+    got, hosts = split_and_carves(k, column, level, pieces, 8)
+    same_split(got, want, hosts, column)
+    if not isinstance(want, tuple) and len([p for p in pieces if not p.is_empty]) > 1:
+        # the split atom's shape takes its pieces, and each other shape one carve
+        assert len(hosts) == len({shape(k, a) for a in column} - {shape(k, column[level])})
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_st, st.data())
+def test_split_column_along_a_carve_carves_every_level(k, data):
+    # the carve sees an atom only through its shape: where the pieces are a
+    # carve, moving them onto an atom of their shape is carving it
+    column, level, pieces = drawn_split(k, data)
+    vecs = [oracles._ints(k, p) for p in pieces if not p.is_empty][:-1]
+    try:
+        pieces = _carve(k, column[level], vecs, 8)
+    except GoodnessFailure:  # an earlier pick can leave too little for a later one
+        assume(False)
+    want = carve_every_level(k, column, level, pieces, 8)
+    got, hosts = split_and_carves(k, column, level, pieces, 8)
+    same_split(got, want, hosts, column)
 
 
 def test_split_column_failing_carve_matches_reference():
@@ -325,17 +373,19 @@ def test_split_column_failing_carve_matches_reference():
     pieces = [C("000"), C("001")]
     r, exc = reference_split(k, column, 0, pieces, 8)
     got, hosts = split_and_carves(k, column, 0, pieces, 8)
-    assert r == 2 and hosts == [C("01"), C("10")]
+    # 01 has the shape of 00 and takes its pieces
+    assert r == 2 and hosts == [C("10")]
     assert type(got) is type(exc) and str(got) == str(exc)
     assert str(got) == "no subset of 10 attains (1/8, 1/16) (searched to depth 8)"
 
 
-def test_split_column_carves_one_shape_once():
+def test_split_column_moves_the_pieces_onto_their_shape():
     k = parse_family("measure d2\nweight 0 1/3\nweight 1 2/3\n")
     column = [C("01" + format(i, "04b")) for i in range(16)]
     pieces = [C("0100000"), C("0100001")]
     got, hosts = split_and_carves(k, column, 0, pieces, 12)
-    assert hosts == [column[1]]
+    # every atom has the split atom's shape: nothing is carved
+    assert hosts == []
     assert [tuple(c) for c in got] == reference_split(k, column, 0, pieces, 12)
     assert [c[15] for c in got] == [C("0111110"), C("0111111")]
 
@@ -344,13 +394,13 @@ def test_split_column_failing_carve_is_not_kept():
     k = parse_family("measure uniform\n\nmeasure quarter\nweight e 1/4\n")
     pieces = [C("000"), C("001")]
     got, hosts = split_and_carves(k, [C("00"), C("01"), C("10")], 0, pieces, 8)
-    assert hosts == [C("01"), C("10")]
+    assert hosts == [C("10")]
     assert str(got) == "no subset of 10 attains (1/8, 1/16) (searched to depth 8)"
-    # 11 has the shape of 10, whose carve failed: the call carves 01 anew,
-    # then 11, and names 11
+    # 11 has the shape of 10, whose carve failed: the call carves 11 anew
+    # and names it
     column = [C("00"), C("01"), C("11")]
     got, hosts = split_and_carves(k, column, 0, pieces, 8)
-    assert hosts == [C("01"), C("11")]
+    assert hosts == [C("11")]
     assert str(got) == "no subset of 11 attains (1/8, 1/16) (searched to depth 8)"
     r, exc = reference_split(k, column, 0, pieces, 8)
     assert r == 2 and type(got) is type(exc) and str(got) == str(exc)
@@ -362,8 +412,9 @@ def test_split_column_tells_shapes_apart():
     column = [C("0100"), C("0101"), C("0001"), C("01100"), C("1000"), C("0110")]
     pieces = [C("01000"), C("01001")]
     got, hosts = split_and_carves(k, column, 0, pieces, 12)
-    # 0110 has the shape of 0101; 0001 differs in a letter, 01100 in length
-    assert hosts == [C("0101"), C("0001"), C("01100"), C("1000")]
+    # 0101 and 0110 have the shape of 0100 and take its pieces; 0001
+    # differs in a letter, 01100 in length
+    assert hosts == [C("0001"), C("01100"), C("1000")]
     assert [tuple(c) for c in got] == reference_split(k, column, 0, pieces, 12)
 
 
@@ -514,6 +565,30 @@ def test_split_column_along_a_carve_is_the_same_at_every_level(text, data):
     assert all(sub == subs[0] for sub in subs)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["uniform", "measure third\nweight e 1/3\n", "measure d2\nweight 0 1/3\nweight 1 2/3\n"]), st.data())
+def test_split_column_along_any_pieces_gives_columns(text, data):
+    # pieces that are no carve still move onto the atoms of their shape:
+    # every sub-column keeps one vector, and each atom is tiled by its parts
+    if text == "uniform":
+        k, col = UNI, uniform_column(data)
+    else:
+        k, col = parse_family(text), built_column(text)
+    level = data.draw(st.integers(0, len(col) - 1))
+    a = col[level]
+    words = a.refine_to_depth(a.max_leaf_len + data.draw(st.integers(0, 2)))
+    labels = [data.draw(st.integers(0, 2)) for _ in words]
+    pieces = [p for p in (C(*(w for w, j in zip(words, labels) if j == i)) for i in range(3)) if not p.is_empty]
+    subs = tower._split_column(k, col, level, pieces, 16)
+    assert [sub[level] for sub in subs] == pieces
+    for sub in subs:
+        assert len(sub) == len(col) and len({k.vec(b) for b in sub}) == 1
+    for r, b in enumerate(col):
+        parts = [sub[r] for sub in subs]
+        assert union_all(parts) == b
+        assert all(p.is_disjoint(q) for i, p in enumerate(parts) for q in parts[i + 1 :])
+
+
 def test_refine_identity_when_small():
     t = from_columns(UNI, [(C("00"), C("10"), C("01"), C("11"))])
     assert refine_small_base_top(UNI, t, 2) is t
@@ -651,8 +726,8 @@ def test_balance_not_equivalent():
         # a pair deeper than the atoms and than the schedule's depth 3: the
         # leaf prefixes tested are as long as the pair
         ([("0", "1")], ["0000"], ["1111"], [
-            "0000", "1000", "0001", "1111", "0010", "1001", "0011", "1010",
-            "0100", "1011", "0101", "1100", "0110", "1101", "0111", "1110",
+            "0000", "1000", "0111", "1111", "0001", "1001", "0010", "1010",
+            "0011", "1011", "0100", "1100", "0101", "1101", "0110", "1110",
         ]),
     ],
     ids=["pure", "gcd", "singletons", "cut", "cut_four", "cut_column", "leaves_on_both_sides", "deep_pair"],
