@@ -138,10 +138,7 @@ def _first_words(w, r, s):
 
 
 def _vector(k, vec, what):
-    return _sized_as(k, tuple(Fraction(x) for x in vec), what)
-
-
-def _sized_as(k, vec, what):
+    vec = tuple(Fraction(x) for x in vec)
     if len(vec) != len(k):
         raise ValueError("%s has %d entries but the family has %d generators" % (what, len(vec), len(k)))
     return vec
@@ -262,8 +259,8 @@ def select_copy(k, target, host, max_depth=12):
 
 
 def _select(k, pairs, host, max_depth):
-    """select_copy for a target given as one (numerator, denominator) pair per generator."""
-    if any(p < 0 for p, _ in _sized_as(k, pairs, "target")):
+    """select_copy for one (numerator, denominator) target pair per generator, as select_copy and _ints give."""
+    if any(p < 0 for p, _ in pairs):
         raise ValueError("target %s has a negative entry" % _pairs_text(pairs))
     hv = _ints(k, host)
     # target minus host, cross-multiplied: its sign per generator

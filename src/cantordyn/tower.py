@@ -180,21 +180,17 @@ def run_decomposition(s, t):
 def _split_column(k, column, level, pieces, max_depth=12):
     """Split a column along a partition of its atom at one level.
 
-    Returns one sub-column per nonempty piece, in piece order.  Masses
-    depend on an atom only through its shape (each leaf's length and
-    weight-depth prefix), and each piece word lies in one leaf: atoms of
-    the split atom's shape take the pieces' words below their own leaves.
-    The first atom of another shape is carved, the last piece taking the
-    exact remainder, and later atoms of that shape take its words alike.
+    The caller builds the pieces as a partition of the atom; a build
+    checks each distinct stage's partition once, in validate_sequence.
+    Returns one sub-column per nonempty piece, in piece order.  Atoms of
+    the split atom's shape (leaf lengths and weight-depth prefixes, which
+    fix the masses) take the pieces' words below their own leaves.  The
+    first atom of another shape is carved, and later ones take its words.
     """
     pieces = [p for p in pieces if not p.is_empty]
     if not pieces:
         raise ValueError("no nonempty pieces to split along")
     atom = column[level]
-    if union_all(pieces) != atom:
-        raise ValueError("pieces do not cover the atom")
-    if _tiling(pieces, atom):
-        raise ValueError("pieces overlap")
     if len(pieces) == 1:
         return [tuple(column)]
     vecs = None  # the pieces' vectors, computed once a shape is carved

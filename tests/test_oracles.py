@@ -539,6 +539,9 @@ def test_integer_targets_are_refused_with_the_texts_of_fraction_targets():
     for k, target in cases:
         want = outcome(select_copy, k, target, C("0"), 8)
         assert isinstance(want, tuple)
+        if len(target) != len(k):  # refused where it enters; _select takes one pair per generator
+            assert want == (ValueError, "target has 1 entries but the family has 2 generators")
+            continue
         for scale in (1, 3):
             pairs = [(x.numerator * scale, x.denominator * scale) for x in target]
             assert outcome(oracles._select, k, pairs, C("0"), 8) == want

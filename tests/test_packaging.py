@@ -1,6 +1,7 @@
 """The package imports nothing outside the standard library and itself,
-every name it exports or imports from itself exists, importing it loads
-each module only when first used, and the README's library example runs."""
+every name it exports or imports from itself exists, every private name
+it defines is used, importing it loads each module only when first used,
+and the README's library example runs."""
 
 import ast
 import importlib
@@ -100,3 +101,41 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def private_definitions(tree):
+    """(name, first line, last line) of each private module-level function,
+    class or constant and each private method; dunder names are not private."""
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and private(node.name):
+            yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name) and private(t.id):
+                    yield t.id, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and private(item.name):
+                    yield item.name, item.lineno, item.end_lineno
+
+
+def test_every_private_definition_is_used():
+    # a private helper whose last use went stays behind unnoticed; every
+    # definition of a name is blanked, so two cannot vouch for each other
+    lines = {path.name: path.read_text(encoding="utf-8").splitlines() for path in sorted(SRC.glob("*.py"))}
+    defs = [
+        (file, *d) for file, text in lines.items() for d in private_definitions(ast.parse("\n".join(text)))
+    ]
+    orphans = []
+    for name in sorted({d[1] for d in defs}):
+        kept = {file: list(text) for file, text in lines.items()}
+        for file, _, first, last in (d for d in defs if d[1] == name):
+            kept[file][first - 1 : last] = [""] * (last - first + 1)
+        if not any(re.search(r"\b%s\b" % re.escape(name), "\n".join(text)) for text in kept.values()):
+            orphans.append(name)
+    assert orphans == []

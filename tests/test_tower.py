@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from functools import cache
 from unittest import mock
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from cantordyn import oracles, tower
 from cantordyn.builder import build_saturated
-from cantordyn.clopen import EMPTY, FULL, ClopenSet, _mask_set, union_all
+from cantordyn.clopen import EMPTY, FULL, ClopenSet, _mask_set, _tiling, union_all
 from cantordyn.measure import MeasureFamily, TreeMeasure, parse_family
 from cantordyn.oracles import GoodnessFailure, NotEquivalent, _carve, select_copy
 from cantordyn.tower import (
@@ -217,19 +218,11 @@ def test_cut_column_at_level():
     assert s.columns[0][1] | s.columns[1][1] == C("1")
     assert UNI.vec(s.columns[0][1]) == (F(1, 4),)
     assert run_decomposition(s, t) == ((0,), (0,))
-    with pytest.raises(ValueError, match="^pieces overlap$"):
-        tower._split_column(UNI, t.columns[0], 0, [C("00"), C("0")])
     with pytest.raises(ValueError, match="^no nonempty pieces to split along$"):
         tower._split_column(UNI, t.columns[0], 0, [EMPTY, EMPTY])
-    with pytest.raises(ValueError, match="^pieces do not cover the atom$"):
-        tower._split_column(UNI, t.columns[0], 0, [C("00"), C("010")])
-
-
-def test_split_column_refuses_an_overlap_of_null_mass():
-    # [1] has mass 0 under a weight of 1, so the pieces' masses add up to the atom's
-    k = MeasureFamily([TreeMeasure({"": F(1)})])
-    with pytest.raises(ValueError, match="^pieces overlap$"):
-        tower._split_column(k, (FULL,), 0, [FULL, C("1")])
+    # public input reaches it too: stacking onto an empty base splits it along its empty copy
+    with pytest.raises(ValueError, match="^no nonempty pieces to split along$"):
+        balance_columns(UNI, KRPartition(((EMPTY, C("0")), (C("1"),))), C("0"), C("1"))
 
 
 def reference_split(k, column, level, pieces, max_depth):
@@ -632,6 +625,13 @@ def test_refine_postconditions_weighted():
     assert sum(k.generators[0].eval(a) for a in got.atoms) == 1
 
 
+def wide_base_tower():
+    return from_columns(
+        UNI,
+        [(C("00000", "110", "1110", "11110"), C("01")), (C("00001", "0001", "001", "10", "11111"),)],
+    )
+
+
 def test_refine_pins_a_wide_base(monkeypatch):
     # the top [01] is cut around [010], and the first sub-column's base
     # 00000,11000 has diameter 1, so it is split again around [00000]
@@ -643,15 +643,46 @@ def test_refine_pins_a_wide_base(monkeypatch):
         return real(k, column, level, pieces, max_depth)
 
     monkeypatch.setattr(tower, "_split_column", spy)
-    t = from_columns(
-        UNI,
-        [(C("00000", "110", "1110", "11110"), C("01")), (C("00001", "0001", "001", "10", "11111"),)],
-    )
+    t = wide_base_tower()
     got = refine_small_base_top(UNI, t, F(1, 4))
     assert calls[1] == (C("00000", "11000"), 0, [C("00000"), C("11000")])
     assert from_columns(UNI, got.columns) == got
     assert run_decomposition(got, t) is not None
     assert got.base.diameter() == got.top.diameter() == F(1, 64)
+
+
+def test_every_split_is_along_a_partition_of_its_atom(monkeypatch):
+    # _split_column trusts its pieces to tile the atom: each caller builds
+    # them so.  The root-1/5 and weight-1/3 tree builds also carve atoms of
+    # another shape; the wide base reaches the refine's base pin, and
+    # balancing the trivial partition reaches _cut's split
+    real = tower._split_column
+    callers = set()
+
+    def spy(k, column, level, pieces, max_depth=12):
+        ps = [p for p in pieces if not p.is_empty]
+        assert union_all(ps) == column[level]
+        assert _tiling(ps, column[level]) is None
+        caller = sys._getframe(1)
+        while caller.f_code.co_name.startswith("<"):  # a comprehension's own frame
+            caller = caller.f_back
+        callers.add(caller.f_code.co_name)
+        return real(k, column, level, pieces, max_depth)
+
+    monkeypatch.setattr(tower, "_split_column", spy)
+    builds = [
+        ("measure uniform\ndepth_bound 3\n", 6, 12),
+        ("measure m\nweight e 1/3\n", 4, 16),
+        ("measure m\nweight e 1/5\n", 4, 16),
+        ("measure m\nweight e 1/3\nweight 0 1/3\nweight 1 1/3\n", 3, 16),
+    ]
+    for text, stages, max_depth in builds:
+        build_saturated(parse_family(text), stages, max_depth)
+    refine_small_base_top(UNI, wide_base_tower(), F(1, 4))
+    u, v = C("0"), C("1")
+    balance_columns(UNI, KRPartition(((C("00"), C("01")), (C("10"),), (C("11"),))), u, v)
+    balance_columns(UNI, trivial_partition(), u, v)
+    assert callers == {"_cut", "_merge", "_stack", "refine_small_base_top"}
 
 
 def test_refine_divides_below_the_smaller_designated_base():
