@@ -31,14 +31,6 @@ F = Fraction
 UNI = MeasureFamily([TreeMeasure()])
 C = lambda *ws: ClopenSet(ws)
 
-# the first refinement of the trivial tower under the uniform measure,
-# one column read bottom to top
-STAGE1 = (
-    "0000 0001 0011 0100 0101 0110 0111 1000"
-    " 1001 1010 1011 1100 1101 1110 1111 0010"
-).split()
-
-
 def test_enumerate_pairs_prefix():
     got = enumerate_pairs(UNI, 6)
     assert got == (
@@ -138,7 +130,7 @@ def test_enumerate_pairs_builds_only_the_sets_it_returns(monkeypatch):
         assert pairs == reference_pairs(reference_schedule(k), 6)
 
 
-def test_build_two_stages():
+def test_build_two_stages(counts):
     g = build_saturated(UNI, 2, max_depth=12)
     assert len(g.stages) == 3
     assert g.stages[0] == trivial_partition()
@@ -146,7 +138,8 @@ def test_build_two_stages():
     assert g.pairs == enumerate_pairs(UNI, 2)
     cols = g.stages[1].columns
     assert len(cols) == 1
-    assert [a.leaves for a in cols[0]] == [(w,) for w in STAGE1]
+    # the first refinement of the trivial tower, read bottom to top
+    assert [a.text() for a in cols[0]] == counts["mu0-2/first-stage"].split()
     # base and top already fit the tighter budget, so stage 2 is stage 1
     assert g.stages[2] == g.stages[1]
     assert validate_sequence(g) == ()
@@ -282,40 +275,37 @@ def test_build_refuses_a_one_generator_family_that_is_not_good():
     assert "A = [000]" in str(err) and "B = [011]" in str(err)
 
 
-def test_build_names_the_stage_an_oracle_failed_in():
-    # depth 8 is too shallow for stage 4's exact copies; the default 12 builds all six stages
+def test_build_names_the_stage_an_oracle_failed_in(counts):
+    # the table's refused build: its max_depth is too shallow for one stage's exact copies
+    family, stages, max_depth = counts["refused/family"], counts["refused/stages"], counts["refused/max-depth"]
     with pytest.raises(BuildFailure) as info:
-        build_saturated(parse_family("measure uniform\ndepth_bound 3\n"), 6, max_depth=8)
+        build_saturated(parse_family(family), stages, max_depth=max_depth)
     err = info.value
-    assert (err.stage, err.phase, type(err.cause)) == (4, "refine", GoodnessFailure)
-    assert err.cause.max_depth == 8
-    assert str(err) == (
-        "stage 4 refine failed: GoodnessFailure: no subset of 000000 attains (1/2048)"
-        " (searched to depth 8)"
-    )
+    assert str(err) == counts["refused/error"]
+    assert str(err).startswith("stage %d %s failed: " % (err.stage, err.phase))
+    assert type(err.cause) == GoodnessFailure
+    assert err.cause.max_depth == max_depth
 
 
 THIRD = "measure third\nweight e 1/3\n"
 
 
-@pytest.mark.parametrize(
-    "text,stages,max_depth",
-    [
-        ("measure uniform\ndepth_bound 3\n", 3, 12),
-        (THIRD, 2, 16),
-        (THIRD, 4, 16),
-        (D2, 3, 16),
-        # base masses up to 4 times their gcd: the merge carves before it stacks
-        ("measure deep\n" + DEEP_WEIGHTS, 2, 12),
-        # refine's second designated base is the smaller: the division fits it
-        ("measure deep\n" + tree_weights("2/3", 3), 2, 12),
-        ("measure fifth\nweight e 1/5\n", 4, 17),
-        ("measure uniform\ndepth_bound 3\n", 6, 12),
-    ],
-    ids=["uniform3", "third2", "third4", "d2_3", "deep2", "deep2_two_thirds", "fifth4", "uniform6"],
-)
-def test_every_built_stage_is_one_column_and_verifies(monkeypatch, text, stages, max_depth):
-    # the build asks only for exact copies: every oracle box is one point
+ONE_COLUMN_BUILDS = [
+    pytest.param("measure uniform\ndepth_bound 3\n", 3, 12, id="uniform3"),
+    pytest.param(THIRD, 2, 16, id="third2"),
+    pytest.param(THIRD, 4, 16, id="third4"),
+    pytest.param(D2, 3, 16, id="d2_3"),
+    # base masses up to 4 times their gcd: the merge carves before it stacks
+    pytest.param("measure deep\n" + DEEP_WEIGHTS, 2, 12, id="deep2"),
+    # refine's second designated base is the smaller: the division fits it
+    pytest.param("measure deep\n" + tree_weights("2/3", 3), 2, 12, id="deep2_two_thirds"),
+    pytest.param("measure fifth\nweight e 1/5\n", 4, 17, id="fifth4"),
+    pytest.param("measure uniform\ndepth_bound 3\n", 6, 12, id="uniform6"),
+]
+
+
+def build_with_boxes(text, stages, max_depth):
+    """The build, and the bounds of every oracle box it searched."""
     boxes = []
     real = oracles._in_box
 
@@ -323,12 +313,24 @@ def test_every_built_stage_is_one_column_and_verifies(monkeypatch, text, stages,
         boxes.append(bounds)
         return real(k, host, bounds, depth, *rest)
 
-    monkeypatch.setattr(oracles, "_in_box", spy)
-    g = build_saturated(parse_family(text), stages, max_depth)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_in_box", spy)
+        return build_saturated(parse_family(text), stages, max_depth), boxes
+
+
+@pytest.mark.parametrize("text,stages,max_depth", ONE_COLUMN_BUILDS)
+def test_every_built_stage_is_one_column_and_verifies(text, stages, max_depth):
+    # the build asks only for exact copies: every oracle box is one point
+    g, boxes = build_with_boxes(text, stages, max_depth)
     # each generator's bounds are lo = a/b and hi = c/e
-    assert boxes and all(a * e == c * b for bounds in boxes for a, b, c, e in bounds)
+    assert all(a * e == c * b for bounds in boxes for a, b, c, e in bounds)
     assert all(len(t.columns) == 1 for t in g.stages)
     assert verification_report(g).ok
+
+
+def test_some_one_column_build_searches_an_oracle_box():
+    # the exact-copy check above is not vacuous over its builds
+    assert any(build_with_boxes(*build.values)[1] for build in ONE_COLUMN_BUILDS)
 
 
 def good_families(j_max):
@@ -433,10 +435,16 @@ def test_build_refuses_a_sequence_validate_rejects(monkeypatch):
     assert str(err) == "stage 2 validate failed: AssertionError: stage 2 is wrong"
 
 
+def fresh_stages(g):
+    """The stages that do not repeat their predecessor, stage 0 first."""
+    return [n for n, t in enumerate(g.stages) if n == 0 or t != g.stages[n - 1]]
+
+
 def test_validate_checks_a_changed_repeat_in_full(monkeypatch):
-    # stage 2 of this build repeats stage 1 and is not checked again; with
-    # its top atom moved to the bottom it is still a partition, but no
-    # longer a repeat, and it does not refine stage 1
+    # stage n of this build repeats stage n - 1 and is not checked again;
+    # with its top atom moved to the bottom it is still a partition, but no
+    # longer a repeat, and it does not refine stage n - 1; stage n + 1,
+    # which repeated it, no longer does either
     calls = []
     real = cantordyn.builder.from_columns
 
@@ -446,23 +454,25 @@ def test_validate_checks_a_changed_repeat_in_full(monkeypatch):
 
     monkeypatch.setattr(cantordyn.builder, "from_columns", counted)
     g = build_saturated(UNI, 3)
-    assert g.stages[3] == g.stages[2] == g.stages[1]
+    repeats = [n for n in range(1, len(g.stages) - 1) if g.stages[n - 1] == g.stages[n] == g.stages[n + 1]]
+    assert repeats
+    n = repeats[0]
     del calls[:]
     assert validate_sequence(g) == ()
-    assert len(calls) == 2
-    col = g.stages[1].columns[0]
+    assert len(calls) == len(fresh_stages(g))
+    col = g.stages[n - 1].columns[0]
     moved = KRPartition((col[-1:] + col[:-1],))
-    bad = TowerSequence(g.family, g.stages[:2] + (moved, g.stages[3]), g.pairs, g.budgets)
+    bad = TowerSequence(g.family, g.stages[:n] + (moved,) + g.stages[n + 1 :], g.pairs, g.budgets)
     del calls[:]
     assert validate_sequence(bad) == (
-        "stage 2 does not refine stage 1",
-        "stage 3 does not refine stage 2",
+        "stage %d does not refine stage %d" % (n, n - 1),
+        "stage %d does not refine stage %d" % (n + 1, n),
     )
-    assert len(calls) == 4
+    assert len(calls) == len(fresh_stages(g)) + 2
     # runs names the first step that fails going down from its upper stage
-    with pytest.raises(ValueError, match="^stage 3 does not refine stage 2$"):
-        bad.runs(3, 0)
-    assert bad.runs(1, 0) == g.runs(1, 0)
+    with pytest.raises(ValueError, match="^stage %d does not refine stage %d$" % (n + 1, n)):
+        bad.runs(n + 1, 0)
+    assert bad.runs(n - 1, 0) == g.runs(n - 1, 0)
 
 
 PINNED_BUILDS = [
@@ -732,34 +742,47 @@ def test_load_shares_equal_atoms_across_stages():
     g = build_saturated(parse_family("measure uniform\ndepth_bound 3\n"), 6, 12)
     back = load_sequence(serialize_sequence(g))
     assert back == g
-    # stages 5 and 6 repeat stage 4, and 2 and 3 repeat stage 1
-    for n, m in ((5, 4), (6, 4), (2, 1), (3, 1)):
+    # each stage that repeats its predecessor shares the atoms of the
+    # fresh stage it repeats
+    fresh = fresh_stages(g)
+    repeats = [(n, max(m for m in fresh if m < n)) for n in range(len(g.stages)) if n not in fresh]
+    assert repeats
+    for n, m in repeats:
         assert all(a is b for a, b in zip(back.stages[n].atoms, back.stages[m].atoms))
-    assert back.stages[5].columns[0][0] is back.stages[4].columns[0][0]
+        assert back.stages[n].columns[0][0] is back.stages[m].columns[0][0]
 
 
 def test_load_gives_a_repeated_stage_block_one_partition():
-    # stages 5 and 6 of the uniform build repeat stage 4 line for line
+    # a stage that repeats its predecessor line for line loads as that partition
     g = build_saturated(parse_family("measure uniform\ndepth_bound 3\n"), 6, 12)
     text = serialize_sequence(g)
     back = load_sequence(text)
-    assert back.stages[5] is back.stages[4] and back.stages[6] is back.stages[4]
-    assert back.stages[3] is back.stages[1] and back.stages[4] is not back.stages[3]
-    # one atom line of stage 5 changed to another valid word: stage 5 loads
-    # fresh and fails the partition check, and stage 6, no longer a repeat
-    # of its predecessor, loads fresh and passes it
+    for n in range(1, len(g.stages)):
+        assert (back.stages[n] is back.stages[n - 1]) == (g.stages[n] == g.stages[n - 1])
+    # the last stage n that repeats its predecessor and is repeated by its
+    # successor; its base atom's line changed to another valid word: stage
+    # n loads fresh and fails the partition check, and stage n + 1, no
+    # longer a repeat of its predecessor, loads fresh and passes it
+    repeats = [n for n in range(1, len(g.stages) - 1) if g.stages[n - 1] == g.stages[n] == g.stages[n + 1]]
+    assert repeats
+    n = repeats[-1]
+    (col,) = g.stages[n].columns
     lines = text.splitlines()
-    at = lines.index("stage 5 columns 1 budget 1/32") + 2
-    assert lines[at : at + 2] == ["00000000000", "00010000000"]
+    at = next(i for i, line in enumerate(lines) if line.startswith("stage %d " % n)) + 2
+    assert lines[at - 1] == "column %d" % len(col)
+    assert lines[at : at + 2] == [a.text() for a in col[:2]]
+    # the base is one cylinder: its sibling has its masses, and [0] does not
+    (w,) = col[0].leaves
+    assert g.family.vec(col[0]) != g.family.vec(C("0"))
     for word, why in [
-        ("00000000001", "atoms do not cover the space"),
+        (w[:-1] + "10"[int(w[-1])], "atoms do not cover the space"),
         ("0", "column 0 level 1 differs in mass from its base"),
     ]:
         broken = load_sequence("\n".join(lines[:at] + [word] + lines[at + 1 :]) + "\n")
-        assert broken.stages[5] is not broken.stages[4] and broken.stages[6] is not broken.stages[5]
-        assert broken.stages[6] == broken.stages[4]
-        assert validate_sequence(broken) == ("stage 5 is not a tower partition: " + why,)
-        assert verification_report(broken).violations == ("stage 5 is not a tower partition: " + why,)
+        assert broken.stages[n] is not broken.stages[n - 1] and broken.stages[n + 1] is not broken.stages[n]
+        assert broken.stages[n + 1] == broken.stages[n - 1]
+        assert validate_sequence(broken) == ("stage %d is not a tower partition: %s" % (n, why),)
+        assert verification_report(broken).violations == ("stage %d is not a tower partition: %s" % (n, why),)
 
 
 atom_line_st = st.one_of(st.text(alphabet="01,X∅ a", max_size=6), st.just("empty"))

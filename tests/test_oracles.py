@@ -473,36 +473,55 @@ def test_a_failed_search_past_the_weight_depth_is_decided_at_the_cap(monkeypatch
     assert len(calls) == 4
 
 
-def test_the_early_refusal_adds_no_search_to_the_uniform_build(monkeypatch):
-    calls = count_searches(monkeypatch)
-    build_saturated(parse_family("measure uniform\ndepth_bound 3\n"), 6, 12)
-    assert len(calls) == 142
+BUILDS = {
+    "uniform-6": ("measure uniform\ndepth_bound 3\n", 6, 12),
+    "third-4": ("measure third\nweight e 1/3\n", 4, 16),
+}
 
 
-def test_the_root_third_build_makes_a_fixed_number_of_searches(monkeypatch):
-    calls = count_searches(monkeypatch)
-    build_saturated(parse_family("measure third\nweight e 1/3\n"), 4, 16)
-    assert len(calls) == 95
+@pytest.fixture(scope="module")
+def oracle_calls():
+    """A build's subset-sum searches and selections, each build made once."""
+    made = {}
+
+    def calls(build):
+        if build not in made:
+            with pytest.MonkeyPatch.context() as mp:
+                found = count_searches(mp)
+                picked = []
+                real = oracles._select
+
+                def spy(*args):
+                    picked.append(args)
+                    return real(*args)
+
+                # the tower's moves call _select directly, and through _carve
+                mp.setattr(oracles, "_select", spy)
+                mp.setattr(tower, "_select", spy)
+                text, stages, max_depth = BUILDS[build]
+                build_saturated(parse_family(text), stages, max_depth)
+            made[build] = (len(found), len(picked))
+        return made[build]
+
+    return calls
+
+
+def test_the_early_refusal_adds_no_search_to_the_uniform_build(oracle_calls, counts):
+    # a box with no point at the cap is refused early and adds no search
+    assert oracle_calls("uniform-6")[0] == counts["uniform-6/searches"]
+
+
+def test_the_root_third_build_makes_a_fixed_number_of_searches(oracle_calls, counts):
+    assert oracle_calls("third-4")[0] == counts["third-4/searches"]
 
 
 @pytest.mark.parametrize(
-    "text,stages,max_depth,count",
-    [("measure uniform\ndepth_bound 3\n", 6, 12, 146), ("measure third\nweight e 1/3\n", 4, 16, 47)],
+    "build,selections",
+    [("uniform-6", "uniform-6/selections"), ("third-4", "third-4/selections")],
     ids=["uniform6", "third4"],
 )
-def test_the_builds_make_a_fixed_number_of_selections(monkeypatch, text, stages, max_depth, count):
-    calls = []
-    real = oracles._select
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    # the tower's moves call _select directly, and through _carve
-    monkeypatch.setattr(oracles, "_select", spy)
-    monkeypatch.setattr(tower, "_select", spy)
-    build_saturated(parse_family(text), stages, max_depth)
-    assert len(calls) == count
+def test_the_builds_make_a_fixed_number_of_selections(oracle_calls, counts, build, selections):
+    assert oracle_calls(build)[1] == counts[selections]
 
 
 def outcome(call, *args):

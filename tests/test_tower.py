@@ -655,7 +655,9 @@ def test_every_split_is_along_a_partition_of_its_atom(monkeypatch):
     # _split_column trusts its pieces to tile the atom: each caller builds
     # them so.  The root-1/5 and weight-1/3 tree builds also carve atoms of
     # another shape; the wide base reaches the refine's base pin, and
-    # balancing the trivial partition reaches _cut's split
+    # balancing the trivial partition reaches _cut's split.  The callers
+    # are the code's own function names: a construction change edits them
+    # here, as it edits tests/pins.sha256 and tests/counts.txt
     real = tower._split_column
     callers = set()
 

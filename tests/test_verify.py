@@ -2,12 +2,14 @@ import hashlib
 import random
 import re
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from naive_check import naive_faults
+from test_builder import LEAF_MOVE_FAMILIES, fresh_stages
 
 from cantordyn.builder import (
     BuildFailure,
@@ -60,15 +62,16 @@ def seq(family, partitions, pairs=(), budgets=None):
     return TowerSequence(family, stages, pairs, budgets)
 
 
-def test_cone_single_column():
+def test_cone_single_column(counts):
     g = build_saturated(UNI, 1)
+    n = counts["mu0-1/atoms"]
     cone = invariant_cone(g, 1)
     assert cone.stage == 1
-    assert len(cone.atoms) == 16
-    assert cone.heights == g.stages[1].heights == (16,)
-    assert column_simplex(g.stages[1]) == ((F(1, 16),) * 16,)
-    assert cone.contains((F(1, 16),) * 16)
-    lopsided = (F(1, 8),) + (F(1, 16),) * 14 + (F(0),)
+    assert len(cone.atoms) == n
+    assert cone.heights == g.stages[1].heights == (n,)
+    assert column_simplex(g.stages[1]) == ((F(1, n),) * n,)
+    assert cone.contains((F(1, n),) * n)
+    lopsided = (F(2, n),) + (F(1, n),) * (n - 2) + (F(0),)
     assert not cone.contains(lopsided)
     with pytest.raises(ValueError):
         cone.contains((F(1),))
@@ -547,7 +550,8 @@ def test_a_repeated_stage_reports_the_collapse_of_its_own(g, data):
 
 def test_verification_report_computes_each_repeated_collapse_once(monkeypatch):
     g = build_saturated(UNI, 3)
-    assert g.stages[1] == g.stages[2] == g.stages[3] != g.stages[0]
+    fresh = fresh_stages(g)
+    assert len(fresh) < len(g.stages)  # some stage repeats its predecessor
     want = verification_report(g).text()
     calls = []
     original = verify.collapse_metric
@@ -558,7 +562,7 @@ def test_verification_report_computes_each_repeated_collapse_once(monkeypatch):
 
     monkeypatch.setattr(verify, "collapse_metric", counted)
     assert verification_report(g).text() == want
-    assert calls == [0, 1]
+    assert calls == fresh
 
 
 def test_first_return_divide_tests_each_atom_once(monkeypatch):
@@ -659,6 +663,9 @@ def not_good_tower():
     Stage 1 is one column of 8 atoms: atom i is three depth-5 cylinders of
     [0] and [10] plus the i-th depth-5 cylinder of [11], so every atom has
     masses (1/8, 1/8).  Base and top lie in [1], within the budget 1/2.
+    Pair 1 is the enumeration's first, (empty, empty).  Every union of the
+    column's atoms has equal masses under both generators, so the column
+    splits only pairs whose sets do.
     """
     k = parse_family("measure uniform\nmeasure two\nweight e 1/3\nweight 1 1/4\n")
     words = ["".join(p) for p in product("01", repeat=5)]
@@ -666,7 +673,7 @@ def not_good_tower():
     fill = ten[:3] + [w for w in words if w.startswith("0")] + ten[3:]
     eleven = [w for w in words if w.startswith("11")]
     col = tuple(ClopenSet(fill[3 * i : 3 * i + 3] + [eleven[i]]) for i in range(8))
-    return TowerSequence(k, (trivial_partition(), KRPartition((col,))), ((EMPTY, EMPTY),), (F(1), F(1, 2)))
+    return TowerSequence(k, (trivial_partition(), KRPartition((col,))), enumerate_pairs(k, 1), (F(1), F(1, 2)))
 
 
 def test_verification_report_refuses_a_family_that_is_not_good():
@@ -756,6 +763,26 @@ def test_verify_agrees_with_an_independent_checker_on_edited_towers():
             verdicts.append((kind, report.ok))
     # every kind of edit keeps a valid tower somewhere and breaks one somewhere
     assert set(verdicts) == {(kind, ok) for kind in ("leaves", "atoms", "levels") for ok in (True, False)}
+
+
+@cache
+def built_text(text, stages):
+    return serialize_sequence(build_saturated(parse_family(text), stages, 16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LEAF_MOVE_FAMILIES), st.integers(2, 3), st.integers(0, 5), st.randoms(use_true_random=False))
+def test_verify_agrees_with_an_independent_checker_on_one_edit_of_a_build(text, stages, e, rng):
+    # the last of e + 1 seeded edits, each of the whole tower: e picks the
+    # kind and whether stages repeating the edited one are edited too
+    edits = list(tower_edits(built_text(text, stages), rng, e + 1))
+    if not edits:
+        return
+    try:
+        h = load_sequence(edits[-1][1])
+    except ValueError:
+        return
+    assert verification_report(h).ok == (not naive_faults(h, enumerate_pairs(h.family, len(h.pairs))))
 
 
 def test_verification_report_flags_tampering():
@@ -930,25 +957,28 @@ def test_verification_report_lists_witnesses_without_building_pieces(monkeypatch
         assert [line for line in report.lines if line.startswith("pair ")] == want
 
 
-def test_a_pairs_exponents_do_not_depend_on_the_stage_that_lists_it():
-    # every stage-5 column runs through whole stage-4 columns, each run
-    # visiting u and v equally, so the runs repeat stage 4's matching
+def test_a_pairs_exponents_do_not_depend_on_the_stage_that_lists_it(counts):
+    # pair i moved to stage i + 1: every stage-(i + 1) column runs through
+    # whole stage-i columns, each run visiting u and v equally, so the runs
+    # repeat stage i's matching
     g = build_saturated(THIRD, 8, max_depth=16)
-    u, v = g.pairs[3]
-    assert (u, v) == (C("1"), C("0", "11"))
-    pairs = g.pairs[:3] + ((EMPTY, EMPTY), (u, v)) + g.pairs[5:]
+    i = counts["third-8/moved-pair"]
+    u, v = g.pairs[i - 1]
+    assert "%s %s" % (u.text(), v.text()) == counts["third-8/moved-pair-sets"]
+    pairs = g.pairs[: i - 1] + ((EMPTY, EMPTY), (u, v)) + g.pairs[i + 1 :]
     moved = TowerSequence(g.family, g.stages, pairs, g.budgets)
-    assert g.stages[5] != g.stages[4]
+    assert g.stages[i + 1] != g.stages[i]
     assert validate_sequence(moved) == ()
     w, w_moved = saturation_witness(g, u, v), saturation_witness(moved, u, v)
-    assert (w.stage, w_moved.stage) == (4, 5)
-    assert w.exponents == w_moved.exponents == (-7, -6, -5, -4, 0, 1, 4, 5)
+    assert (w.stage, w_moved.stage) == (i, i + 1)
+    exponents = tuple(int(e) for e in counts["third-8/moved-pair-exponents"].split(","))
+    assert w.exponents == w_moved.exponents == exponents
 
     def witness_line(report, i):
         prefix = "pair %d:" % i
         return next(line[len(prefix):] for line in report.lines if line.startswith(prefix))
 
-    assert witness_line(verification_report(moved), 5) == witness_line(verification_report(g), 4)
+    assert witness_line(verification_report(moved), i + 1) == witness_line(verification_report(g), i)
 
 
 @settings(max_examples=100, deadline=None)
