@@ -84,12 +84,12 @@ class TowerSequence:
     def runs(self, n, m):
         """Each stage-n column's runs through the stage-m columns, m <= n.
 
-        Telescoped from each stage's runs through its predecessor, which
-        are computed once, on first use rather than on construction, so
-        that a damaged sequence still loads and validate_sequence reports
-        it.  runs(n, n) is the identity.  Raises ValueError unless
-        0 <= m <= n <= the last stage, and for the first step down from n
-        that does not refine.
+        Telescoped from each stage's runs through its predecessor: the
+        identity, unsearched, when the two are equal, else run_decomposition's,
+        computed once, on first use rather than on construction, so that a
+        damaged sequence still loads and validate_sequence reports it.
+        runs(n, n) is the identity.  Raises ValueError unless 0 <= m <= n <=
+        the last stage, and for the first step down from n that does not refine.
         """
         last = len(self.stages) - 1
         if not 0 <= m <= n <= last:
@@ -97,7 +97,8 @@ class TowerSequence:
         cur = tuple((c,) for c in range(len(self.stages[n].columns)))
         for j in range(n - 1, m - 1, -1):
             if j not in self._steps:
-                self._steps[j] = run_decomposition(self.stages[j + 1], self.stages[j])
+                s, t = self.stages[j + 1], self.stages[j]
+                self._steps[j] = tuple((c,) for c in range(len(t.columns))) if s == t else run_decomposition(s, t)
             step = self._steps[j]
             if step is None:
                 raise ValueError("stage %d does not refine stage %d" % (j + 1, j))

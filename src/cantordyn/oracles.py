@@ -200,7 +200,7 @@ def _in_box(k, host, bounds, max_depth, hv):
     ib = box(base)
     if ib is not None and all(l <= x <= h for (l, h), (x, _) in zip(ib, hv)):
         return host
-    if host.is_empty or base > max_depth or ib is None and box(max_depth) is None:
+    if host.is_empty or ib is None and box(max_depth) is None:
         return None
     top = k._top
     probe = True  # no search at max_depth yet

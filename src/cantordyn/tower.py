@@ -6,6 +6,7 @@ under the measure family, read bottom to top.  All atoms together
 partition the space.  The partition encodes a partial homeomorphism:
 each atom maps to the one above it, and the union of the column tops
 maps onto the union of the bases in a way later stages pin down.
+run_decomposition finds by search how one partition climbs through another.
 
 A build stage is two moves: refine_small_base_top fits base and top
 inside small cylinders, and _merge cuts along the stage's pair, testing
@@ -148,12 +149,8 @@ def run_decomposition(s, t):
     bottom to top, or None if s does not refine t as a tower: every run
     must start at a t-base (an empty atom starts none), match t's atoms
     level by level, and the runs must exhaust the column exactly.  Both
-    must be tower partitions, as from_columns checks: then a partition
-    equal to t runs through it column by column, ((0,), (1,), ...), and
-    that is returned unsearched.
+    must be tower partitions, as from_columns checks.
     """
-    if s == t:
-        return tuple((ci,) for ci in range(len(t.columns)))
     idx = _atom_index(t)
     traces = []
     for col in s.columns:
@@ -337,7 +334,7 @@ def _stack(k, cols, pool, rounds, max_depth):
             plan.append((parts, _carve(k, host, [_ints(k, x) for _, x in parts[:-1]], max_depth)))
             hosts += plan[-1][1]
     shares = [[x for parts, _ in plan for j, x in parts if j == i] for i in range(len(pool))]
-    subs = [_split_column(k, q, 0, s + [b], max_depth) if s else [q] for q, s, b in zip(pool, shares, bases)]
+    subs = [_split_column(k, q, 0, s + [b], max_depth) for q, s, b in zip(pool, shares, bases)]
     heads = [iter(x) for x in subs]
     stacked = list(cols)
     for j, (parts, pieces) in enumerate(plan):

@@ -497,13 +497,20 @@ def test_run_decomposition_of_a_stage_over_itself_is_the_identity(monkeypatch, t
             for ri, a in enumerate(col):
                 assert all(tower._locate(idx, w) == (ci, ri) for w in a.leaves)
 
+        # so a search finds the identity for a partition equal to t
+        assert run_decomposition(KRPartition(t.columns), t) == tuple((ci,) for ci in range(len(t.columns)))
+
     def refuse(t):
         raise AssertionError("searched a stage equal to its predecessor")
 
-    # an equal partition is answered without building the atom index
+    # the sequence answers a repeated stage's step without building the atom
+    # index; a fresh sequence, since validate_sequence computed g's runs
+    repeated = [n for n in range(1, len(g.stages)) if g.stages[n] == g.stages[n - 1]]
+    assert repeated
+    fresh = TowerSequence(g.family, g.stages, g.pairs, g.budgets)
     monkeypatch.setattr(tower, "_atom_index", refuse)
-    for t in g.stages:
-        assert run_decomposition(KRPartition(t.columns), t) == tuple((ci,) for ci in range(len(t.columns)))
+    for n in repeated:
+        assert fresh.runs(n, n - 1) == tuple((ci,) for ci in range(len(g.stages[n].columns)))
 
 
 def test_validate_reports_a_pair_not_split_into_atoms():

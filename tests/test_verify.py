@@ -660,19 +660,14 @@ def test_build_and_verify_refuse_a_family_with_the_same_text():
 def not_good_tower():
     """A structurally valid two-stage tower over a family that is not good.
 
-    Stage 1 is one column of 8 atoms: atom i is three depth-5 cylinders of
-    [0] and [10] plus the i-th depth-5 cylinder of [11], so every atom has
-    masses (1/8, 1/8).  Base and top lie in [1], within the budget 1/2.
-    Pair 1 is the enumeration's first, (empty, empty).  Every union of the
-    column's atoms has equal masses under both generators, so the column
-    splits only pairs whose sets do.
+    The second generator moves mass only below [000], so every depth-3
+    cylinder has masses (1/8, 1/8) under both.  Stage 1 is one column of
+    the 8 depth-3 cylinders: base and top fit the budget 1/2, and the
+    column splits every pair of unions of depth-3 cylinders, the
+    enumeration's first among them.
     """
-    k = parse_family("measure uniform\nmeasure two\nweight e 1/3\nweight 1 1/4\n")
-    words = ["".join(p) for p in product("01", repeat=5)]
-    ten = [w for w in words if w.startswith("10")]
-    fill = ten[:3] + [w for w in words if w.startswith("0")] + ten[3:]
-    eleven = [w for w in words if w.startswith("11")]
-    col = tuple(ClopenSet(fill[3 * i : 3 * i + 3] + [eleven[i]]) for i in range(8))
+    k = parse_family("measure uniform\nmeasure two\nweight 000 1/3\n")
+    col = tuple(ClopenSet(["".join(w)]) for w in product("01", repeat=3))
     return TowerSequence(k, (trivial_partition(), KRPartition((col,))), enumerate_pairs(k, 1), (F(1), F(1, 2)))
 
 
@@ -683,6 +678,13 @@ def test_verification_report_refuses_a_family_that_is_not_good():
     report = verification_report(g)
     assert not report.ok
     assert report.violations == (
+        "family: not good: A = [00000] has masses (1/32, 1/48) < (1/16, 1/12) of B = [0001] under every "
+        "generator, but every clopen C inside B has masses (1/16, 1/12) * q for one dyadic q, and "
+        "the A/B ratios (1/2, 1/4) are not one dyadic q",
+    )
+    # a family that moves mass at the root: its stage 0 alone is refused
+    k = parse_family("measure uniform\nmeasure two\nweight e 1/3\nweight 1 1/4\n")
+    assert verification_report(TowerSequence(k, (trivial_partition(),), (), (F(1),))).violations == (
         "family: not good: A = [000] has masses (1/8, 1/12) < (1/4, 1/2) of B = [11] under every "
         "generator, but every clopen C inside B has masses (1/4, 1/2) * q for one dyadic q, and "
         "the A/B ratios (1/2, 1/6) are not one dyadic q",
@@ -693,7 +695,7 @@ def test_verify_exits_3_on_a_family_that_is_not_good(tmp_path, capsys):
     (tmp_path / "tower.txt").write_text(serialize_sequence(not_good_tower()))
     assert main(["verify", "--out", str(tmp_path)]) == 3
     last = capsys.readouterr().out.splitlines()[-1]
-    assert last.startswith("violated: family: not good: A = [000] has masses (1/8, 1/12)")
+    assert last.startswith("violated: family: not good: A = [00000] has masses (1/32, 1/48)")
 
 
 def tower_edits(text, rng, count):
